@@ -18,6 +18,7 @@ from .finite_field import (
     FieldVector,
     ff_rank,
     ff_solve,
+    field_modulus,
     largest_prime_below,
     mat_vec,
     matrix_from_lists,
@@ -66,7 +67,7 @@ class AcceptanceSuite:
     # -- criterion 2 -------------------------------------------------
     def query_family_independence(self) -> CriterionResult:
         n = 16
-        delta = largest_prime_below(n**4)
+        delta = field_modulus(n)
         violations = 0
         checks = 0
         for seed in range(1, 6):
@@ -116,7 +117,7 @@ class AcceptanceSuite:
     # -- criterion 4 -------------------------------------------------
     def oracle_equivalence(self) -> CriterionResult:
         n = 64
-        delta = largest_prime_below(n**4)
+        delta = field_modulus(n)
         mismatches = 0
         probe_violations = 0
         for seed in range(10):
@@ -297,7 +298,7 @@ class AcceptanceSuite:
     # -- criterion 9 -------------------------------------------------
     def crossing_out_independence(self) -> CriterionResult:
         n, beta, m = 440, 5, 55
-        delta = largest_prime_below(n**4)
+        delta = field_modulus(n)
         points = fibonacci_lattice.scaled_lattice(fibonacci_lattice.LatticeSpec.create(m, n))
         family = grid_analysis.build_grid_family(n, beta, 2, epoch_size=m)
         grid = family.grids[2]

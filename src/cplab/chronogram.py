@@ -30,7 +30,7 @@ from .fibonacci_lattice import (
     largest_fibonacci_at_most,
     scaled_lattice,
 )
-from .finite_field import FieldVector, PrimeModulus, largest_prime_below
+from .finite_field import FieldVector, PrimeModulus, field_modulus
 from .hard_queries import QueryFamily, QueryFamilyParams, build_query_family
 from .rng import substream, substream_seed
 from .structures import (
@@ -244,7 +244,7 @@ def run_hard_distribution(
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     structure_id = structure or STRUCTURE_FOR_KIND[kind]
-    delta = largest_prime_below(n**4)
+    delta = field_modulus(n)
     schedule = epoch_schedule(n, beta)
     run_sched = schedule.snap_to_fibonacci() if kind == "orc" else schedule
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__, chronogram, encoding_game, fibonacci_lattice, grid_analysis
 from .acceptance import run_acceptance
-from .finite_field import largest_prime_below
+from .finite_field import PrimeModulus, field_modulus
 from .hard_queries import (
     QueryFamilyParams,
     build_query_family,
@@ -88,6 +88,14 @@ def _require(args: argparse.Namespace, parser: argparse.ArgumentParser, *keys: s
             parser.error(f"--{key.replace('_', '-')} is required")
 
 
+def _field_modulus(n: int, parser: argparse.ArgumentParser) -> PrimeModulus:
+    # an out-of-range --n is a usage error (exit 2), not a traceback
+    try:
+        return field_modulus(n)
+    except ValueError as exc:
+        parser.error(f"--n: {exc}")
+
+
 def _cmd_lattice(args, parser) -> int:
     _require(args, parser, "m")
     m = args.m
@@ -117,8 +125,8 @@ def _cmd_family(args, parser) -> int:
     n, seed = args.n, args.seed or 0
     c = args.c if args.c is not None else 22.0
     trials = args.trials if args.trials is not None else 200
+    delta = _field_modulus(n, parser)
     outdir = _outdir(args)
-    delta = largest_prime_below(n**4)
     family = build_query_family(
         QueryFamilyParams(n=n, modulus=delta, independence_constant=c, seed=seed)
     )
@@ -149,6 +157,7 @@ def _cmd_chronogram(args, parser) -> int:
     kind = "artificial" if structure == "naive" else "orc"
     seed = args.seed or 0
     sample_size = args.trials if args.trials is not None else 200
+    _field_modulus(args.n, parser)
     outdir = _outdir(args)
     run = chronogram.run_hard_distribution(
         kind, args.n, args.beta, seed=seed, structure=structure, w=args.w
@@ -189,6 +198,7 @@ def _cmd_encode(args, parser) -> int:
     if args.kind not in chronogram.KINDS:
         parser.error(f"--kind must be one of {chronogram.KINDS}")
     seed = args.seed or 0
+    _field_modulus(args.n, parser)
     outdir = _outdir(args)
     run = chronogram.run_hard_distribution(args.kind, args.n, args.beta, seed=seed, w=args.w)
     istar = args.istar
@@ -249,8 +259,8 @@ def _cmd_grid(args, parser) -> int:
     n, beta, m = args.n, args.beta, args.m
     seed = args.seed or 0
     trials = args.trials if args.trials is not None else 100
+    delta = _field_modulus(n, parser)
     outdir = _outdir(args)
-    delta = largest_prime_below(n**4)
     points = fibonacci_lattice.scaled_lattice(fibonacci_lattice.LatticeSpec.create(m, n))
     i_eff = 1
     while beta ** (i_eff + 1) <= m:

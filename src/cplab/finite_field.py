@@ -7,7 +7,6 @@ pure functions, so results can move freely between threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -16,31 +15,34 @@ class SingularMatrixError(ValueError):
     """A square solve hit a rank-deficient matrix."""
 
 
+# Sorenson & Webster (Math. Comp. 86, 2017): a strong probable prime to
+# the first 13 prime bases is prime below psi_13, the first exception.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(value: int) -> bool:
-    """Deterministic trial-division primality test."""
+    """Deterministic Miller-Rabin; raises ValueError at or past psi_13."""
+    if value >= _MILLER_RABIN_EXACT_BELOW:
+        raise ValueError(f"{value} is past the exact Miller-Rabin range")
     if value < 2:
         return False
-    if value < 4:
-        return True
-    if value % 2 == 0:
-        return False
-    f = 3
-    while f * f <= value:
-        if value % f == 0:
+    for p in _MILLER_RABIN_BASES:
+        if value % p == 0:
+            return value == p
+    s = ((value - 1) & (1 - value)).bit_length() - 1  # value - 1 = d * 2^s, d odd
+    d = (value - 1) >> s
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, value)
+        if x in (1, value - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % value
+            if x == value - 1:
+                break
+        else:
             return False
-        f += 2
     return True
-
-
-def _primes_upto(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(2, n + 1) if sieve[i]]
 
 
 @dataclass(frozen=True)
@@ -55,29 +57,20 @@ class PrimeModulus:
 
 
 def largest_prime_below(limit: int) -> PrimeModulus:
-    """Largest prime strictly below `limit`, by a (segmented) sieve.
-
-    The segment walk keeps the search exact and deterministic even for
-    limits far beyond what a single in-memory sieve could hold.
-    """
-    if limit < 3:
-        raise ValueError(f"no prime below {limit}")
-    base = _primes_upto(math.isqrt(limit - 1))
-    segment = 1 << 16
-    top = limit
-    while top > 2:
-        lo = max(2, top - segment)
-        marks = bytearray([1]) * (top - lo)
-        for p in base:
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start >= top:
-                continue
-            marks[start - lo :: p] = bytearray(len(range(start, top, p)))
-        for value in range(top - 1, lo - 1, -1):
-            if value >= 2 and marks[value - lo] and is_prime(value):
-                return PrimeModulus(value)
-        top = lo
+    """Largest prime strictly below `limit`, by a downward scan."""
+    for value in range(limit - 1, 1, -1):
+        if is_prime(value):
+            return PrimeModulus(value)
     raise ValueError(f"no prime below {limit}")
+
+
+def field_modulus(n: int) -> PrimeModulus:
+    """The lab's field modulus Delta: the largest prime below n^4."""
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
+    if n**4 >= _MILLER_RABIN_EXACT_BELOW:
+        raise ValueError(f"n={n} is too large: n^4 must stay below {_MILLER_RABIN_EXACT_BELOW}")
+    return largest_prime_below(n**4)
 
 
 @dataclass(frozen=True)

@@ -100,6 +100,23 @@ class TestGrid:
         assert manifest["full_rank_trials"] == 20
 
 
+class TestNRange:
+    # n=1 has no prime below n^4; n=1349547 is the first n whose n^4 is
+    # past the exact range of the primality test
+    @pytest.mark.parametrize("n", [1, 1_349_547])
+    def test_out_of_range_n_exits_2(self, tmp_path, capsys, n):
+        for argv in (
+            ("chronogram", "--n", str(n), "--beta", "5"),
+            ("grid", "--n", str(n), "--beta", "5", "--m", "55"),
+        ):
+            out = tmp_path / argv[0]
+            with pytest.raises(SystemExit) as err:
+                run_cli(*argv, "--out", str(out))
+            assert err.value.code == 2
+            assert "--n:" in capsys.readouterr().err
+            assert not out.exists()
+
+
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path):
         config = tmp_path / "run.conf"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -343,6 +344,25 @@ class TestIntegrityChecks:
         message = encode_epoch(run, 2, resolved)
         with pytest.raises(ValueError):
             decode_epoch(message, run.updates, run.structure_factory)
+
+    @pytest.mark.parametrize(
+        "delta",
+        [
+            # psi_12: composite, yet a strong probable prime to bases 2..37
+            318665857834031151167461,
+            # psi_13: the first value the primality test will not answer
+            3317044064679887385961981,
+            # the Mersenne prime 2^89 - 1, beyond the exact range
+            2**89 - 1,
+        ],
+    )
+    def test_untestable_or_composite_delta_rejected(self, delta):
+        run = run_hard_distribution("artificial", 25, 5, seed=1)
+        forged = dataclasses.replace(encode_epoch(run, 1, None), delta=delta)
+        parsed = EncodingMessage.from_bytes(forged.to_bytes())
+        assert parsed.delta == delta
+        with pytest.raises(ValueError):
+            decode_epoch(parsed, run.updates.prefix_above(1), run.structure_factory)
 
 
 class TestEntropyAccount:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from cplab.finite_field import (
     complete_basis,
     ff_rank,
     ff_solve,
+    field_modulus,
     identity_matrix,
     in_span,
     independent_row_indices,
@@ -25,12 +28,94 @@ P5 = PrimeModulus(5)
 P7 = PrimeModulus(7)
 
 
+# psi_12 and psi_13: the smallest composites that are strong probable
+# primes to all of the first 12 (resp. 13) prime bases.
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def _trial_division_is_prime(value):
+    # reference oracle: the original O(sqrt(value)) primality test
+    if value < 2:
+        return False
+    if value < 4:
+        return True
+    if value % 2 == 0:
+        return False
+    f = 3
+    while f * f <= value:
+        if value % f == 0:
+            return False
+        f += 2
+    return True
+
+
 def _oracle_largest_prime_below(limit):
-    # independent oracle: scan downward with trial division
     for v in range(limit - 1, 1, -1):
-        if all(v % f for f in range(2, int(v**0.5) + 1)):
+        if _trial_division_is_prime(v):
             return v
     raise ValueError
+
+
+def _strong_probable_prime(value, base):
+    d, s = value - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(base, d, value)
+    if x in (1, value - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % value
+        if x == value - 1:
+            return True
+    return False
+
+
+_PRIMES_BELOW_10K = [p for p in range(10_000) if _trial_division_is_prime(p)]
+_FIRST_PRIMES = _PRIMES_BELOW_10K[:13]
+
+
+class TestIsPrime:
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(-10, 10**7))
+    def test_agrees_with_trial_division(self, value):
+        assert is_prime(value) == _trial_division_is_prime(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(_PRIMES_BELOW_10K), st.sampled_from(_PRIMES_BELOW_10K))
+    def test_rejects_products_of_two_primes(self, p, q):
+        assert is_prime(p * q) is False
+
+    def test_bases_themselves_are_prime(self):
+        assert [v for v in range(50) if is_prime(v)] == _FIRST_PRIMES + [43, 47]
+
+    @pytest.mark.parametrize(
+        "composite, factors, fooled",
+        [
+            (3215031751, (151, 751, 28351), 4),
+            (3825123056546413051, (149491, 747451, 34233211), 11),
+            # fools all 12 bases 2..37, so a 12-base test is not exact here
+            (PSI_12, (399165290221, 798330580441), 12),
+        ],
+    )
+    def test_rejects_strong_pseudoprimes(self, composite, factors, fooled):
+        assert math.prod(factors) == composite
+        assert all(_strong_probable_prime(composite, a) for a in _FIRST_PRIMES[:fooled])
+        assert not is_prime(composite)
+
+    def test_scan_from_the_exact_bound(self):
+        assert largest_prime_below(PSI_13).value < PSI_13
+
+    def test_beyond_exact_range_raises(self):
+        assert 1287836182261 * 2575672364521 == PSI_13
+        assert all(_strong_probable_prime(PSI_13, a) for a in _FIRST_PRIMES)
+        with pytest.raises(ValueError):
+            is_prime(PSI_13)
+        with pytest.raises(ValueError):
+            is_prime(10**30)
+        with pytest.raises(ValueError):
+            PrimeModulus(PSI_13)
 
 
 class TestLargestPrimeBelow:
@@ -48,8 +133,7 @@ class TestLargestPrimeBelow:
     def test_matches_oracle(self, limit):
         assert largest_prime_below(limit).value == _oracle_largest_prime_below(limit)
 
-    def test_segmented_path_beyond_one_segment(self):
-        # forces at least one empty segment walk past 2^16
+    def test_matches_oracle_at_two_to_the_twenty(self):
         value = largest_prime_below(2**20).value
         assert value == _oracle_largest_prime_below(2**20)
         assert is_prime(value)
@@ -58,6 +142,27 @@ class TestLargestPrimeBelow:
         for n in (10, 25, 64):
             delta = largest_prime_below(n**4).value
             assert n**4 // 2 <= delta < n**4
+
+
+class TestFieldModulus:
+    @pytest.mark.parametrize(
+        "n, delta",
+        [(2, 13), (440, 37480959979), (1000, 999999999989), (3000, 80999999999987)],
+    )
+    def test_pinned_values(self, n, delta):
+        assert field_modulus(n).value == delta
+
+    def test_largest_supported_n(self):
+        n = 1_349_546
+        assert n**4 < PSI_13 <= (n + 1) ** 4
+        delta = field_modulus(n).value
+        assert delta < n**4
+        assert not any(is_prime(v) for v in range(delta + 1, n**4))
+
+    @pytest.mark.parametrize("n", [-3, 0, 1, 1_349_547, 10**7])
+    def test_out_of_range_rejected(self, n):
+        with pytest.raises(ValueError):
+            field_modulus(n)
 
 
 class TestPrimeModulus:
