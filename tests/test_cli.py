@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -52,6 +53,56 @@ class TestChronogram:
         assert len(lines) == 1 + len(manifest["snapped_sizes"])
         assert manifest["snapped_sizes"] == [34, 5]
         assert (out / "chronogram_trace.csv").exists()
+
+
+class TestChronogramGolden:
+    """Byte-exact artifacts of `cplab chronogram`, pinned from a
+    reference run; they do not depend on PYTHONHASHSEED."""
+
+    CASES = {
+        "orc2d": (
+            ["--n", "55", "--beta", "5", "--structure", "orc2d", "--seed", "0"],
+            "5a06f4a553ee3596c7610599c6adc5cb836ae4b9f4737062c35f1c34488fbe55",
+            "2dbc62f99fc43e2d5b5a3083ea39ebdd72be52f74ea4b6f710b10463c5dfdc9c",
+            {
+                "config": {"beta": 5.0, "kind": "orc", "n": 55, "queries_sampled": 200,
+                           "seed": 0, "structure": "orc2d", "w": 32},
+                "delta": 9150613,
+                "epoch_sizes": [50, 5],
+                "mean_total_probes": 3.795,
+                "snapped_sizes": [34, 5],
+            },
+        ),
+        "naive": (
+            ["--n", "25", "--beta", "5", "--structure", "naive", "--seed", "0"],
+            "98151f47a43ef1732f5be2931191e7f60565e52cbbc248c8765fa04aa47cba7c",
+            "3f3cf2fd6495805dd3868f3b671c4daa07deda9092cea3b5acd985fbab6ac5cc",
+            {
+                "config": {"beta": 5.0, "kind": "artificial", "n": 25, "queries_sampled": 200,
+                           "seed": 0, "structure": "naive", "w": 24},
+                "delta": 390581,
+                "epoch_sizes": [20, 5],
+                "mean_total_probes": 12.54,
+                "snapped_sizes": [20, 5],
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("structure", sorted(CASES))
+    def test_artifacts_byte_identical(self, tmp_path, structure):
+        argv, trace_sha, profile_sha, manifest_rest = self.CASES[structure]
+        out = tmp_path / structure
+        assert run_cli("chronogram", *argv, "--out", str(out)) == 0
+        digest = lambda name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert digest("chronogram_trace.csv") == trace_sha
+        assert digest("chronogram_profile.csv") == profile_sha
+        manifest = json.loads((out / "chronogram_manifest.json").read_text())
+        del manifest["versions"]
+        assert manifest == {
+            "artifacts": ["chronogram_profile.csv", "chronogram_trace.csv"],
+            "command": "chronogram",
+            **manifest_rest,
+        }
 
 
 class TestEncode:
