@@ -10,8 +10,9 @@ must see exactly the same blanks the original execution saw.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Iterator
 
 
 def ceil_lg(n: int) -> int:
@@ -42,52 +43,56 @@ class MemoryConfig:
         return cls(w=w)
 
 
-@dataclass(frozen=True)
-class ProbeEntry:
-    op_id: Hashable
-    kind: str  # "read" | "write"
-    address: int
-    epoch_tag: int | None  # tag on the cell at probe time; None if unwritten
+_KINDS = ("read", "write")
 
 
 class ProbeTrace:
-    """Append-only probe log, segmented by operation id."""
+    """Append-only probe log kept as columns, segmented by operation id.
+
+    Probe k has `addresses[k]`, `kinds[k]` (0 read, 1 write) and
+    `tags[k]`, the epoch tag on the cell at probe time (-1 if it was
+    unwritten), each stored as a signed 64-bit integer. An operation owns
+    the probes from its `begin` to the next `begin`; probes before the
+    first `begin` belong to op None. Op ids are unique within one log.
+    """
 
     def __init__(self) -> None:
-        self.entries: list[ProbeEntry] = []
-        self._spans: dict[Hashable, tuple[int, int]] = {}
-        self._open: Hashable | None = None
-        self._open_start = 0
+        self.addresses = array("q")
+        self.kinds = bytearray()
+        self.tags = array("q")
+        self._op_index: dict[Hashable, int] = {None: 0}  # op id -> position, in begin order
+        self._op_starts: list[int] = [0]
 
     def begin(self, op_id: Hashable) -> None:
-        self._close()
-        self._open = op_id
-        self._open_start = len(self.entries)
+        if op_id in self._op_index:
+            raise ValueError(f"op id {op_id!r} already used in this log")
+        self._op_index[op_id] = len(self._op_starts)
+        self._op_starts.append(len(self.addresses))
 
-    def _close(self) -> None:
-        if self._open is not None:
-            self._spans[self._open] = (self._open_start, len(self.entries))
-            self._open = None
-
-    def append(self, entry: ProbeEntry) -> None:
-        self.entries.append(entry)
-
-    def segment(self, op_id: Hashable) -> list[ProbeEntry]:
-        if op_id == self._open:
-            return self.entries[self._open_start :]
-        start, end = self._spans[op_id]
-        return self.entries[start:end]
+    def segment(self, op_id: Hashable) -> array:
+        """Addresses the operation probed, in probe order."""
+        k = self._op_index[op_id]
+        end = self._op_starts[k + 1] if k + 1 < len(self._op_starts) else len(self.addresses)
+        return self.addresses[self._op_starts[k] : end]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.addresses)
 
-    def export_csv(self, path: str) -> None:
+    def rows(self) -> Iterator[tuple[Hashable, str, int, int | str]]:
+        """(op_id, kind, address, tag) per probe; an unwritten cell's tag is ""."""
+        ends = self._op_starts[1:] + [len(self.addresses)]
+        for op_id, start, end in zip(self._op_index, self._op_starts, ends):
+            for k in range(start, end):
+                tag = self.tags[k]
+                yield op_id, _KINDS[self.kinds[k]], self.addresses[k], "" if tag < 0 else tag
+
+    def export_csv(self, path: str, *then: "ProbeTrace") -> None:
+        """Write this log's rows, followed by those of each log in `then`."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["op_id", "kind", "address", "epoch_tag"])
-            for e in self.entries:
-                tag = "" if e.epoch_tag is None else e.epoch_tag
-                writer.writerow([e.op_id, e.kind, e.address, tag])
+            for trace in (self, *then):
+                writer.writerows(trace.rows())
 
 
 class SimulatedMemory:
@@ -104,7 +109,7 @@ class SimulatedMemory:
         self.cells: dict[int, tuple[int, int]] = {}  # address -> (contents, tag)
         self.current_epoch: int | None = None
         self.trace = ProbeTrace()
-        self._current_op: Hashable | None = None
+        self._limit = 1 << config.w
 
     def begin_epoch(self, epoch_id: int) -> None:
         if epoch_id < 1:
@@ -116,26 +121,31 @@ class SimulatedMemory:
         self.current_epoch = epoch_id
 
     def begin_operation(self, op_id: Hashable) -> None:
-        self._current_op = op_id
         self.trace.begin(op_id)
 
-    def _check_address(self, address: int) -> None:
-        if not 0 <= address < 1 << self.config.w:
-            raise ValueError(f"address {address} does not fit in {self.config.w} bits")
-
+    # read and write are the hot path: each appends one probe to the
+    # log's columns, with no per-probe object
     def read(self, address: int) -> int:
-        self._check_address(address)
-        contents, tag = self.cells.get(address, (0, None))
-        self.trace.append(ProbeEntry(self._current_op, "read", address, tag))
+        if not 0 <= address < self._limit:
+            raise ValueError(f"address {address} does not fit in {self.config.w} bits")
+        contents, tag = self.cells.get(address, (0, -1))
+        trace = self.trace
+        trace.addresses.append(address)
+        trace.kinds.append(0)
+        trace.tags.append(tag)
         return contents
 
     def write(self, address: int, value: int) -> None:
-        self._check_address(address)
-        if not 0 <= value < 1 << self.config.w:
+        if not 0 <= address < self._limit:
+            raise ValueError(f"address {address} does not fit in {self.config.w} bits")
+        if not 0 <= value < self._limit:
             raise OverflowError(f"value {value} does not fit in {self.config.w} bits")
         tag = self.current_epoch if self.current_epoch is not None else 0
+        trace = self.trace
+        trace.addresses.append(address)  # raises OverflowError at 2^63, before any change
+        trace.kinds.append(1)
+        trace.tags.append(tag)
         self.cells[address] = (value, tag)
-        self.trace.append(ProbeEntry(self._current_op, "write", address, tag))
 
     def epoch_of(self, address: int) -> int | None:
         cell = self.cells.get(address)
@@ -164,33 +174,18 @@ class SimulatedMemory:
         return partition
 
 
-def probe_read(mem: SimulatedMemory, address: int) -> int:
-    return mem.read(address)
-
-
-def probe_write(mem: SimulatedMemory, address: int, value: int) -> None:
-    mem.write(address, value)
-
-
-def probe_counts_by_epoch(
-    entries: Iterable[ProbeEntry], mem: SimulatedMemory
-) -> dict[int, int]:
+def probe_counts_by_epoch(addresses: Iterable[int], mem: SimulatedMemory) -> dict[int, int]:
     """Distinct cells probed, keyed by the cell's final epoch tag.
 
-    A cell probed twice within the segment counts once; cells that were
-    never written belong to no epoch and are skipped. Raw probe counts
-    stay available in the trace itself.
+    A cell probed twice counts once; cells that were never written
+    belong to no epoch and are skipped. Raw probe counts stay available
+    in the probe log.
     """
-    seen: set[int] = set()
     counts: dict[int, int] = {}
-    for e in entries:
-        if e.address in seen:
-            continue
-        seen.add(e.address)
-        tag = mem.epoch_of(e.address)
-        if tag is None:
-            continue
-        counts[tag] = counts.get(tag, 0) + 1
+    for address in dict.fromkeys(addresses):
+        tag = mem.epoch_of(address)
+        if tag is not None:
+            counts[tag] = counts.get(tag, 0) + 1
     return counts
 
 

@@ -13,11 +13,13 @@ a single run.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .cell_probe_sim import (
     MemoryConfig,
+    ProbeTrace,
     SimulatedMemory,
     assert_epoch_partition,
     ceil_lg,
@@ -324,6 +326,7 @@ class ProbeProfile:
     queries: tuple
     counts: tuple[dict[int, int], ...]
     totals: tuple[int, ...]
+    log: ProbeTrace = field(compare=False, repr=False)  # the queries' scoped probe log
 
     def t(self, query_index: int, epoch: int) -> int:
         return self.counts[query_index].get(epoch, 0)
@@ -356,24 +359,33 @@ def run_query(run: RunRecord, query) -> int:
     return run.structure.query(query[0], query[1])
 
 
+def replay_queries(run: RunRecord, queries: Sequence) -> tuple[list[array], ProbeTrace]:
+    """Run the queries against the finished run inside a scoped probe
+    log, with op ids ("qry", index). Returns each query's probed
+    addresses and the scoped log; the run's own log is left as it was."""
+    memory = run.memory
+    saved, log = memory.trace, ProbeTrace()
+    memory.trace = log
+    try:
+        for idx, q in enumerate(queries):
+            log.begin(("qry", idx))
+            run_query(run, q)
+    finally:
+        memory.trace = saved
+    return [log.segment(("qry", idx)) for idx in range(len(queries))], log
+
+
 def epoch_probe_profile(run: RunRecord, queries: Sequence) -> ProbeProfile:
     """Execute the sample read-only after all updates and count, per
     query, the distinct cells probed from each epoch's cell set."""
-    counts = []
-    totals = []
-    for idx, q in enumerate(queries):
-        op = ("qry", idx)
-        run.memory.begin_operation(op)
-        run_query(run, q)
-        segment = run.memory.trace.segment(op)
-        by_epoch = probe_counts_by_epoch(segment, run.memory)
-        counts.append(by_epoch)
-        totals.append(sum(by_epoch.values()))
+    probed, log = replay_queries(run, queries)
+    counts = tuple(probe_counts_by_epoch(addresses, run.memory) for addresses in probed)
     return ProbeProfile(
         epochs=tuple(run.run_schedule.epoch_ids()),
         queries=tuple(queries),
-        counts=tuple(counts),
-        totals=tuple(totals),
+        counts=counts,
+        totals=tuple(sum(by_epoch.values()) for by_epoch in counts),
+        log=log,
     )
 
 

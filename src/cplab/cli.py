@@ -172,7 +172,8 @@ def _cmd_chronogram(args, parser) -> int:
     profile_path = outdir / "chronogram_profile.csv"
     profile.export_csv(str(profile_path))
     trace_path = outdir / "chronogram_trace.csv"
-    run.memory.trace.export_csv(str(trace_path))
+    # the run's update probes, then the profile's query probes
+    run.memory.trace.export_csv(str(trace_path), profile.log)
     config = {
         "kind": kind, "structure": structure, "n": args.n, "beta": args.beta,
         "seed": seed, "w": run.w, "queries_sampled": len(queries),

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .cell_probe_sim import MemoryConfig, ProbeTrace, SimulatedMemory
+from .cell_probe_sim import MemoryConfig, SimulatedMemory
 from .chronogram import (
     EpochSchedule,
     RunRecord,
@@ -33,7 +33,7 @@ from .chronogram import (
     epoch_schedule,
     execute_epochs,
     incidence_vector,
-    run_query,
+    replay_queries,
 )
 from .fibonacci_lattice import LatticeSpec, dominance_incidence, scaled_lattice
 from .finite_field import (
@@ -240,23 +240,15 @@ class ResolvedSet:
     sample_mean_t: float
     sample_size: int
     tries_used: int
+    query_probes: int  # raw probes of the pool replay and the verify replay
 
 
-def _query_probe_sets(
-    run: RunRecord, istar: int, pool: Sequence, op_tag: str
-) -> list[set[int]]:
-    """Per pooled query, the distinct epoch-istar cells it probes."""
-    probe_sets = []
-    for idx, q in enumerate(pool):
-        op = (op_tag, idx)
-        run.memory.begin_operation(op)
-        run_query(run, q)
-        seen: set[int] = set()
-        for e in run.memory.trace.segment(op):
-            if e.address not in seen and run.memory.epoch_of(e.address) == istar:
-                seen.add(e.address)
-        probe_sets.append(seen)
-    return probe_sets
+def _query_probe_sets(run: RunRecord, istar: int, pool: Sequence) -> tuple[list[set[int]], int]:
+    """Per pooled query, the distinct epoch-istar cells it probes; and
+    the raw probe count of the replay."""
+    target_cells = {addr for addr, _ in run.cells_of_epoch(istar)}
+    probed, log = replay_queries(run, pool)
+    return [target_cells.intersection(addresses) for addresses in probed], len(log)
 
 
 def default_cell_budget(run: RunRecord, istar: int) -> int:
@@ -312,7 +304,7 @@ def find_resolved_set(
                 seen_q.add(q)
                 pool.append(q)
 
-    probe_sets = _query_probe_sets(run, istar, pool, "resolve")
+    probe_sets, query_probes = _query_probe_sets(run, istar, pool)
     mean_t = sum(len(s) for s in probe_sets) / len(pool)
     eligible = [
         (q, probes)
@@ -340,7 +332,7 @@ def find_resolved_set(
 
     # replay each kept query and re-check the containment directly
     chosen_set = set(best_cells)
-    verify_sets = _query_probe_sets(run, istar, best, "resolve-verify")
+    verify_sets, verify_probes = _query_probe_sets(run, istar, best)
     for q, probes in zip(best, verify_sets):
         if not probes <= chosen_set:
             raise AssertionError(f"replay of {q} probed epoch {istar} outside C")
@@ -353,6 +345,7 @@ def find_resolved_set(
         sample_mean_t=mean_t,
         sample_size=len(pool),
         tries_used=tries_used,
+        query_probes=query_probes + verify_probes,
     )
 
 
@@ -539,23 +532,21 @@ class _ResolvingMemory:
         istar: int,
     ):
         self.config = config
-        self.trace = ProbeTrace()
         self.small_cells = small_cells
         self.c_cells = c_cells
         self.prefix_memory = prefix_memory
-        self.verify_run = verify_run
         self.istar = istar
-
-    def begin_operation(self, op_id) -> None:
-        self.trace.begin(op_id)
+        # the verify run's epoch-istar cells: replay may probe them only inside C
+        self.istar_cells = (
+            set() if verify_run is None
+            else {addr for addr, _ in verify_run.cells_of_epoch(istar)}
+        )
 
     def read(self, address: int) -> int:
-        if self.verify_run is not None:
-            true_tag = self.verify_run.memory.epoch_of(address)
-            if true_tag == self.istar and address not in self.c_cells:
-                raise DecodingIntegrityError(
-                    f"replay probed epoch-{self.istar} cell {address} outside C"
-                )
+        if address in self.istar_cells and address not in self.c_cells:
+            raise DecodingIntegrityError(
+                f"replay probed epoch-{self.istar} cell {address} outside C"
+            )
         if address in self.small_cells:
             return self.small_cells[address]
         if address in self.c_cells:
@@ -649,9 +640,8 @@ def decode_epoch(
         ]
         rows: list[FieldVector] = []
         z_values: list[int] = []
-        for idx, qid in enumerate(qids):
+        for qid in qids:
             q = divmod(qid, n)
-            resolving.begin_operation(("replay", idx))
             answer = replay_structure.query(q[0], q[1])
             known = sum(wt for (pt, wt) in prefix_points if pt[0] <= q[0] and pt[1] <= q[1])
             for epoch_id, weights in small_weights.items():
@@ -670,8 +660,7 @@ def decode_epoch(
         }
         rows = []
         z_values = []
-        for idx, qid in enumerate(qids):
-            resolving.begin_operation(("replay", idx))
+        for qid in qids:
             answer = replay_structure.query(qid)
             coords = family.vectors[qid].coords
             known = sum(

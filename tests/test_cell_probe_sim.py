@@ -1,3 +1,7 @@
+import csv
+import os
+import tempfile
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,8 +13,6 @@ from cplab.cell_probe_sim import (
     ceil_lg,
     default_cell_width,
     probe_counts_by_epoch,
-    probe_read,
-    probe_write,
 )
 
 
@@ -65,20 +67,20 @@ class TestEpochTagging:
 class TestProbes:
     def test_unwritten_reads_zero(self):
         mem = make_memory()
-        assert probe_read(mem, 123) == 0
+        assert mem.read(123) == 0
 
     def test_write_then_read(self):
         mem = make_memory()
-        probe_write(mem, 7, 5)
-        assert probe_read(mem, 7) == 5
+        mem.write(7, 5)
+        assert mem.read(7) == 5
 
     def test_each_probe_appends_one_entry(self):
         mem = make_memory()
-        probe_read(mem, 1)
+        mem.read(1)
         assert len(mem.trace) == 1
-        probe_write(mem, 1, 9)
+        mem.write(1, 9)
         assert len(mem.trace) == 2
-        assert [e.kind for e in mem.trace.entries] == ["read", "write"]
+        assert [kind for _, kind, _, _ in mem.trace.rows()] == ["read", "write"]
 
     def test_value_overflow(self):
         mem = make_memory(w=8)
@@ -91,6 +93,15 @@ class TestProbes:
             mem.read(256)
         with pytest.raises(ValueError):
             mem.write(-1, 0)
+
+    def test_address_beyond_log_range_changes_nothing(self):
+        # the log stores addresses as signed 64-bit integers
+        mem = make_memory(w=72)
+        with pytest.raises(OverflowError):
+            mem.write(1 << 63, 1)
+        with pytest.raises(OverflowError):
+            mem.read(1 << 63)
+        assert len(mem.trace) == 0 and mem.cells == {}
 
 
 class TestEpochSets:
@@ -162,8 +173,8 @@ class TestTrace:
         mem.begin_operation("b")
         mem.read(1)
         mem.read(2)
-        assert [e.address for e in mem.trace.segment("a")] == [0]
-        assert [e.address for e in mem.trace.segment("b")] == [1, 2]
+        assert list(mem.trace.segment("a")) == [0]
+        assert list(mem.trace.segment("b")) == [1, 2]
 
     def test_csv_export(self, tmp_path):
         mem = make_memory()
@@ -180,6 +191,15 @@ class TestTrace:
         assert lines[1] == "u,write,3,2"
         assert lines[2] == "q,read,3,2"
         assert lines[3] == "q,read,4,"  # unwritten cell has no tag
+
+    def test_reused_op_id_rejected(self):
+        mem = make_memory()
+        mem.begin_operation("a")
+        mem.read(0)
+        mem.begin_operation("b")
+        with pytest.raises(ValueError):
+            mem.begin_operation("a")
+        assert list(mem.trace.segment("a")) == [0]
 
 
 @given(
@@ -202,6 +222,62 @@ def test_replay_determinism(ops):
 
     a, b = run(), run()
     assert a.cells == b.cells
-    assert [(e.kind, e.address, e.epoch_tag) for e in a.trace.entries] == [
-        (e.kind, e.address, e.epoch_tag) for e in b.trace.entries
+    assert (a.trace.kinds, a.trace.addresses, a.trace.tags) == (
+        b.trace.kinds, b.trace.addresses, b.trace.tags
+    )
+
+
+_log_actions = st.lists(
+    st.one_of(
+        st.tuples(st.just("begin"), st.integers(0, 5)),
+        st.tuples(st.just("epoch")),
+        st.tuples(st.sampled_from(["read", "write"]), st.integers(0, 15), st.integers(0, 255)),
+    ),
+    max_size=60,
+)
+
+
+@given(_log_actions)
+@settings(max_examples=100, deadline=None)
+def test_columns_match_list_model(actions):
+    """The columnar log against a plain list of (op, kind, address, tag)."""
+    mem = make_memory(w=8)
+    model: list[tuple] = []
+    cells: dict[int, int] = {}  # address -> tag
+    op, ops, epoch = None, [], None
+    for action in actions:
+        if action[0] == "begin":
+            if action[1] in ops:
+                with pytest.raises(ValueError):
+                    mem.begin_operation(action[1])
+            else:
+                mem.begin_operation(action[1])
+                op = action[1]
+                ops.append(op)
+        elif action[0] == "epoch":
+            epoch = 9 if epoch is None else max(1, epoch - 1)
+            if epoch != mem.current_epoch:
+                mem.begin_epoch(epoch)
+        elif action[0] == "read":
+            mem.read(action[1])
+            model.append((op, "read", action[1], cells.get(action[1], "")))
+        else:
+            mem.write(action[1], action[2])
+            cells[action[1]] = epoch or 0
+            model.append((op, "write", action[1], cells[action[1]]))
+
+    trace = mem.trace
+    assert len(trace) == len(model)
+    assert list(trace.rows()) == model
+    for o in [None] + ops:  # every op is closed except the last one begun
+        assert list(trace.segment(o)) == [a for m_op, _, a, _ in model if m_op == o]
+    assert list(trace.tags) == [-1 if t == "" else t for _, _, _, t in model]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        trace.export_csv(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    assert rows[0] == ["op_id", "kind", "address", "epoch_tag"]
+    assert rows[1:] == [
+        ["" if o is None else str(o), k, str(a), str(t)] for o, k, a, t in model
     ]

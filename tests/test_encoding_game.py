@@ -176,6 +176,60 @@ class TestFindResolvedSet:
         )
         assert list(full.queries) == [0, 1, 2]
 
+    @pytest.mark.parametrize(
+        "kind, n, istar, overrides, probes",
+        [
+            ("artificial", 25, 1, dict(cell_budget=16, probe_threshold=12, max_tries=8), 15606),
+            ("orc", 440, 2, dict(probe_threshold=8, max_tries=8), 10667),
+        ],
+    )
+    def test_query_probes_counts_both_replays(self, kind, n, istar, overrides, probes):
+        # pinned from the growth of a log shared by the run and both replays
+        run = run_hard_distribution(kind, n, 5, seed=3)
+        resolved = find_resolved_set(run, istar, seed=3, **overrides)
+        assert resolved.query_probes == probes
+
+
+class TestQueriesLeaveRunUnchanged:
+    @pytest.mark.parametrize(
+        "kind, n, istar, overrides",
+        [
+            ("artificial", 25, 2, dict(cell_budget=16, probe_threshold=12, max_tries=8)),
+            ("orc", 440, 2, dict(probe_threshold=8, max_tries=8)),
+        ],
+    )
+    def test_profile_resolve_and_decode_keep_the_run(self, kind, n, istar, overrides):
+        from cplab.chronogram import epoch_probe_profile
+
+        run = run_hard_distribution(kind, n, 5, seed=0)
+        trace = run.memory.trace
+
+        def snapshot():
+            return (
+                len(trace), bytes(trace.addresses), bytes(trace.kinds), bytes(trace.tags),
+                list(trace.rows()), dict(run.memory.cells),
+            )
+
+        before = snapshot()
+        rng = substream(0, "profile-sample")
+        if kind == "artificial":
+            sample = rng.sample(range(len(run.family.vectors)), 100)
+        else:
+            sample = [(rng.randrange(n), rng.randrange(n)) for _ in range(100)]
+        first = epoch_probe_profile(run, sample)
+        second = epoch_probe_profile(run, sample)
+        assert first == second
+        assert list(first.log.rows()) == list(second.log.rows())
+        resolved = find_resolved_set(run, istar, seed=0, **overrides)
+        message = encode_epoch(run, istar, resolved)
+        assert message.flag == 0
+        result = decode_epoch(
+            message, run.updates.prefix_above(istar), run.structure_factory, verify_run=run
+        )
+        assert result.u_istar == run.updates.u(istar)
+        assert run.memory.trace is trace
+        assert snapshot() == before
+
 
 class TestFlagOnePath:
     def test_exact_bit_count(self):
@@ -329,6 +383,7 @@ class TestIntegrityChecks:
             sample_mean_t=1.0,
             sample_size=1,
             tries_used=1,
+            query_probes=0,
         )
         message = encode_epoch(run, 2, bogus)
         with pytest.raises(DecodingIntegrityError):
