@@ -136,6 +136,35 @@ class TestEncode:
         assert err.value.code == 2
 
 
+class TestEncodeGolden:
+    """Byte-exact flag-0 messages of `cplab encode`, pinned from a
+    reference run; they do not depend on PYTHONHASHSEED."""
+
+    CASES = {
+        "artificial": (
+            ["--kind", "artificial", "--n", "25", "--beta", "5", "--istar", "2",
+             "--seed", "1", "--cell-budget", "16", "--probe-threshold", "12"],
+            "8e13b6400eb319ae2f5d941c3b280a4c031b505628a57c1a096b10d88f65559c",
+        ),
+        "orc": (
+            ["--kind", "orc", "--n", "440", "--beta", "5", "--istar", "2",
+             "--seed", "3", "--probe-threshold", "8"],
+            "bf40b27f92ada44e7c086902a30e415c5fa24cb53909280b4154aa604f119f46",
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_message_byte_identical(self, tmp_path, kind):
+        argv, message_sha = self.CASES[kind]
+        out = tmp_path / kind
+        assert run_cli("encode", *argv, "--out", str(out)) == 0
+        manifest = json.loads((out / "encode_manifest.json").read_text())
+        assert manifest["flag"] == 0
+        assert manifest["recovery"] == "exact"
+        digest = hashlib.sha256((out / "encode_message.bin").read_bytes()).hexdigest()
+        assert digest == message_sha
+
+
 class TestGrid:
     def test_trials_and_hitting_csv(self, tmp_path):
         out = tmp_path / "grid"
