@@ -12,7 +12,9 @@ from __future__ import annotations
 import csv
 from array import array
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator
+from itertools import repeat
+from operator import itemgetter
+from typing import Hashable, Iterable, Iterator, Sequence
 
 
 def ceil_lg(n: int) -> int:
@@ -44,6 +46,7 @@ class MemoryConfig:
 
 
 _KINDS = ("read", "write")
+UNWRITTEN = (0, -1)  # (contents, tag) of a cell never written, as in SimulatedMemory.cells
 
 
 class ProbeTrace:
@@ -123,17 +126,32 @@ class SimulatedMemory:
     def begin_operation(self, op_id: Hashable) -> None:
         self.trace.begin(op_id)
 
-    # read and write are the hot path: each appends one probe to the
-    # log's columns, with no per-probe object
+    # read, read_many and write are the hot path: they append probes to
+    # the log's columns, with no per-probe object
     def read(self, address: int) -> int:
         if not 0 <= address < self._limit:
             raise ValueError(f"address {address} does not fit in {self.config.w} bits")
-        contents, tag = self.cells.get(address, (0, -1))
+        contents, tag = self.cells.get(address, UNWRITTEN)
         trace = self.trace
         trace.addresses.append(address)
         trace.kinds.append(0)
         trace.tags.append(tag)
         return contents
+
+    def read_many(self, addresses: Sequence[int]) -> list[int]:
+        """Read the cells in order and log the probes exactly as the same
+        sequence of `read` calls would. Every address is checked before
+        the log changes, so a bad one raises and leaves it as it was."""
+        batch = array("q", addresses)  # OverflowError at 2^63, as in read
+        if addresses and (min(addresses) < 0 or max(addresses) >= self._limit):
+            bad = next(a for a in addresses if not 0 <= a < self._limit)
+            raise ValueError(f"address {bad} does not fit in {self.config.w} bits")
+        found = list(map(self.cells.get, addresses, repeat(UNWRITTEN)))
+        trace = self.trace
+        trace.addresses.extend(batch)
+        trace.kinds.extend(bytes(len(batch)))
+        trace.tags.extend(array("q", map(itemgetter(1), found)))
+        return list(map(itemgetter(0), found))
 
     def write(self, address: int, value: int) -> None:
         if not 0 <= address < self._limit:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .cell_probe_sim import (
     MemoryConfig,
@@ -359,27 +359,31 @@ def run_query(run: RunRecord, query) -> int:
     return run.structure.query(query[0], query[1])
 
 
-def replay_queries(run: RunRecord, queries: Sequence) -> tuple[list[array], ProbeTrace]:
-    """Run the queries against the finished run inside a scoped probe
-    log, with op ids ("qry", index). Returns each query's probed
-    addresses and the scoped log; the run's own log is left as it was."""
+def replay_queries(run: RunRecord, queries: Iterable, log: ProbeTrace) -> Iterator[array]:
+    """Run the queries one at a time against the finished run, logging
+    their probes in `log` with op ids ("qry", index), and yield each
+    query's probed addresses as it finishes. The run's own log is
+    swapped back in around every yield, so it is left as it was."""
     memory = run.memory
-    saved, log = memory.trace, ProbeTrace()
-    memory.trace = log
-    try:
-        for idx, q in enumerate(queries):
-            log.begin(("qry", idx))
+    saved = memory.trace
+    for idx, q in enumerate(queries):
+        log.begin(("qry", idx))
+        memory.trace = log
+        try:
             run_query(run, q)
-    finally:
-        memory.trace = saved
-    return [log.segment(("qry", idx)) for idx in range(len(queries))], log
+        finally:
+            memory.trace = saved
+        yield log.segment(("qry", idx))
 
 
 def epoch_probe_profile(run: RunRecord, queries: Sequence) -> ProbeProfile:
     """Execute the sample read-only after all updates and count, per
     query, the distinct cells probed from each epoch's cell set."""
-    probed, log = replay_queries(run, queries)
-    counts = tuple(probe_counts_by_epoch(addresses, run.memory) for addresses in probed)
+    log = ProbeTrace()
+    counts = tuple(
+        probe_counts_by_epoch(addresses, run.memory)
+        for addresses in replay_queries(run, queries, log)
+    )
     return ProbeProfile(
         epochs=tuple(run.run_schedule.epoch_ids()),
         queries=tuple(queries),

@@ -23,9 +23,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import itemgetter
 from typing import Callable, Sequence
 
-from .cell_probe_sim import MemoryConfig, SimulatedMemory
+from .cell_probe_sim import UNWRITTEN, MemoryConfig, ProbeTrace, SimulatedMemory
 from .chronogram import (
     EpochSchedule,
     RunRecord,
@@ -247,8 +249,11 @@ def _query_probe_sets(run: RunRecord, istar: int, pool: Sequence) -> tuple[list[
     """Per pooled query, the distinct epoch-istar cells it probes; and
     the raw probe count of the replay."""
     target_cells = {addr for addr, _ in run.cells_of_epoch(istar)}
-    probed, log = replay_queries(run, pool)
-    return [target_cells.intersection(addresses) for addresses in probed], len(log)
+    log = ProbeTrace()
+    probe_sets = [
+        target_cells.intersection(addresses) for addresses in replay_queries(run, pool, log)
+    ]
+    return probe_sets, len(log)
 
 
 def default_cell_budget(run: RunRecord, istar: int) -> int:
@@ -330,7 +335,9 @@ def find_resolved_set(
             f"(budget {cell_budget}, threshold {probe_threshold})"
         )
 
-    # replay each kept query and re-check the containment directly
+    # replay each kept query and re-check the containment directly; the
+    # pool's probe sets go first, so they are not held during that replay
+    del probe_sets, eligible
     chosen_set = set(best_cells)
     verify_sets, verify_probes = _query_probe_sets(run, istar, best)
     for q, probes in zip(best, verify_sets):
@@ -532,26 +539,23 @@ class _ResolvingMemory:
         istar: int,
     ):
         self.config = config
-        self.small_cells = small_cells
-        self.c_cells = c_cells
-        self.prefix_memory = prefix_memory
+        self.known = {**c_cells, **small_cells}  # a smaller-epoch cell wins over C
+        self.prefix_cells = prefix_memory.cells
         self.istar = istar
-        # the verify run's epoch-istar cells: replay may probe them only inside C
-        self.istar_cells = (
+        # the verify run's epoch-istar cells outside C, which replay must not probe
+        self.forbidden = (
             set() if verify_run is None
-            else {addr for addr, _ in verify_run.cells_of_epoch(istar)}
+            else {addr for addr, _ in verify_run.cells_of_epoch(istar)} - c_cells.keys()
         )
 
-    def read(self, address: int) -> int:
-        if address in self.istar_cells and address not in self.c_cells:
+    def read_many(self, addresses: Sequence[int]) -> list[int]:
+        if not self.forbidden.isdisjoint(addresses):
+            address = next(a for a in addresses if a in self.forbidden)
             raise DecodingIntegrityError(
                 f"replay probed epoch-{self.istar} cell {address} outside C"
             )
-        if address in self.small_cells:
-            return self.small_cells[address]
-        if address in self.c_cells:
-            return self.c_cells[address]
-        return self.prefix_memory.contents_of(address)
+        cells = map(self.prefix_cells.get, addresses, repeat(UNWRITTEN))
+        return list(map(self.known.get, addresses, map(itemgetter(0), cells)))
 
     def write(self, address: int, value: int) -> None:
         raise DecodingIntegrityError("query replay attempted a write")
@@ -658,16 +662,12 @@ def decode_epoch(
             for e in prefix_updates.epochs
             for target, weight in zip(e.targets, e.weights)
         }
+        prefix_weights = [prefix_weight_at[pos] for pos in range(n - k_len)]
         rows = []
         z_values = []
         for qid in qids:
             answer = replay_structure.query(qid)
-            coords = family.vectors[qid].coords
-            known = sum(
-                prefix_weight_at[pos]
-                for pos in range(n - k_len)
-                if coords[pos]
-            )
+            known = sum(compress(prefix_weights, family.vectors[qid].coords))
             rows.append(family.vectors[qid].last(k_len))
             z_values.append((answer - known) % delta.value)
         dim = k_len

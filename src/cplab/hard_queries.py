@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import TextIO
 
 from .finite_field import FieldMatrix, FieldVector, PrimeModulus
@@ -54,9 +56,8 @@ class QueryFamily:
     vectors: tuple[FieldVector, ...]
 
     def __post_init__(self) -> None:
-        for v in self.vectors:
-            if any(c not in (0, 1) for c in v.coords):
-                raise ValueError("family vectors must be 0/1 valued")
+        if not set(chain.from_iterable(map(attrgetter("coords"), self.vectors))) <= {0, 1}:
+            raise ValueError("family vectors must be 0/1 valued")
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -74,6 +75,14 @@ def _k_range(n: int) -> range:
     if k_min * k_min < n:
         k_min += 1
     return range(k_min, n + 1)
+
+
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def bits_to_coords(bits: int, n: int) -> tuple[int, ...]:
+    """The n bits of `bits` as 0/1 coordinates, most significant first."""
+    return tuple(format(bits, f"0{n}b").encode().translate(_BIT_VALUES))
 
 
 def build_query_family(
@@ -96,14 +105,13 @@ def build_query_family(
     k_pair = next((k for k in ks if subset_bound(k, c) >= 2), None)
     ks_multi = [k for k in ks if subset_bound(k, c) >= 2]
 
-    accepted: list[tuple[int, ...]] = []
+    accepted: list[FieldVector] = []
     pair_suffixes: set[tuple[int, ...]] = set()
     rejects_in_a_row = 0
     last_witness: tuple | None = None
     last_k: int | None = None
     while len(accepted) < n * n:
-        bits = rng.getrandbits(n)
-        coords = tuple((bits >> (n - 1 - i)) & 1 for i in range(n))
+        coords = bits_to_coords(rng.getrandbits(n), n)
 
         ok = True
         if k_single is not None and not any(coords[-k_single:]):
@@ -118,9 +126,7 @@ def build_query_family(
                     continue
                 size = rng.randint(2, top)
                 others = rng.sample(range(len(accepted)), size - 1)
-                rows = [
-                    FieldVector(params.modulus, accepted[i][-k:]) for i in others
-                ]
+                rows = [accepted[i].last(k) for i in others]
                 rows.append(FieldVector(params.modulus, coords[-k:]))
                 if ff_rank(FieldMatrix(params.modulus, tuple(rows))) < size:
                     ok = False
@@ -139,12 +145,11 @@ def build_query_family(
                 )
             continue
         rejects_in_a_row = 0
-        accepted.append(coords)
+        accepted.append(FieldVector(params.modulus, coords))
         if k_pair is not None:
             pair_suffixes.add(coords[-k_pair:])
 
-    vectors = tuple(FieldVector(params.modulus, coords) for coords in accepted)
-    return QueryFamily(params=params, vectors=vectors)
+    return QueryFamily(params=params, vectors=tuple(accepted))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .cell_probe_sim import SimulatedMemory
@@ -24,6 +25,12 @@ def _read_limbs(mem: SimulatedMemory, base: int, count: int, w: int) -> int:
     for limb in range(count):
         value |= mem.read(base + limb) << (w * limb)
     return value
+
+
+def _sum_limbs(limbs: list[int], count: int, w: int) -> int:
+    """Sum of the values whose little-endian limbs, `count` to a value,
+    were read in order: limb k of every value carries weight 2^(w k)."""
+    return sum(sum(limbs[k::count]) << (w * k) for k in range(count))
 
 
 def _write_limbs(mem: SimulatedMemory, base: int, count: int, w: int, value: int) -> None:
@@ -86,14 +93,11 @@ class NaiveArtificialStructure(DynamicStructure):
         return self.query_vector(self.family.vectors[j].coords)
 
     def query_vector(self, coords: Sequence[int]) -> int:
-        total = 0
-        w = self.memory.config.w
-        for i, bit in enumerate(coords):
-            if bit:
-                total += _read_limbs(
-                    self.memory, i * self.cells_per_weight, self.cells_per_weight, w
-                )
-        return total
+        cpw = self.cells_per_weight
+        starts = list(compress(range(0, self.n * cpw, cpw), coords))
+        # every run sizes w so that a weight fits one cell; then the starts are the cells
+        cells = starts if cpw == 1 else [s + limb for s in starts for limb in range(cpw)]
+        return _sum_limbs(self.memory.read_many(cells), cpw, self.memory.config.w)
 
 
 class PrefixSumRangeStructure(DynamicStructure):
@@ -155,17 +159,17 @@ class PrefixSumRangeStructure(DynamicStructure):
     def query(self, x: int, y: int) -> int:
         if not (0 <= x < self.n and 0 <= y < self.n):
             raise ValueError(f"query ({x}, {y}) outside [0, {self.n})^2")
-        w = self.memory.config.w
         cpc = self.cells_per_counter
-        total = 0
+        cells: list[int] = []
         xi = x + 1
         while xi > 0:
             yi = y + 1
             while yi > 0:
-                total += _read_limbs(self.memory, self._counter_base(xi, yi), cpc, w)
+                base = self._counter_base(xi, yi)
+                cells.extend(range(base, base + cpc))
                 yi -= yi & (-yi)
             xi -= xi & (-xi)
-        return total
+        return _sum_limbs(self.memory.read_many(cells), cpc, self.memory.config.w)
 
 
 @dataclass

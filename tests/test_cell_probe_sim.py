@@ -281,3 +281,64 @@ def test_columns_match_list_model(actions):
     assert rows[1:] == [
         ["" if o is None else str(o), k, str(a), str(t)] for o, k, a, t in model
     ]
+
+
+_batch_actions = st.lists(
+    st.one_of(
+        st.tuples(st.just("epoch")),
+        st.tuples(st.just("write"), st.integers(0, 15), st.integers(0, 255)),
+        st.tuples(st.just("batch"), st.lists(st.integers(0, 15), max_size=10)),
+    ),
+    max_size=30,
+)
+
+
+@given(_batch_actions)
+@settings(max_examples=100, deadline=None)
+def test_read_many_matches_reads(actions):
+    """A batch read leaves the same log and returns the same contents as
+    the same addresses read one at a time."""
+    one, many = make_memory(w=8), make_memory(w=8)
+    epoch, ops = 9, []
+    for action in actions:
+        if action[0] == "epoch":
+            if epoch > 1:
+                epoch -= 1
+                for mem in (one, many):
+                    mem.begin_epoch(epoch)
+        elif action[0] == "write":
+            for mem in (one, many):
+                mem.write(action[1], action[2])
+        else:
+            ops.append(len(ops))
+            for mem in (one, many):
+                mem.begin_operation(ops[-1])
+            assert many.read_many(action[1]) == [one.read(a) for a in action[1]]
+    a, b = one.trace, many.trace
+    assert (a.addresses, a.kinds, a.tags) == (b.addresses, b.kinds, b.tags)
+    for op in [None] + ops:
+        assert a.segment(op) == b.segment(op)
+    assert list(a.rows()) == list(b.rows())
+    assert one.cells == many.cells
+
+
+@pytest.mark.parametrize(
+    "w, bad, error",
+    [(8, -1, ValueError), (8, 256, ValueError), (64, 2**63, OverflowError)],
+)
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_read_many_bad_address_changes_nothing(w, bad, error, position):
+    mem = make_memory(w=w)
+    mem.begin_epoch(2)
+    mem.write(3, 7)
+    mem.begin_operation("q")
+    mem.read(3)
+    with pytest.raises(error):
+        mem.read(bad)  # the type a batch must raise too
+    trace = mem.trace
+    before = (len(trace), trace.addresses[:], trace.kinds[:], trace.tags[:], dict(mem.cells))
+    batch = [3, 1, 3, 0]
+    batch.insert(position, bad)
+    with pytest.raises(error):
+        mem.read_many(batch)
+    assert (len(trace), trace.addresses, trace.kinds, trace.tags, mem.cells) == before

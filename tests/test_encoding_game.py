@@ -391,6 +391,23 @@ class TestIntegrityChecks:
                 message, run.updates.prefix_above(2), run.structure_factory, verify_run=run
             )
 
+    def test_batch_names_first_probe_outside_c(self):
+        from cplab.cell_probe_sim import MemoryConfig, SimulatedMemory
+        from cplab.encoding_game import _ResolvingMemory
+
+        run = run_hard_distribution("artificial", 25, 5, seed=3)
+        first, second, third = sorted(addr for addr, _ in run.cells_of_epoch(2))[:3]
+        contents = run.memory.contents_of(first)
+        config = MemoryConfig(w=run.w)
+        resolving = _ResolvingMemory(
+            config, {}, {first: contents}, SimulatedMemory(config), run, istar=2
+        )
+        assert resolving.read_many([first]) == [contents]
+        with pytest.raises(DecodingIntegrityError, match=rf"cell {second} outside C"):
+            resolving.read_many([first, second, third])
+        with pytest.raises(DecodingIntegrityError, match=rf"cell {third} outside C"):
+            resolving.read_many([first, third, second])
+
     def test_prefix_covering_istar_rejected(self):
         run = run_hard_distribution("artificial", 25, 5, seed=3)
         resolved = find_resolved_set(

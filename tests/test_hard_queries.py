@@ -1,11 +1,14 @@
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cplab.finite_field import FieldVector, PrimeModulus, largest_prime_below, unit_vector
 from cplab.hard_queries import (
     QueryFamily,
     QueryFamilyParams,
+    bits_to_coords,
     build_query_family,
     check_suffix_independence,
     read_family,
@@ -33,6 +36,23 @@ class TestParams:
         p = params_for(4)
         with pytest.raises(ValueError):
             QueryFamily(params=p, vectors=(FieldVector(p.modulus, (2, 0, 0, 0)),))
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_non_binary_coordinate_in_last_vector_rejected(self, bad):
+        # -1 is normalised to p - 1 by FieldVector, so it is rejected too
+        p = params_for(4)
+        vectors = [FieldVector(p.modulus, (1, 0, 1, 1)) for _ in range(5)]
+        vectors.append(FieldVector(p.modulus, (0, 1, 0, bad)))
+        with pytest.raises(ValueError):
+            QueryFamily(params=p, vectors=tuple(vectors))
+
+
+@given(st.integers(1, 130).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2**n - 1))))
+@settings(max_examples=200, deadline=None)
+def test_bits_to_coords_matches_shifts(case):
+    """The byte-level coordinate generator against the per-bit shifts it replaced."""
+    n, bits = case
+    assert bits_to_coords(bits, n) == tuple((bits >> (n - 1 - i)) & 1 for i in range(n))
 
 
 class TestSubsetBound:

@@ -182,3 +182,48 @@ class TestWorkloadFiles:
         bad.write_text("op,arg1,arg2,arg3\nzap,1,2,3\n")
         with pytest.raises(ValueError):
             read_workload(str(bad))
+
+
+class TestMultiLimbQueries:
+    """Queries over values split across several cells. Production runs
+    size w so that every value fits one cell, so only these tests reach
+    the limb reassembly; each pins one query's logged addresses."""
+
+    def test_naive_two_limbs_per_weight(self):
+        n = 8
+        rng = substream(6, "multi-limb-naive")
+        family = family_with_vectors(n, [[rng.randrange(2) for _ in range(n)] for _ in range(16)])
+        memory = SimulatedMemory(MemoryConfig(w=8))
+        ds = NaiveArtificialStructure(family, family.params.modulus, memory)
+        assert ds.cells_per_weight == 2
+        reference = ArtificialInstance(n=n)
+        for i in range(n):
+            weight = rng.randrange(ds.delta.value)
+            ds.update(i, weight)
+            reference.update(i, weight)
+        for j, v in enumerate(family.vectors):
+            assert ds.query(j) == reference.answer(v.coords)
+        memory.begin_operation("q")
+        ds.query(5)
+        assert list(memory.trace.segment("q")) == [2, 3, 6, 7, 12, 13, 14, 15]
+
+    def test_prefix_sum_two_cells_per_counter(self):
+        n = 8
+        delta = largest_prime_below(n**4)
+        memory = SimulatedMemory(MemoryConfig(w=8))
+        ds = PrefixSumRangeStructure(n, delta, memory, capacity=n)
+        assert ds.cells_per_counter == 2
+        reference = OrcInstance(n=n)
+        rng = substream(7, "multi-limb-prefix-sum")
+        for _ in range(n):
+            x, y, weight = rng.randrange(n), rng.randrange(n), rng.randrange(delta.value)
+            ds.insert(x, y, weight)
+            reference.insert(x, y, weight)
+        for x in range(n):
+            for y in range(n):
+                assert ds.query(x, y) == reference.answer((x, y))
+        memory.begin_operation("q")
+        ds.query(6, 5)
+        assert list(memory.trace.segment("q")) == [
+            106, 107, 102, 103, 90, 91, 86, 87, 58, 59, 54, 55
+        ]
