@@ -359,21 +359,26 @@ def run_query(run: RunRecord, query) -> int:
     return run.structure.query(query[0], query[1])
 
 
-def replay_queries(run: RunRecord, queries: Iterable, log: ProbeTrace) -> Iterator[array]:
+def replay_queries(
+    run: RunRecord, queries: Iterable, log: ProbeTrace | None = None
+) -> Iterator[array]:
     """Run the queries one at a time against the finished run, logging
     their probes in `log` with op ids ("qry", index), and yield each
-    query's probed addresses as it finishes. The run's own log is
-    swapped back in around every yield, so it is left as it was."""
+    query's probed addresses as it finishes. Without a `log`, each query
+    runs in a log of its own, dropped after its addresses are yielded.
+    The run's own log is swapped back in around every yield, so it is
+    left as it was."""
     memory = run.memory
     saved = memory.trace
     for idx, q in enumerate(queries):
-        log.begin(("qry", idx))
-        memory.trace = log
+        scoped = ProbeTrace() if log is None else log
+        scoped.begin(("qry", idx))
+        memory.trace = scoped
         try:
             run_query(run, q)
         finally:
             memory.trace = saved
-        yield log.segment(("qry", idx))
+        yield scoped.segment(("qry", idx))
 
 
 def epoch_probe_profile(run: RunRecord, queries: Sequence) -> ProbeProfile:

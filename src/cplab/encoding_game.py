@@ -27,7 +27,7 @@ from itertools import compress, repeat
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .cell_probe_sim import UNWRITTEN, MemoryConfig, ProbeTrace, SimulatedMemory
+from .cell_probe_sim import UNWRITTEN, MemoryConfig, SimulatedMemory
 from .chronogram import (
     EpochSchedule,
     RunRecord,
@@ -92,29 +92,42 @@ def unpack_weights(value: int, delta: PrimeModulus, count: int) -> tuple[int, ..
 
 
 class _FieldWriter:
-    """Accumulates fixed-width bit fields into one integer, LSB first."""
+    """Fixed-width bit fields, LSB first, kept as the callers' ints (a digit
+    string per field fragments the allocator) and joined once per section."""
 
     def __init__(self) -> None:
-        self.value = 0
+        self._values: list[int] = []
+        self._widths: list[int] = []
         self.bits = 0
 
     def put(self, value: int, width: int) -> None:
         if not 0 <= value < 1 << width:
             raise ValueError(f"{value} does not fit in {width} bits")
-        self.value |= value << self.bits
+        self._values.append(value)
+        self._widths.append(width)
         self.bits += width
+
+    def section(self, label: str) -> "Section":
+        fields = zip(reversed(self._values), reversed(self._widths))
+        digits = "".join(f"{value:0{width}b}" for value, width in fields if width)
+        return Section(label=label, bit_length=self.bits, payload=int(digits or "0", 2))
 
 
 class _FieldReader:
+    """Takes fixed-width bit fields, LSB first, as slices of the
+    payload's binary digits, so a whole section parses in linear time."""
+
     def __init__(self, value: int, bits: int):
-        self.value = value
+        self._digits = format(value, f"0{bits}b")
+        self._end = len(self._digits)  # the next field ends here
         self.remaining = bits
 
     def take(self, width: int) -> int:
         if width > self.remaining:
             raise ValueError("section payload exhausted")
-        out = self.value & ((1 << width) - 1)
-        self.value >>= width
+        start = self._end - width
+        out = int(self._digits[start : self._end] or "0", 2)
+        self._end = start
         self.remaining -= width
         return out
 
@@ -249,11 +262,11 @@ def _query_probe_sets(run: RunRecord, istar: int, pool: Sequence) -> tuple[list[
     """Per pooled query, the distinct epoch-istar cells it probes; and
     the raw probe count of the replay."""
     target_cells = {addr for addr, _ in run.cells_of_epoch(istar)}
-    log = ProbeTrace()
-    probe_sets = [
-        target_cells.intersection(addresses) for addresses in replay_queries(run, pool, log)
-    ]
-    return probe_sets, len(log)
+    probe_sets, probes = [], 0
+    for addresses in replay_queries(run, pool):
+        probes += len(addresses)
+        probe_sets.append(target_cells.intersection(addresses))
+    return probe_sets, probes
 
 
 def default_cell_budget(run: RunRecord, istar: int) -> int:
@@ -301,13 +314,10 @@ def find_resolved_set(
     else:
         size = query_sample if query_sample is not None else 400
         qrng = substream(seed, "query-sample")
-        seen_q = set()
-        pool = []
-        while len(pool) < size:
-            q = (qrng.randrange(run.n), qrng.randrange(run.n))
-            if q not in seen_q:
-                seen_q.add(q)
-                pool.append(q)
+        distinct: dict[tuple[int, int], None] = {}  # keeps first-draw order
+        while len(distinct) < size:
+            distinct[qrng.randrange(run.n), qrng.randrange(run.n)] = None
+        pool = list(distinct)
 
     probe_sets, query_probes = _query_probe_sets(run, istar, pool)
     mean_t = sum(len(s) for s in probe_sets) / len(pool)
@@ -366,7 +376,7 @@ def _cells_section(label: str, cells: Sequence[tuple[int, int]], w: int) -> Sect
     for addr, contents in cells:
         writer.put(addr, w)
         writer.put(contents, w)
-    return Section(label=label, bit_length=writer.bits, payload=writer.value)
+    return writer.section(label)
 
 
 def _parse_cells_section(section: Section, w: int) -> dict[int, int]:
@@ -459,13 +469,13 @@ def encode_epoch(
 
     if run.kind == "orc":
         queries = _extract_independent_queries(run, istar, resolved.queries)
-        rows = [incidence_vector(run, istar, q) for q in queries]
+        row_of = lambda q: incidence_vector(run, istar, q)
         dim = m
         u_key = FieldVector(delta, u_istar)
     else:
         queries = list(resolved.queries)
         k_len = sched.suffix_length(istar)
-        rows = [run.family.vectors[j].last(k_len) for j in queries]
+        row_of = lambda j: run.family.vectors[j].last(k_len)
         dim = k_len
         u_key = FieldVector(delta, _suffix_weight_vector(run, istar))
 
@@ -475,14 +485,13 @@ def encode_epoch(
     for q in queries:
         qid = q if run.kind == "artificial" else q[0] * run.n + q[1]
         writer.put(qid, qbits)
-    sections.append(
-        Section(label="resolved_queries", bit_length=writer.bits, payload=writer.value)
-    )
+    sections.append(writer.section("resolved_queries"))
 
     # both parties keep rows that enlarge the span, scanning in the
-    # transmitted query order, so the completion below is shared
-    kept = independent_row_indices(rows)
-    completion = complete_basis([rows[i] for i in kept], dim, modulus=delta)
+    # transmitted query order, so the completion below is shared; rows
+    # past the point where the span is full are never built
+    kept = independent_row_indices(map(row_of, queries))
+    completion = complete_basis([row_of(queries[i]) for i in kept], dim, modulus=delta)
     products = [ff_dot(x, u_key) for x in completion]
     sections.append(
         Section(
@@ -579,12 +588,15 @@ def decode_epoch(
     """Recover the target epoch's weight vector from the message and the
     updates of the preceding epochs.
 
-    The flag-0 path re-executes the prefix on a fresh structure, replays
-    every transmitted query against the three-way cell resolution,
-    subtracts the contributions of all known epochs, and solves the
-    resulting full-rank linear system. With `verify_run` supplied, every
-    replayed probe is checked against the true run: touching an
-    epoch-istar cell outside C is an integrity error.
+    The flag-0 path builds each transmitted query's row from its id
+    alone (an id outside the family raises ValueError) and keeps the
+    rows that enlarge the span, as the encoder did. It re-executes the
+    prefix on a fresh structure, replays only the kept queries against
+    the three-way cell resolution, subtracts the known epochs'
+    contributions and solves the full-rank system. With `verify_run`,
+    every replayed probe is checked against the true run: an epoch-istar
+    cell outside C is an integrity error. (`find_resolved_set`'s verify
+    replay checks every transmitted query.)
     """
     delta = PrimeModulus(message.delta)
     istar = message.istar
@@ -604,17 +616,13 @@ def decode_epoch(
     w = message.w
     c_cells = _parse_cells_section(message.section("resolved_cells"), w)
     small_cells: dict[int, int] = {}
-    for epoch_id in range(istar - 1, 0, -1):
-        small_cells.update(
-            _parse_cells_section(message.section(f"cells_epoch_{epoch_id}"), w)
-        )
     small_weights: dict[int, tuple[int, ...]] = {}
-    if message.kind == "orc":
-        for epoch_id in range(istar - 1, 0, -1):
+    for epoch_id in range(istar - 1, 0, -1):
+        small_cells.update(_parse_cells_section(message.section(f"cells_epoch_{epoch_id}"), w))
+        if message.kind == "orc":
             section = message.section(f"weights_epoch_{epoch_id}")
-            small_weights[epoch_id] = unpack_weights(
-                section.payload, delta, run_sched.size_of(epoch_id)
-            )
+            size = run_sched.size_of(epoch_id)
+            small_weights[epoch_id] = unpack_weights(section.payload, delta, size)
 
     qsection = message.section("resolved_queries")
     reader = _FieldReader(qsection.payload, qsection.bit_length)
@@ -622,83 +630,74 @@ def decode_epoch(
     qbits = _query_id_bits(n)
     qids = [reader.take(qbits) for _ in range(count)]
 
-    # re-execute the preceding epochs on a fresh structure
     prefix_memory = SimulatedMemory(MemoryConfig(w=w))
     prefix_structure = structure_factory(prefix_memory)
-    execute_epochs(prefix_structure, prefix_memory, prefix_updates)
-
-    resolving = _ResolvingMemory(
-        MemoryConfig(w=w), small_cells, c_cells, prefix_memory, verify_run, istar
-    )
-    replay_structure = structure_factory(resolving)
-
+    prefix_points = [pair for e in prefix_updates.epochs for pair in zip(e.targets, e.weights)]
     if message.kind == "orc":
+        id_limit = n * n
         epoch_points = {
             i: scaled_lattice(LatticeSpec.create(run_sched.size_of(i), n))
             for i in run_sched.epoch_ids()
         }
-        prefix_points = [
-            (target, weight)
-            for e in prefix_updates.epochs
-            for target, weight in zip(e.targets, e.weights)
-        ]
-        rows: list[FieldVector] = []
-        z_values: list[int] = []
-        for qid in qids:
+        query_args = lambda qid: divmod(qid, n)
+        row_of = lambda qid: FieldVector(
+            delta, dominance_incidence(epoch_points[istar], divmod(qid, n))
+        )
+
+        def known_of(qid: int) -> int:
             q = divmod(qid, n)
-            answer = replay_structure.query(q[0], q[1])
             known = sum(wt for (pt, wt) in prefix_points if pt[0] <= q[0] and pt[1] <= q[1])
             for epoch_id, weights in small_weights.items():
-                inc = dominance_incidence(epoch_points[epoch_id], q)
-                known += sum(wt for bit, wt in zip(inc, weights) if bit)
-            rows.append(FieldVector(delta, dominance_incidence(epoch_points[istar], q)))
-            z_values.append((answer - known) % delta.value)
+                known += sum(compress(weights, dominance_incidence(epoch_points[epoch_id], q)))
+            return known
+
         dim = m
     else:
-        family = getattr(replay_structure, "family")
+        family = getattr(prefix_structure, "family")
+        id_limit = min(n * n, len(family.vectors))
         k_len = run_sched.suffix_length(istar)
-        prefix_weight_at = {
-            target: weight
-            for e in prefix_updates.epochs
-            for target, weight in zip(e.targets, e.weights)
-        }
+        prefix_weight_at = dict(prefix_points)
         prefix_weights = [prefix_weight_at[pos] for pos in range(n - k_len)]
-        rows = []
-        z_values = []
-        for qid in qids:
-            answer = replay_structure.query(qid)
-            known = sum(compress(prefix_weights, family.vectors[qid].coords))
-            rows.append(family.vectors[qid].last(k_len))
-            z_values.append((answer - known) % delta.value)
+        query_args = lambda qid: (qid,)
+        row_of = lambda qid: family.vectors[qid].last(k_len)
+        known_of = lambda qid: sum(compress(prefix_weights, family.vectors[qid].coords))
         dim = k_len
+    if any(qid >= id_limit for qid in qids):
+        raise ValueError(f"query id {max(qids)} outside [0, {id_limit})")
 
-    kept = independent_row_indices(rows)
-    kept_rows = [rows[i] for i in kept]
-    kept_z = [z_values[i] for i in kept]
+    # the rows depend on the ids alone, so only the queries whose rows
+    # enlarge the span (the encoder's own selection) are replayed
+    kept_ids = [qids[i] for i in independent_row_indices(map(row_of, qids))]
+    kept_rows = [row_of(qid) for qid in kept_ids]
+
+    # re-execute the preceding epochs on a fresh structure
+    execute_epochs(prefix_structure, prefix_memory, prefix_updates)
+    resolving = _ResolvingMemory(
+        MemoryConfig(w=w), small_cells, c_cells, prefix_memory, verify_run, istar
+    )
+    replay_structure = structure_factory(resolving)
+    z_values = [
+        (replay_structure.query(*query_args(qid)) - known_of(qid)) % delta.value
+        for qid in kept_ids
+    ]
     completion = complete_basis(kept_rows, dim, modulus=delta)
 
     psection = message.section("completion_products")
     products = unpack_weights(psection.payload, delta, len(completion))
 
     matrix = FieldMatrix(delta, tuple(kept_rows + completion))
-    z_vec = FieldVector(delta, tuple(kept_z + list(products)))
+    z_vec = FieldVector(delta, tuple(z_values + list(products)))
     try:
         solution = ff_solve(matrix, z_vec)
     except SingularMatrixError as exc:
         raise DecodingIntegrityError(f"assembled system is singular: {exc}") from exc
 
-    if message.kind == "orc":
-        u_istar = solution.coords
-        suffix = None
-    else:
-        suffix = solution.coords
-        u_istar = suffix[:m]
     return DecodeResult(
-        u_istar=tuple(u_istar),
+        u_istar=solution.coords[:m],  # the whole solution in a dominance game
         flag=0,
-        queries_replayed=len(qids),
-        independent_rows=len(kept),
-        suffix_weights=suffix,
+        queries_replayed=len(kept_ids),
+        independent_rows=len(kept_rows),
+        suffix_weights=None if message.kind == "orc" else solution.coords,
     )
 
 
@@ -711,10 +710,6 @@ class EntropyAccount:
     h_bits: float  # epoch entropy: size(istar) * lg Delta
     message_bits: int
     slack: float
-
-    @property
-    def ratio(self) -> float:
-        return self.message_bits / self.h_bits if self.h_bits else math.inf
 
 
 def entropy_account(

@@ -97,9 +97,6 @@ class FieldVector:
             raise ValueError(f"cannot restrict dimension {self.dimension} to last {k}")
         return FieldVector(self.modulus, self.coords[-k:])
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
 
 @dataclass(frozen=True)
 class FieldMatrix:
@@ -219,19 +216,22 @@ def in_span(X: Iterable[FieldVector], x: FieldVector) -> bool:
     return not any(ech.reduce(x.coords))
 
 
-def independent_row_indices(rows: Sequence[FieldVector]) -> list[int]:
+def independent_row_indices(rows: Iterable[FieldVector]) -> list[int]:
     """Greedy scan keeping each row that enlarges the span.
 
     The scan order is the input order, so any two parties holding the
-    same row sequence select the same subset.
+    same row sequence select the same subset. Rows are pulled lazily and
+    the scan stops once the span is full: no later row could enlarge it.
     """
-    if not rows:
-        return []
-    ech = _Echelon(rows[0].modulus.value, rows[0].dimension)
-    kept = []
+    kept: list[int] = []
+    ech = None
     for idx, row in enumerate(rows):
+        if ech is None:
+            ech = _Echelon(row.modulus.value, row.dimension)
         if ech.insert(row.coords):
             kept.append(idx)
+            if ech.rank == ech.dim:
+                break
     return kept
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from cplab.cell_probe_sim import MemoryConfig, SimulatedMemory
+from cplab.cell_probe_sim import MemoryConfig, ProbeTrace, SimulatedMemory
 from cplab.chronogram import (
     EpochUpdates,
     UpdateSequence,
@@ -10,6 +10,7 @@ from cplab.chronogram import (
     epoch_schedule,
     execute_epochs,
     incidence_vector,
+    replay_queries,
     run_hard_distribution,
     structure_factory,
 )
@@ -151,6 +152,26 @@ class TestProbeProfiles:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,queries_sampled,mean_t_i,max_t_i"
         assert len(lines) == 1 + run.run_schedule.count
+
+
+class TestReplayQueries:
+    @pytest.mark.parametrize("kind, n", [("artificial", 25), ("orc", 55)])
+    def test_replay_without_log_yields_the_logged_addresses(self, kind, n):
+        run = run_hard_distribution(kind, n, 5, seed=4)
+        rng = substream(4, "replay-sample")
+        if kind == "artificial":
+            queries = rng.sample(range(len(run.family.vectors)), 40)
+        else:
+            queries = [(rng.randrange(n), rng.randrange(n)) for _ in range(40)]
+        trace = run.memory.trace
+        before = (len(trace), bytes(trace.addresses), bytes(trace.kinds), bytes(trace.tags))
+        log = ProbeTrace()
+        logged = [bytes(a) for a in replay_queries(run, queries, log)]
+        unlogged = [bytes(a) for a in replay_queries(run, queries)]
+        assert unlogged == logged
+        assert sum(map(len, unlogged)) == len(log) * log.addresses.itemsize
+        assert run.memory.trace is trace
+        assert (len(trace), bytes(trace.addresses), bytes(trace.kinds), bytes(trace.tags)) == before
 
 
 class TestIncidenceVectors:

@@ -2,7 +2,10 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cplab.cell_probe_sim import SimulatedMemory
 from cplab.chronogram import run_hard_distribution
 from cplab.encoding_game import (
     DecodingIntegrityError,
@@ -120,6 +123,87 @@ class TestSections:
             s.bit_length for s in message.sections
         )
         assert len(raw) > payload_bytes  # header and framing on top
+
+
+class _ShiftFieldWriter:
+    """The former writer, kept as the oracle: ORs each field into one int."""
+
+    def __init__(self) -> None:
+        self.value = 0
+        self.bits = 0
+
+    def put(self, value: int, width: int) -> None:
+        if not 0 <= value < 1 << width:
+            raise ValueError(f"{value} does not fit in {width} bits")
+        self.value |= value << self.bits
+        self.bits += width
+
+
+class _ShiftFieldReader:
+    """The former reader, kept as the oracle: shifts the whole payload."""
+
+    def __init__(self, value: int, bits: int):
+        self.value = value
+        self.remaining = bits
+
+    def take(self, width: int) -> int:
+        if width > self.remaining:
+            raise ValueError("section payload exhausted")
+        out = self.value & ((1 << width) - 1)
+        self.value >>= width
+        self.remaining -= width
+        return out
+
+
+_fields = st.integers(0, 70).flatmap(
+    lambda width: st.tuples(st.integers(0, (1 << width) - 1), st.just(width))
+)
+
+
+class TestBitFields:
+    @given(st.lists(_fields, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_pack_and_parse_match_the_shift_classes(self, fields):
+        from cplab.encoding_game import _FieldReader, _FieldWriter
+
+        old, new = _ShiftFieldWriter(), _FieldWriter()
+        for value, width in fields:
+            old.put(value, width)
+            new.put(value, width)
+        section = new.section("x")
+        assert (section.bit_length, section.payload) == (old.bits, old.value)
+        old_reader = _ShiftFieldReader(old.value, old.bits)
+        new_reader = _FieldReader(section.payload, section.bit_length)
+        for value, width in fields:
+            assert new_reader.take(width) == old_reader.take(width) == value
+        assert new_reader.remaining == old_reader.remaining == 0
+        with pytest.raises(ValueError, match="exhausted"):
+            new_reader.take(1)
+
+    @given(st.integers(0, 300), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_widths_parse_like_the_shift_reader(self, bits, data):
+        from cplab.encoding_game import _FieldReader
+
+        payload = data.draw(st.integers(0, (1 << bits) - 1))
+        old_reader = _ShiftFieldReader(payload, bits)
+        new_reader = _FieldReader(payload, bits)
+        for width in data.draw(st.lists(st.integers(0, 80), max_size=12)):
+            if width > old_reader.remaining:
+                with pytest.raises(ValueError, match="exhausted"):
+                    new_reader.take(width)
+                break
+            assert new_reader.take(width) == old_reader.take(width)
+            assert new_reader.remaining == old_reader.remaining
+
+    @pytest.mark.parametrize("value, width", [(8, 3), (1, 0), (-1, 4)])
+    def test_value_that_does_not_fit_rejected(self, value, width):
+        from cplab.encoding_game import _FieldWriter
+
+        with pytest.raises(ValueError):
+            _ShiftFieldWriter().put(value, width)
+        with pytest.raises(ValueError):
+            _FieldWriter().put(value, width)
 
 
 class TestFindResolvedSet:
@@ -337,6 +421,34 @@ class TestArtificialRoundTrip:
         assert result.u_istar == run.updates.u(1)
 
 
+    @pytest.mark.parametrize("seed, istar", [(0, 2), (1, 1), (3, 1)])
+    def test_replays_only_the_kept_queries(self, seed, istar):
+        run = run_hard_distribution("artificial", 25, 5, seed=seed)
+        resolved = find_resolved_set(
+            run, istar, cell_budget=16, probe_threshold=12, max_tries=8, seed=seed
+        )
+        message = encode_epoch(run, istar, resolved)
+        assert message.flag == 0
+        replays = []
+
+        def counting_factory(memory):
+            # count the queries asked of the decoder's replay structure
+            structure = run.structure_factory(memory)
+            if not isinstance(memory, SimulatedMemory):
+                query = structure.query
+                structure.query = lambda *args: replays.append(args) or query(*args)
+            return structure
+
+        result = decode_epoch(
+            message, run.updates.prefix_above(istar), counting_factory, verify_run=run
+        )
+        assert result.u_istar == run.updates.u(istar)
+        assert len(replays) == result.queries_replayed == result.independent_rows
+        assert result.independent_rows <= min(
+            message.query_count, run.run_schedule.suffix_length(istar)
+        )
+
+
 class TestOrcRoundTrip:
     @pytest.mark.parametrize("seed", range(4))
     def test_flag0_with_snapped_epochs(self, seed):
@@ -391,6 +503,48 @@ class TestIntegrityChecks:
                 message, run.updates.prefix_above(2), run.structure_factory, verify_run=run
             )
 
+    def test_kept_query_outside_c_detected(self):
+        from cplab.chronogram import replay_queries
+
+        run = run_hard_distribution("artificial", 25, 5, seed=3)
+        epoch2 = {addr for addr, _ in run.cells_of_epoch(2)}
+        vectors = run.family.vectors
+        first = next(j for j, v in enumerate(vectors) if any(v.coords[:20]))
+        (addresses,) = replay_queries(run, [first])
+        c_cells = epoch2.intersection(addresses)
+        # a second query, independent of the first, reading an epoch-2
+        # position the first does not read, i.e. a cell outside C
+        second = next(
+            j
+            for j, v in enumerate(vectors)
+            if any(b and not a for a, b in zip(vectors[first].coords[:20], v.coords[:20]))
+        )
+
+        def decode(queries):
+            resolved = ResolvedSet(
+                istar=2,
+                cell_addresses=tuple(sorted(c_cells)),
+                queries=queries,
+                probe_threshold=99.0,
+                sample_mean_t=1.0,
+                sample_size=len(queries),
+                tries_used=1,
+                query_probes=0,
+            )
+            return decode_epoch(
+                encode_epoch(run, 2, resolved),
+                run.updates.prefix_above(2),
+                run.structure_factory,
+                verify_run=run,
+            )
+
+        # C resolves the first query alone, so that message decodes exactly
+        alone = decode((first,))
+        assert alone.u_istar == run.updates.u(2)
+        assert alone.queries_replayed == alone.independent_rows == 1
+        with pytest.raises(DecodingIntegrityError, match="outside C"):
+            decode((first, second))
+
     def test_batch_names_first_probe_outside_c(self):
         from cplab.cell_probe_sim import MemoryConfig, SimulatedMemory
         from cplab.encoding_game import _ResolvingMemory
@@ -435,6 +589,67 @@ class TestIntegrityChecks:
         assert parsed.delta == delta
         with pytest.raises(ValueError):
             decode_epoch(parsed, run.updates.prefix_above(1), run.structure_factory)
+
+
+def _with_query_ids(message, qids):
+    """The message with its resolved_queries section rewritten to `qids`."""
+    from cplab.encoding_game import _FieldWriter, _query_id_bits
+
+    writer = _FieldWriter()
+    writer.put(len(qids), 2 * message.w)
+    for qid in qids:
+        writer.put(qid, _query_id_bits(message.n))
+    sections = tuple(
+        writer.section(s.label) if s.label == "resolved_queries" else s
+        for s in message.sections
+    )
+    forged = dataclasses.replace(message, sections=sections, query_count=len(qids))
+    return EncodingMessage.from_bytes(forged.to_bytes())
+
+
+class TestQueryIdRange:
+    @pytest.mark.parametrize("verify", [False, True])
+    @pytest.mark.parametrize("position", ["first", "last"])
+    @pytest.mark.parametrize(
+        "kind, n, istar, overrides",
+        [
+            ("artificial", 25, 2, dict(cell_budget=16, probe_threshold=12, max_tries=8)),
+            ("orc", 440, 2, dict(probe_threshold=8, max_tries=8)),
+        ],
+    )
+    def test_id_n_squared_rejected(self, kind, n, istar, overrides, position, verify):
+        run = run_hard_distribution(kind, n, 5, seed=0)
+        message = encode_epoch(run, istar, find_resolved_set(run, istar, seed=0, **overrides))
+        qids = _decode_query_ids(message)
+        assert max(qids) < n * n < 1 << (n * n - 1).bit_length()
+        qids = [n * n] + qids if position == "first" else qids + [n * n]
+        with pytest.raises(ValueError, match=rf"query id {n * n} outside"):
+            decode_epoch(
+                _with_query_ids(message, qids),
+                run.updates.prefix_above(istar),
+                run.structure_factory,
+                verify_run=run if verify else None,
+            )
+
+    def test_id_beyond_a_small_family_rejected(self):
+        # three family vectors at n = 8, so ids 3..63 fit the field but name no query
+        run = _run_with_family_rows(
+            [(1,) * 8, (0,) * 8, (1, 0, 0, 0, 0, 0, 0, 0)], beta=2
+        )
+        resolved = find_resolved_set(
+            run, 2, cell_budget=len(run.cells_of_epoch(2)),
+            probe_threshold=1e9, max_tries=1, seed=0,
+        )
+        message = encode_epoch(run, 2, resolved)
+        assert decode_epoch(
+            message, run.updates.prefix_above(2), run.structure_factory, verify_run=run
+        ).u_istar == run.updates.u(2)
+        with pytest.raises(ValueError, match="query id 3 outside"):
+            decode_epoch(
+                _with_query_ids(message, [0, 1, 2, 3]),
+                run.updates.prefix_above(2),
+                run.structure_factory,
+            )
 
 
 class TestEntropyAccount:

@@ -323,6 +323,44 @@ class TestIndependentRows:
             assert ff_rank(FieldMatrix(P7, tuple(rows))) == len(kept)
 
 
+def _full_scan_independent_rows(rows):
+    """Reference: every row is tested, none is skipped once the span is full."""
+    kept = []
+    for idx, row in enumerate(rows):
+        if ff_rank(FieldMatrix(P7, tuple(rows[i] for i in kept) + (row,))) > len(kept):
+            kept.append(idx)
+    return kept
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda dim: st.lists(
+            st.lists(st.integers(0, 6), min_size=dim, max_size=dim), min_size=1, max_size=10
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_independent_rows_stop_once_the_span_is_full(coords):
+    rows = [FieldVector(P7, tuple(c)) for c in coords]
+    expected = _full_scan_independent_rows(rows)
+    # the index of the row that completes the span, if any row does
+    last_needed = expected[-1] if len(expected) == rows[0].dimension else len(rows)
+
+    def pulled():
+        for idx, row in enumerate(rows):
+            if idx > last_needed:
+                raise AssertionError(f"row {idx} pulled after the span was full")
+            yield row
+
+    assert independent_row_indices(pulled()) == expected
+    assert independent_row_indices(rows) == expected
+
+
+def test_independent_rows_of_nothing():
+    assert independent_row_indices([]) == []
+    assert independent_row_indices(iter(())) == []
+
+
 @given(st.lists(st.integers(-50, 50), min_size=1, max_size=8))
 @settings(max_examples=60, deadline=None)
 def test_vector_normalisation_property(coords):
