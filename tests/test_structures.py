@@ -227,3 +227,26 @@ class TestMultiLimbQueries:
         assert list(memory.trace.segment("q")) == [
             106, 107, 102, 103, 90, 91, 86, 87, 58, 59, 54, 55
         ]
+
+
+def test_prefix_sum_multi_limb_insert_log():
+    """One insert's log with two cells per counter: each counter in the
+    chain reads its limbs, then writes them, carrying across limbs."""
+    n = 8
+    memory = SimulatedMemory(MemoryConfig(w=8))
+    ds = PrefixSumRangeStructure(n, largest_prime_below(n**4), memory, capacity=n)
+    assert ds.cells_per_counter == 2
+    memory.begin_epoch(2)
+    memory.begin_operation("a")
+    ds.insert(2, 5, 4000)
+    memory.begin_epoch(1)
+    memory.begin_operation("b")
+    ds.insert(3, 4, 200)
+    expected = []
+    for base, tag in [(56, ""), (58, 2), (62, 2), (120, ""), (122, 2), (126, 2)]:
+        expected += [("b", "read", base, tag), ("b", "read", base + 1, tag)]
+        expected += [("b", "write", base, 1), ("b", "write", base + 1, 1)]
+    assert [row for row in memory.trace.rows() if row[0] == "b"] == expected
+    assert len(memory.trace) == 24 + 24
+    # 4000 + 200 = 16 * 256 + 104 carries into the high limb; 200 alone does not
+    assert [memory.cells[a] for a in (56, 57, 58, 59)] == [(200, 1), (0, 1), (104, 1), (16, 1)]
