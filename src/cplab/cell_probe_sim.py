@@ -13,7 +13,7 @@ import csv
 from array import array
 from dataclasses import dataclass
 from itertools import repeat
-from operator import itemgetter
+from operator import add, and_, itemgetter, lshift, rshift
 from typing import Hashable, Iterable, Iterator, Sequence
 
 
@@ -126,8 +126,8 @@ class SimulatedMemory:
     def begin_operation(self, op_id: Hashable) -> None:
         self.trace.begin(op_id)
 
-    # read, read_many and write are the hot path: they append probes to
-    # the log's columns, with no per-probe object
+    # read, read_many, add_many and write are the hot path: they append
+    # probes to the log's columns, with no per-probe object
     def read(self, address: int) -> int:
         if not 0 <= address < self._limit:
             raise ValueError(f"address {address} does not fit in {self.config.w} bits")
@@ -152,6 +152,49 @@ class SimulatedMemory:
         trace.kinds.extend(bytes(len(batch)))
         trace.tags.extend(array("q", map(itemgetter(1), found)))
         return list(map(itemgetter(0), found))
+
+    def add_many(self, bases: Sequence[int], count: int, addend: int) -> None:
+        """Add `addend` to each value held in `count` little-endian limbs
+        from a base on, in base order. The log gets, per value, `count`
+        reads and then `count` writes of its limbs, exactly as the same
+        `read` and `write` calls would leave it. The values' cells must be
+        distinct, so one pass reads what the calls in turn would read.
+        Every address and every new value is checked before any state
+        changes, so a bad one raises and leaves the memory as it was."""
+        addresses = [0] * (len(bases) * count)
+        for limb in range(count):
+            addresses[limb::count] = map(add, bases, repeat(limb))
+        batch = array("q", addresses)  # OverflowError at 2^63, as in read
+        if addresses and (min(addresses) < 0 or max(addresses) >= self._limit):
+            bad = next(a for a in addresses if not 0 <= a < self._limit)
+            raise ValueError(f"address {bad} does not fit in {self.config.w} bits")
+        if len(set(addresses)) != len(addresses):
+            raise ValueError("values share a cell; add to each one separately")
+        found = list(map(self.cells.get, addresses, repeat(UNWRITTEN)))
+        contents = list(map(itemgetter(0), found))
+        w = self.config.w
+        values = list(map(add, contents[::count], repeat(addend)))
+        for limb in range(1, count):
+            values = list(map(add, values, map(lshift, contents[limb::count], repeat(w * limb))))
+        if values and (min(values) < 0 or max(values) >> (w * count)):
+            bad = next(v for v in values if v >> (w * count))  # negatives included
+            raise OverflowError(f"value {bad} exceeds {count} limbs of {w} bits")
+
+        tag = self.current_epoch if self.current_epoch is not None else 0
+        mask = self._limit - 1
+        span = 2 * count
+        logged = batch * 2  # per value: its limbs read, then written
+        tags = array("q", [tag]) * len(logged)
+        read_tags = array("q", map(itemgetter(1), found))
+        for limb in range(count):
+            logged[limb::span] = logged[count + limb::span] = batch[limb::count]
+            tags[limb::span] = read_tags[limb::count]
+            contents[limb::count] = map(and_, map(rshift, values, repeat(w * limb)), repeat(mask))
+        trace = self.trace
+        trace.addresses.extend(logged)
+        trace.kinds.extend((bytes(count) + b"\1" * count) * len(values))
+        trace.tags.extend(tags)
+        self.cells.update(zip(addresses, zip(contents, repeat(tag))))
 
     def write(self, address: int, value: int) -> None:
         if not 0 <= address < self._limit:

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import csv
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .cell_probe_sim import (
@@ -291,12 +293,12 @@ def run_hard_distribution(
     execute_epochs(instance, memory, updates)
 
     assert_epoch_partition(memory)
+    epoch_sizes = Counter(map(itemgetter(1), memory.cells.values()))
     for epoch_id in run_sched.epoch_ids():
-        cells = memory.cells_of_epoch(epoch_id)
         bound = run_sched.size_of(epoch_id) * instance.declared_update_probes
-        if len(cells) > bound:
+        if epoch_sizes[epoch_id] > bound:
             raise AssertionError(
-                f"|S_{epoch_id}| = {len(cells)} exceeds size * t_u = {bound}"
+                f"|S_{epoch_id}| = {epoch_sizes[epoch_id]} exceeds size * t_u = {bound}"
             )
 
     return RunRecord(

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .cell_probe_sim import UNWRITTEN, MemoryConfig, SimulatedMemory
 from .chronogram import (
@@ -258,15 +258,13 @@ class ResolvedSet:
     query_probes: int  # raw probes of the pool replay and the verify replay
 
 
-def _query_probe_sets(run: RunRecord, istar: int, pool: Sequence) -> tuple[list[set[int]], int]:
-    """Per pooled query, the distinct epoch-istar cells it probes; and
-    the raw probe count of the replay."""
-    target_cells = {addr for addr, _ in run.cells_of_epoch(istar)}
-    probe_sets, probes = [], 0
-    for addresses in replay_queries(run, pool):
-        probes += len(addresses)
-        probe_sets.append(target_cells.intersection(addresses))
-    return probe_sets, probes
+def _query_probe_sets(
+    run: RunRecord, target_cells: set[int], queries: Sequence
+) -> Iterator[tuple[object, set[int], int]]:
+    """Per query in order: the query, the distinct target cells it
+    probes, and the raw probe count of its replay."""
+    for q, addresses in zip(queries, replay_queries(run, queries)):
+        yield q, target_cells.intersection(addresses), len(addresses)
 
 
 def default_cell_budget(run: RunRecord, istar: int) -> int:
@@ -294,7 +292,7 @@ def find_resolved_set(
     in the sampled subset. Raises ResolvedSetNotFound when every try
     comes up empty; the flag-1 raw encoding remains available then.
     """
-    cells = {addr: contents for addr, contents in run.cells_of_epoch(istar)}
+    cells = {addr for addr, _ in run.cells_of_epoch(istar)}
     if not cells:
         raise ResolvedSetNotFound(f"epoch {istar} owns no cells")
     if cell_budget is None:
@@ -319,13 +317,14 @@ def find_resolved_set(
             distinct[qrng.randrange(run.n), qrng.randrange(run.n)] = None
         pool = list(distinct)
 
-    probe_sets, query_probes = _query_probe_sets(run, istar, pool)
-    mean_t = sum(len(s) for s in probe_sets) / len(pool)
-    eligible = [
-        (q, probes)
-        for q, probes in zip(pool, probe_sets)
-        if len(probes) <= probe_threshold
-    ]
+    # hold only the eligible queries' probe sets; mean_t needs just the sum
+    eligible, probe_sum, query_probes = [], 0, 0
+    for q, probes, raw in _query_probe_sets(run, cells, pool):
+        probe_sum += len(probes)
+        query_probes += raw
+        if len(probes) <= probe_threshold:
+            eligible.append((q, probes))
+    mean_t = probe_sum / len(pool)
 
     crng = substream(seed, "cell-sample")
     population = sorted(cells)
@@ -346,11 +345,11 @@ def find_resolved_set(
         )
 
     # replay each kept query and re-check the containment directly; the
-    # pool's probe sets go first, so they are not held during that replay
-    del probe_sets, eligible
+    # eligible probe sets go first, so they are not held during that replay
+    del eligible
     chosen_set = set(best_cells)
-    verify_sets, verify_probes = _query_probe_sets(run, istar, best)
-    for q, probes in zip(best, verify_sets):
+    for q, probes, raw in _query_probe_sets(run, cells, best):
+        query_probes += raw
         if not probes <= chosen_set:
             raise AssertionError(f"replay of {q} probed epoch {istar} outside C")
 
@@ -362,7 +361,7 @@ def find_resolved_set(
         sample_mean_t=mean_t,
         sample_size=len(pool),
         tries_used=tries_used,
-        query_probes=query_probes + verify_probes,
+        query_probes=query_probes,
     )
 
 

@@ -20,13 +20,6 @@ from .finite_field import PrimeModulus
 from .hard_queries import QueryFamily
 
 
-def _read_limbs(mem: SimulatedMemory, base: int, count: int, w: int) -> int:
-    value = 0
-    for limb in range(count):
-        value |= mem.read(base + limb) << (w * limb)
-    return value
-
-
 def _sum_limbs(limbs: list[int], count: int, w: int) -> int:
     """Sum of the values whose little-endian limbs, `count` to a value,
     were read in order: limb k of every value carries weight 2^(w k)."""
@@ -143,18 +136,20 @@ class PrefixSumRangeStructure(DynamicStructure):
             raise ValueError(f"weight {weight} out of range [0, {self.delta.value})")
         if self._inserted >= self.capacity:
             raise OverflowError(f"capacity {self.capacity} exceeded")
-        self._inserted += 1
-        w = self.memory.config.w
-        cpc = self.cells_per_counter
+        n = self.n
+        rows, columns = [], []  # (xi - 1) * n and yi - 1 along the two chains
         xi = x + 1
-        while xi <= self.n:
-            yi = y + 1
-            while yi <= self.n:
-                base = self._counter_base(xi, yi)
-                value = _read_limbs(self.memory, base, cpc, w)
-                _write_limbs(self.memory, base, cpc, w, value + weight)
-                yi += yi & (-yi)
+        while xi <= n:
+            rows.append((xi - 1) * n)
             xi += xi & (-xi)
+        yi = y + 1
+        while yi <= n:
+            columns.append(yi - 1)
+            yi += yi & (-yi)
+        cpc = self.cells_per_counter
+        bases = [(row + column) * cpc for row in rows for column in columns]
+        self.memory.add_many(bases, cpc, weight)
+        self._inserted += 1
 
     def query(self, x: int, y: int) -> int:
         if not (0 <= x < self.n and 0 <= y < self.n):

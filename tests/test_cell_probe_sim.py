@@ -342,3 +342,79 @@ def test_read_many_bad_address_changes_nothing(w, bad, error, position):
     with pytest.raises(error):
         mem.read_many(batch)
     assert (len(trace), trace.addresses, trace.kinds, trace.tags, mem.cells) == before
+
+
+@given(st.sampled_from([1, 2, 3]), st.sampled_from([8, 64]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_add_many_matches_reads_and_writes(count, w, data):
+    """A batched add leaves the same cells and log as reading each
+    value's limbs, adding and writing them back, one value at a time;
+    an add that would overflow any value raises and changes nothing."""
+    one, many = make_memory(w=w), make_memory(w=w)
+    mask = (1 << w) - 1
+    epoch, ops = 9, []
+    actions = data.draw(st.lists(st.sampled_from(["epoch", "write", "add"]), max_size=20))
+    for action in actions:
+        if action == "epoch":
+            if epoch > 1:
+                epoch -= 1
+                for mem in (one, many):
+                    mem.begin_epoch(epoch)
+        elif action == "write":
+            address = data.draw(st.integers(0, 8 * count - 1))
+            value = data.draw(st.integers(0, mask))
+            for mem in (one, many):
+                mem.write(address, value)
+        else:
+            slots = data.draw(st.lists(st.integers(0, 7), unique=True, max_size=6))
+            bases = [slot * count for slot in slots]
+            addend = data.draw(
+                st.one_of(st.integers(0, 999), st.integers(0, (1 << (w * count)) - 1))
+            )
+            ops.append(len(ops))
+            for mem in (one, many):
+                mem.begin_operation(ops[-1])
+            totals = [
+                sum(one.contents_of(base + limb) << (w * limb) for limb in range(count)) + addend
+                for base in bases
+            ]
+            if any(total >> (w * count) for total in totals):
+                with pytest.raises(OverflowError):
+                    many.add_many(bases, count, addend)
+                continue
+            many.add_many(bases, count, addend)
+            for base in bases:
+                value = sum(one.read(base + limb) << (w * limb) for limb in range(count))
+                for limb in range(count):
+                    one.write(base + limb, ((value + addend) >> (w * limb)) & mask)
+    a, b = one.trace, many.trace
+    assert (a.addresses, a.kinds, a.tags) == (b.addresses, b.kinds, b.tags)
+    for op in [None] + ops:
+        assert a.segment(op) == b.segment(op)
+    assert list(a.rows()) == list(b.rows())
+    assert one.cells == many.cells
+
+
+@pytest.mark.parametrize(
+    "bases, count, addend, error",
+    [
+        ([0, -2], 2, 1, ValueError),  # negative address
+        ([0, 255], 2, 1, ValueError),  # limb at 256, beyond 8-bit addresses
+        ([4, 0, 4], 1, 1, ValueError),  # repeated base
+        ([0, 1], 2, 1, ValueError),  # counters sharing cell 1
+        ([0, 2], 2, 1 << 16, OverflowError),  # addend alone overflows two limbs
+        ([0, 2], 2, 0xFFFF, OverflowError),  # only the second value overflows
+    ],
+)
+def test_add_many_bad_input_changes_nothing(bases, count, addend, error):
+    mem = make_memory(w=8)
+    mem.begin_epoch(2)
+    mem.write(2, 1)
+    mem.begin_epoch(1)
+    mem.begin_operation("u")
+    mem.read(3)
+    trace = mem.trace
+    before = (len(trace), trace.addresses[:], trace.kinds[:], trace.tags[:], dict(mem.cells))
+    with pytest.raises(error):
+        mem.add_many(bases, count, addend)
+    assert (len(trace), trace.addresses, trace.kinds, trace.tags, mem.cells) == before
