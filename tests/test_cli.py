@@ -180,6 +180,34 @@ class TestGrid:
         assert manifest["full_rank_trials"] == 20
 
 
+class TestGridGolden:
+    """Byte-exact artifacts of `cplab grid`, pinned from a reference run;
+    they do not depend on PYTHONHASHSEED."""
+
+    def test_artifacts_byte_identical(self, tmp_path):
+        out = tmp_path / "grid"
+        argv = ["--n", "440", "--beta", "5", "--m", "55", "--trials", "20", "--seed", "0"]
+        assert run_cli("grid", *argv, "--out", str(out)) == 0
+        digest = lambda name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert digest("grid_trials.csv") == (
+            "6f933c62a8cd0e8fcea64b82fc06ee3051a58078be70057f7a902ce8e5167099"
+        )
+        assert digest("grid_hitting.csv") == (
+            "9004e8b399ae5539e796b5a28e79b5b70499a93a50f300a7a557d35416377790"
+        )
+        manifest = json.loads((out / "grid_manifest.json").read_text())
+        del manifest["versions"]
+        assert manifest == {
+            "artifacts": ["grid_trials.csv", "grid_hitting.csv"],
+            "command": "grid",
+            "config": {"beta": 5.0, "m": 55, "n": 440, "seed": 0, "trials": 20},
+            "full_rank_trials": 20,
+            "grids": {"2": [40.0, 88.0]},
+            "rounded": {"2": False},
+            "separation_threshold": 7870.95928079926,
+        }
+
+
 class TestNRange:
     # n=1 has no prime below n^4; n=1349547 is the first n whose n^4 is
     # past the exact range of the primality test
