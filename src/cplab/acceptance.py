@@ -14,7 +14,6 @@ from typing import Callable
 
 from . import chronogram, encoding_game, fibonacci_lattice, grid_analysis
 from .finite_field import (
-    FieldMatrix,
     FieldVector,
     ff_rank,
     ff_solve,
@@ -308,18 +307,11 @@ class AcceptanceSuite:
         for seed in range(trials):
             sample = grid_analysis.sample_slab_queries(n, beta, 2, seed, epoch_size=m)
             reps = grid_analysis.cell_representatives(sample.queries, grid)
-            result = grid_analysis.cross_out_extract(reps, grid, points)
+            result = grid_analysis.cross_out_extract(reps, grid)
             q = result.survivors
             if len(q) >= (result.initial - result.boundary_removed) / 16:
                 bound_ok += 1
-            if not q:
-                full_rank += 1
-                continue
-            rows = tuple(
-                FieldVector(delta, fibonacci_lattice.dominance_incidence(points, qq))
-                for qq in q
-            )
-            if ff_rank(FieldMatrix(delta, rows)) == len(q):
+            if grid_analysis.survivor_rank(points, q, delta) == len(q):
                 full_rank += 1
         return CriterionResult(
             9,

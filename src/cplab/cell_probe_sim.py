@@ -23,11 +23,6 @@ def ceil_lg(n: int) -> int:
     return (n - 1).bit_length()
 
 
-def default_cell_width(n: int, multiple: int = 8) -> int:
-    """Smallest multiple of `multiple` covering ceil(lg n)."""
-    return max(multiple, -(-ceil_lg(n) // multiple) * multiple)
-
-
 @dataclass(frozen=True)
 class MemoryConfig:
     w: int
@@ -35,14 +30,6 @@ class MemoryConfig:
     def __post_init__(self) -> None:
         if self.w < 1:
             raise ValueError("cell width must be positive")
-
-    @classmethod
-    def for_points(cls, n: int, w: int | None = None, multiple: int = 8) -> "MemoryConfig":
-        if w is None:
-            w = default_cell_width(n, multiple)
-        if w < ceil_lg(n):
-            raise ValueError(f"w={w} below ceil(lg n)={ceil_lg(n)}")
-        return cls(w=w)
 
 
 _KINDS = ("read", "write")
@@ -249,15 +236,3 @@ def probe_counts_by_epoch(addresses: Iterable[int], mem: SimulatedMemory) -> dic
             counts[tag] = counts.get(tag, 0) + 1
     return counts
 
-
-def assert_epoch_partition(mem: SimulatedMemory) -> None:
-    """Epoch cell sets must partition the written cells."""
-    partition = mem.epoch_partition()
-    union: set[int] = set()
-    total = 0
-    for addrs in partition.values():
-        union |= addrs
-        total += len(addrs)
-    written = mem.written_addresses()
-    if union != written or total != len(written):
-        raise AssertionError("epoch cell sets do not partition the written cells")

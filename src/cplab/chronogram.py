@@ -23,7 +23,6 @@ from .cell_probe_sim import (
     MemoryConfig,
     ProbeTrace,
     SimulatedMemory,
-    assert_epoch_partition,
     ceil_lg,
     probe_counts_by_epoch,
 )
@@ -71,10 +70,6 @@ class EpochSchedule:
         if not 1 <= epoch <= self.count:
             raise ValueError(f"epoch {epoch} outside [1, {self.count}]")
         return self.sizes[self.count - epoch]
-
-    def offset_of(self, epoch: int) -> int:
-        """Update-sequence position at which the epoch starts."""
-        return sum(self.size_of(i) for i in range(self.count, epoch, -1))
 
     def suffix_length(self, epoch: int) -> int:
         """Number of updates in epochs `epoch`..1 (the time suffix)."""
@@ -142,10 +137,6 @@ class UpdateSequence:
         return UpdateSequence(
             kind=self.kind, epochs=tuple(e for e in self.epochs if e.epoch > istar)
         )
-
-    @property
-    def total_updates(self) -> int:
-        return sum(len(e.weights) for e in self.epochs)
 
 
 @dataclass
@@ -292,7 +283,6 @@ def run_hard_distribution(
     instance = factory(memory)
     execute_epochs(instance, memory, updates)
 
-    assert_epoch_partition(memory)
     epoch_sizes = Counter(map(itemgetter(1), memory.cells.values()))
     for epoch_id in run_sched.epoch_ids():
         bound = run_sched.size_of(epoch_id) * instance.declared_update_probes

@@ -263,32 +263,21 @@ def _cmd_grid(args, parser) -> int:
     delta = _field_modulus(n, parser)
     outdir = _outdir(args)
     points = fibonacci_lattice.scaled_lattice(fibonacci_lattice.LatticeSpec.create(m, n))
-    i_eff = 1
-    while beta ** (i_eff + 1) <= m:
-        i_eff += 1
+    i_eff = grid_analysis.effective_epoch_index(beta, m)
     if i_eff < 2:
         parser.error(f"epoch size {m} too small for any grid at beta={beta}")
     family = grid_analysis.build_grid_family(n, beta, i_eff, epoch_size=m)
     threshold = grid_analysis.separation_area_threshold(n, beta, m)
     rows = []
     first_sample = None
-    from .finite_field import FieldMatrix, FieldVector, ff_rank
-
     for t in range(trials):
         sample = grid_analysis.sample_slab_queries(n, beta, i_eff, seed + t, epoch_size=m)
         if first_sample is None:
             first_sample = sample
         grid = family.grids[family.indices()[0]]
         reps = grid_analysis.cell_representatives(sample.queries, grid)
-        survivors = grid_analysis.cross_out_extract(reps, grid, points).survivors
-        if survivors:
-            vecs = tuple(
-                FieldVector(delta, fibonacci_lattice.dominance_incidence(points, q))
-                for q in survivors
-            )
-            rank = ff_rank(FieldMatrix(delta, vecs))
-        else:
-            rank = 0
+        survivors = grid_analysis.cross_out_extract(reps, grid).survivors
+        rank = grid_analysis.survivor_rank(points, survivors, delta)
         separated, _ = grid_analysis.well_separated_subset(sample.queries, threshold)
         rows.append((t, len(survivors), rank, len(separated) / len(sample.queries)))
     trials_path = outdir / "grid_trials.csv"

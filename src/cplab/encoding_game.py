@@ -9,8 +9,7 @@ their lengths can be audited against the epoch's entropy.
 
 Weight tuples are packed radix-Delta into one big integer, which costs
 exactly ceil(count * lg Delta) bits. Query identities use fixed-width
-indices of ceil(lg n^2) bits; the information-theoretic
-lg C(n^2, |Q|) alternative is reported alongside for comparison.
+indices of ceil(lg n^2) bits each.
 
 Exhaustively searching for the best (C, Q) pair is infeasible, so C is
 sampled uniformly with a retry budget, mirroring the probabilistic
@@ -48,7 +47,12 @@ from .finite_field import (
     ff_solve,
     independent_row_indices,
 )
-from .grid_analysis import build_grid_family, cell_representatives, cross_out_extract
+from .grid_analysis import (
+    build_grid_family,
+    cell_representatives,
+    cross_out_extract,
+    effective_epoch_index,
+)
 from .rng import substream
 
 
@@ -166,25 +170,11 @@ class EncodingMessage:
         """Flag bit plus every declared section length."""
         return 1 + sum(s.bit_length for s in self.sections)
 
-    @property
-    def padding_bits(self) -> int:
-        """Byte-alignment padding in the serialized form (not counted)."""
-        return sum(-s.bit_length % 8 for s in self.sections)
-
     def section(self, label: str) -> Section:
         for s in self.sections:
             if s.label == label:
                 return s
         raise KeyError(label)
-
-    def has_section(self, label: str) -> bool:
-        return any(s.label == label for s in self.sections)
-
-    def query_choose_bits(self) -> float | None:
-        """lg C(n^2, |Q|): the binomial-coefficient cost of the query set."""
-        if self.query_count is None:
-            return None
-        return math.log2(math.comb(self.n * self.n, self.query_count))
 
     def to_bytes(self) -> bytes:
         header = {
@@ -402,9 +392,7 @@ def _extract_independent_queries(run: RunRecord, istar: int, queries: Sequence) 
     independent by construction. When the epoch is too small to carry
     any grid (2i-2 < 2), fall back to the greedy rank filter alone."""
     m = run.run_schedule.size_of(istar)
-    i_eff = 1
-    while run.beta ** (i_eff + 1) <= m:
-        i_eff += 1
+    i_eff = effective_epoch_index(run.beta, m)
     if i_eff < 2:
         return list(queries)
     family = build_grid_family(run.n, run.beta, i_eff, epoch_size=m)

@@ -3,47 +3,22 @@ rectangle point-count bounds that make them useful hard inputs.
 
 The two-sided bound relating a rectangle's normalised area to the
 number of lattice points it contains is tested with rational constants
-a1 = 19/10 and a2 = 9/20 plus one point of slack; the constants are
+A1 = 19/10 and A2 = 9/20 plus one point of slack; the constants are
 only known approximately, and floor-scaling to grids the lattice size
 does not divide shifts counts by at most one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class AreaBoundConstants:
-    """The two divisors of the rectangle bound; known only approximately
-    upstream, so stored as exact decimals and tested with slack."""
-
-    a1: Fraction = Fraction(19, 10)
-    a2: Fraction = Fraction(9, 20)
-
-    def __post_init__(self) -> None:
-        if not self.a1 > self.a2 > 0:
-            raise ValueError("need a1 > a2 > 0")
-
-
-AREA_BOUNDS = AreaBoundConstants()
-A1 = AREA_BOUNDS.a1
-A2 = AREA_BOUNDS.a2
-
-
-def fibonacci(k: int) -> int:
-    """k'th Fibonacci number with f_1 = f_2 = 1."""
-    if k < 1:
-        raise ValueError("fibonacci index must be >= 1")
-    a, b = 1, 1
-    for _ in range(k - 2):
-        a, b = b, a + b
-    return b if k > 1 else a
+# the rectangle bound's two divisors, as exact decimals
+A1 = Fraction(19, 10)
+A2 = Fraction(9, 20)
 
 
 def fibonacci_pair_for(m: int) -> tuple[int, int]:
@@ -57,14 +32,6 @@ def fibonacci_pair_for(m: int) -> tuple[int, int]:
     if cur != m:
         raise ValueError(f"{m} is not a Fibonacci number")
     return k, prev
-
-
-def is_fibonacci(m: int) -> bool:
-    try:
-        fibonacci_pair_for(m)
-        return True
-    except ValueError:
-        return False
 
 
 def largest_fibonacci_at_most(x: int) -> int:
@@ -91,10 +58,6 @@ class LatticeSpec:
         _, multiplier = fibonacci_pair_for(m)
         return cls(m=m, multiplier=multiplier, n=n)
 
-    @property
-    def scale(self) -> Fraction:
-        return Fraction(self.n, self.m)
-
 
 @dataclass(frozen=True)
 class PointSet:
@@ -112,79 +75,12 @@ class PointSet:
         return self.points[idx]
 
 
-def unscaled_lattice(m: int) -> PointSet:
-    _, mult = fibonacci_pair_for(m)
-    return PointSet(tuple((j, (j * mult) % m) for j in range(m)))
-
-
 def scaled_lattice(spec: LatticeSpec) -> PointSet:
     """The m lattice points floor-scaled by n/m, one per column j*n//m."""
     m, mult, n = spec.m, spec.multiplier, spec.n
     return PointSet(
         tuple((j * n // m, ((j * mult) % m) * n // m) for j in range(m))
     )
-
-
-@dataclass(frozen=True)
-class Rect:
-    """Closed axis-aligned rectangle [x0, x1] x [y0, y1]."""
-
-    x0: int
-    x1: int
-    y0: int
-    y1: int
-
-    def __post_init__(self) -> None:
-        if self.x0 > self.x1 or self.y0 > self.y1:
-            raise ValueError("rectangle sides must be ordered")
-
-    @property
-    def area(self) -> int:
-        return (self.x1 - self.x0) * (self.y1 - self.y0)
-
-
-def count_in_rectangle(points: Iterable[tuple[int, int]], rect: Rect) -> int:
-    """Brute-force closed-rectangle membership count."""
-    return sum(
-        1
-        for (x, y) in points
-        if rect.x0 <= x <= rect.x1 and rect.y0 <= y <= rect.y1
-    )
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    alpha: float
-    lower: int
-    upper: int
-    actual: int
-    passed: bool
-
-
-def check_area_bounds(
-    spec: LatticeSpec,
-    rect: Rect,
-    slack: int = 1,
-    points: PointSet | None = None,
-) -> BoundCheck:
-    """Test floor(alpha/a1) - slack <= count <= ceil(alpha/a2) + slack.
-
-    alpha is the rectangle area in units of n^2/m. The rectangle must
-    lie inside [0, n - n/m]^2, the domain on which the bound holds.
-    Bounds are computed with exact rational arithmetic.
-    """
-    m, n = spec.m, spec.n
-    # domain test m*x1 <= m*n - n avoids forming the rational n/m
-    if rect.x0 < 0 or rect.y0 < 0 or m * rect.x1 > m * n - n or m * rect.y1 > m * n - n:
-        raise ValueError(f"rectangle {rect} outside the bound's domain [0, n - n/m]^2")
-    alpha = Fraction(rect.area * m, n * n)
-    lower = math.floor(alpha / A1)
-    upper = math.ceil(alpha / A2)
-    if points is None:
-        points = scaled_lattice(spec)
-    actual = count_in_rectangle(points, rect)
-    passed = lower - slack <= actual <= upper + slack
-    return BoundCheck(alpha=float(alpha), lower=lower, upper=upper, actual=actual, passed=passed)
 
 
 def dominance_incidence(
@@ -206,8 +102,9 @@ def check_all_lattice_rectangles(m: int, n: int, slack: int = 1) -> RectangleSwe
     lattice coordinates inside [0, n - n/m]^2.
 
     Vectorised sweep: per x-range, a prefix sum over the column->row
-    permutation answers all y-ranges at once. Counts agree with
-    count_in_rectangle by construction (cross-checked in tests).
+    permutation answers all y-ranges at once. The test is the one a
+    single rectangle gets: floor(alpha/A1) - slack <= count <=
+    ceil(alpha/A2) + slack, with alpha the area in units of n^2/m.
     """
     spec = LatticeSpec.create(m, n)
     xs = np.array([j * n // m for j in range(m)], dtype=np.int64)
@@ -222,6 +119,9 @@ def check_all_lattice_rectangles(m: int, n: int, slack: int = 1) -> RectangleSwe
     violations = 0
     hy = ys[None, :] - ys[:, None]  # hy[c, d] = ys[d] - ys[c]
     upper_tri = np.triu(np.ones((m, m), dtype=bool))
+    # plain ints, so the arrays below stay int64
+    a1_num, a1_den = A1.numerator, A1.denominator
+    a2_num, a2_den = A2.numerator, A2.denominator
     for a in range(m):
         indicator = np.zeros(m + 1, dtype=np.int64)
         for b in range(a, m):
@@ -229,8 +129,8 @@ def check_all_lattice_rectangles(m: int, n: int, slack: int = 1) -> RectangleSwe
             cums = np.cumsum(indicator)
             counts = cums[None, 1:] - cums[:-1, None]  # counts[c, d]
             area = (xs[b] - xs[a]) * hy * m
-            lower = (10 * area) // (19 * n2)
-            upper = -((-20 * area) // (9 * n2))
+            lower = (a1_den * area) // (a1_num * n2)  # floor(alpha / A1)
+            upper = -((-a2_den * area) // (a2_num * n2))  # ceil(alpha / A2)
             bad = (counts < lower - slack) | (counts > upper + slack)
             violations += int(np.count_nonzero(bad & upper_tri))
             rectangles += int(np.count_nonzero(upper_tri))

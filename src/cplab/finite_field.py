@@ -126,15 +126,6 @@ def matrix_from_lists(modulus: PrimeModulus, rows: Iterable[Sequence[int]]) -> F
     return FieldMatrix(modulus, tuple(FieldVector(modulus, tuple(r)) for r in rows))
 
 
-def identity_matrix(dim: int, modulus: PrimeModulus) -> FieldMatrix:
-    rows = []
-    for i in range(dim):
-        coords = [0] * dim
-        coords[i] = 1
-        rows.append(FieldVector(modulus, tuple(coords)))
-    return FieldMatrix(modulus, tuple(rows))
-
-
 def unit_vector(index: int, dim: int, modulus: PrimeModulus) -> FieldVector:
     coords = [0] * dim
     coords[index] = 1
@@ -203,17 +194,6 @@ def ff_rank(A: FieldMatrix) -> int:
     for row in A.rows:
         ech.insert(row.coords)
     return ech.rank
-
-
-def in_span(X: Iterable[FieldVector], x: FieldVector) -> bool:
-    """True iff x is a Z_p-linear combination of X; empty X spans only 0."""
-    vectors = list(X)
-    ech = _Echelon(x.modulus.value, x.dimension)
-    for v in vectors:
-        if v.modulus != x.modulus or v.dimension != x.dimension:
-            raise ValueError("dimension or modulus mismatch")
-        ech.insert(v.coords)
-    return not any(ech.reduce(x.coords))
 
 
 def independent_row_indices(rows: Iterable[FieldVector]) -> list[int]:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .fibonacci_lattice import dominance_incidence
+from .finite_field import FieldMatrix, FieldVector, PrimeModulus, ff_rank
 from .rng import substream
 
 Query = tuple[int, int]
@@ -74,6 +76,15 @@ class GridFamily:
 
     def indices(self) -> list[int]:
         return sorted(self.grids)
+
+
+def effective_epoch_index(beta: float, epoch_size: int) -> int:
+    """The largest i >= 1 with beta^i <= epoch_size (1 if there is none):
+    the epoch index whose grid family fits an epoch of that size."""
+    i = 1
+    while beta ** (i + 1) <= epoch_size:
+        i += 1
+    return i
 
 
 def build_grid_family(
@@ -180,15 +191,9 @@ class CrossOutResult:
     survivors: tuple[Query, ...]
     initial: int
     boundary_removed: int  # queries lost to the bottom rows / left columns
-    parity_removed: int
-    boundary_lattice_points: int | None = None  # points in the crossed strips
 
 
-def cross_out_extract(
-    hit_queries: Sequence[Query],
-    grid: Grid,
-    points: Iterable[tuple[int, int]] | None = None,
-) -> CrossOutResult:
+def cross_out_extract(hit_queries: Sequence[Query], grid: Grid) -> CrossOutResult:
     """Thin a one-per-cell query set so surviving cells are isolated.
 
     Removes the bottom two rows and leftmost two columns, then runs two
@@ -231,27 +236,22 @@ def cross_out_extract(
         else:
             live_rows = live_indices
 
-    boundary_points = None
-    if points is not None:
-        # how many epoch points sit in the crossed-out strips, the
-        # quantity the rectangle area bound controls
-        from .fibonacci_lattice import Rect, count_in_rectangle
-
-        n = grid.extent
-        bottom = Rect(0, n - 1, 0, math.ceil(2 * grid.height) - 1)
-        left = Rect(0, math.ceil(2 * grid.width) - 1, 0, n - 1)
-        boundary_points = count_in_rectangle(points, bottom) + count_in_rectangle(
-            points, left
-        )
-
-    survivors = tuple(sorted(live.values()))
     return CrossOutResult(
-        survivors=survivors,
+        survivors=tuple(sorted(live.values())),
         initial=initial,
         boundary_removed=boundary_removed,
-        parity_removed=initial - boundary_removed - len(survivors),
-        boundary_lattice_points=boundary_points,
     )
+
+
+def survivor_rank(
+    points: Sequence[tuple[int, int]], survivors: Sequence[Query], delta: PrimeModulus
+) -> int:
+    """Rank over Z_delta of the survivors' dominance incidence vectors
+    over the points; 0 when nothing survived."""
+    if not survivors:
+        return 0
+    rows = tuple(FieldVector(delta, dominance_incidence(points, q)) for q in survivors)
+    return ff_rank(FieldMatrix(delta, rows))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Reference dynamic structures, driven entirely through the simulated
-memory, plus the brute-force ground-truth oracles they are checked
-against.
+memory, and the point-multiset model of dominance counting that the
+acceptance criteria check them against.
 
 Values wider than one cell (weights, prefix counters) are split across
 consecutive w-bit cells, little-endian. Query answers are full
@@ -10,10 +10,9 @@ that at recovery time.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .cell_probe_sim import SimulatedMemory
 from .finite_field import PrimeModulus
@@ -168,24 +167,6 @@ class PrefixSumRangeStructure(DynamicStructure):
 
 
 @dataclass
-class ArtificialInstance:
-    """Reference model of the index-weight problem: a plain weight array."""
-
-    n: int
-    weights: list[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.weights:
-            self.weights = [0] * self.n  # all weights start at 0
-
-    def update(self, index: int, weight: int) -> None:
-        self.weights[index] = weight
-
-    def answer(self, coords: Sequence[int]) -> int:
-        return sum(w for bit, w in zip(coords, self.weights) if bit)
-
-
-@dataclass
 class OrcInstance:
     """Reference model of weighted dominance counting: a point multiset."""
 
@@ -199,58 +180,3 @@ class OrcInstance:
         qx, qy = q
         return sum(w for (x, y, w) in self.points if x <= qx and y <= qy)
 
-
-def brute_force_oracle(updates: Iterable[tuple], query: tuple) -> int:
-    """Recompute a query answer by a linear scan of the update log.
-
-    Updates are ("aupd", i, delta) or ("oins", x, y, delta); the query
-    is ("aqry", coords) with the resolved 0/1 vector, or ("oqry", x, y).
-    """
-    updates = list(updates)
-    if query[0] == "aqry":
-        n = max((u[1] for u in updates if u[0] == "aupd"), default=-1) + 1
-        inst = ArtificialInstance(n=max(n, len(query[1])))
-        for u in updates:
-            if u[0] == "aupd":
-                inst.update(u[1], u[2])
-        return inst.answer(query[1])
-    if query[0] == "oqry":
-        orc = OrcInstance(n=0)
-        for u in updates:
-            if u[0] == "oins":
-                orc.insert(u[1], u[2], u[3])
-        return orc.answer((query[1], query[2]))
-    raise ValueError(f"unknown query kind {query[0]!r}")
-
-
-WORKLOAD_OPS = {"aupd": 2, "aqry": 1, "oins": 3, "oqry": 2}
-
-
-def write_workload(path: str, ops: Iterable[tuple]) -> None:
-    """Workload CSV: op,arg1,arg2,arg3 with unused args left empty."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["op", "arg1", "arg2", "arg3"])
-        for op in ops:
-            name, args = op[0], list(op[1:])
-            if name not in WORKLOAD_OPS or len(args) != WORKLOAD_OPS[name]:
-                raise ValueError(f"malformed workload op {op!r}")
-            writer.writerow([name] + args + [""] * (3 - len(args)))
-
-
-def read_workload(path: str) -> list[tuple]:
-    ops: list[tuple] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:1] != ["op"]:
-            raise ValueError("workload file missing header")
-        for row in reader:
-            if not row:
-                continue
-            name = row[0]
-            if name not in WORKLOAD_OPS:
-                raise ValueError(f"unknown workload op {name!r}")
-            arity = WORKLOAD_OPS[name]
-            ops.append((name, *(int(v) for v in row[1 : 1 + arity])))
-    return ops

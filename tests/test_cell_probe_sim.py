@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from cplab.cell_probe_sim import (
     MemoryConfig,
     SimulatedMemory,
-    assert_epoch_partition,
     ceil_lg,
-    default_cell_width,
     probe_counts_by_epoch,
 )
 
@@ -21,14 +19,9 @@ def make_memory(w=16):
 
 
 class TestConfig:
-    def test_default_width_is_byte_multiple(self):
-        assert default_cell_width(440) == 16
-        assert default_cell_width(64) == 8
-        assert default_cell_width(2) == 8
-
     def test_width_floor_enforced(self):
         with pytest.raises(ValueError):
-            MemoryConfig.for_points(1 << 20, w=8)
+            MemoryConfig(w=0)
 
     def test_ceil_lg(self):
         assert ceil_lg(1) == 0
@@ -131,7 +124,6 @@ class TestEpochSets:
             assert union.isdisjoint(addrs)
             union |= addrs
         assert union == mem.written_addresses()
-        assert_epoch_partition(mem)
 
 
 class TestProbeCounts:

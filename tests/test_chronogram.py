@@ -44,8 +44,8 @@ class TestEpochSchedule:
         assert list(sched.epoch_ids()) == [4, 3, 2, 1]
         assert sched.size_of(1) == 3
         assert sched.size_of(4) == 61
-        assert sched.offset_of(4) == 0
-        assert sched.offset_of(1) == 97
+        assert sched.suffix_length(4) == 100
+        assert sched.suffix_length(1) == 3
         assert sched.suffix_length(2) == 12
 
     def test_snap_to_fibonacci(self):
@@ -63,7 +63,7 @@ class TestHardDistributionRuns:
 
     def test_artificial_total_updates_equals_n(self):
         run = run_hard_distribution("artificial", 16, 2, seed=0)
-        assert run.updates.total_updates == 16
+        assert sum(len(e.weights) for e in run.updates.epochs) == 16
 
     def test_orc_epochs_insert_scaled_lattices(self):
         run = run_hard_distribution("orc", 55, 5, seed=2)
@@ -76,7 +76,7 @@ class TestHardDistributionRuns:
     def test_orc_total_is_snapped_sum(self):
         run = run_hard_distribution("orc", 440, 5, seed=0)
         assert run.run_schedule.sizes == (377, 21, 5)
-        assert run.updates.total_updates == 403
+        assert sum(len(e.weights) for e in run.updates.epochs) == 403
 
     def test_epoch_cell_sets_bounded(self):
         run = run_hard_distribution("orc", 55, 5, seed=1)
@@ -227,7 +227,8 @@ class TestUpdateSequence:
         run = run_hard_distribution("artificial", 16, 2, seed=0)
         prefix = run.updates.prefix_above(2)
         assert [e.epoch for e in prefix.epochs] == [4, 3]
-        assert prefix.total_updates == run.run_schedule.size_of(4) + run.run_schedule.size_of(3)
+        sizes = [len(e.weights) for e in prefix.epochs]
+        assert sizes == [run.run_schedule.size_of(4), run.run_schedule.size_of(3)]
 
     def test_declared_update_bound_enforced(self):
         # a structure that lies about its update bound aborts the run

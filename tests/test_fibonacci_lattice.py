@@ -1,38 +1,111 @@
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable
+
 import pytest
 
 from cplab.fibonacci_lattice import (
-    AreaBoundConstants,
-    BoundCheck,
+    A1,
+    A2,
     LatticeSpec,
-    Rect,
+    PointSet,
     check_all_lattice_rectangles,
-    check_area_bounds,
-    count_in_rectangle,
     dominance_incidence,
-    fibonacci,
-    is_fibonacci,
+    fibonacci_pair_for,
     largest_fibonacci_at_most,
     scaled_lattice,
-    unscaled_lattice,
 )
 from cplab.rng import substream
 
 
+# Reference for the vectorised sweep: one rectangle at a time, by brute force.
+
+
+@dataclass(frozen=True)
+class Rect:
+    """Closed axis-aligned rectangle [x0, x1] x [y0, y1]."""
+
+    x0: int
+    x1: int
+    y0: int
+    y1: int
+
+    def __post_init__(self) -> None:
+        if self.x0 > self.x1 or self.y0 > self.y1:
+            raise ValueError("rectangle sides must be ordered")
+
+    @property
+    def area(self) -> int:
+        return (self.x1 - self.x0) * (self.y1 - self.y0)
+
+
+def count_in_rectangle(points: Iterable[tuple[int, int]], rect: Rect) -> int:
+    """Brute-force closed-rectangle membership count."""
+    return sum(
+        1
+        for (x, y) in points
+        if rect.x0 <= x <= rect.x1 and rect.y0 <= y <= rect.y1
+    )
+
+
+@dataclass(frozen=True)
+class BoundCheck:
+    alpha: float
+    lower: int
+    upper: int
+    actual: int
+    passed: bool
+
+
+def check_area_bounds(
+    spec: LatticeSpec,
+    rect: Rect,
+    slack: int = 1,
+    points: PointSet | None = None,
+) -> BoundCheck:
+    """Test floor(alpha/A1) - slack <= count <= ceil(alpha/A2) + slack.
+
+    alpha is the rectangle area in units of n^2/m. The rectangle must
+    lie inside [0, n - n/m]^2, the domain on which the bound holds.
+    Bounds are computed with exact rational arithmetic.
+    """
+    m, n = spec.m, spec.n
+    # domain test m*x1 <= m*n - n avoids forming the rational n/m
+    if rect.x0 < 0 or rect.y0 < 0 or m * rect.x1 > m * n - n or m * rect.y1 > m * n - n:
+        raise ValueError(f"rectangle {rect} outside the bound's domain [0, n - n/m]^2")
+    alpha = Fraction(rect.area * m, n * n)
+    lower = math.floor(alpha / A1)
+    upper = math.ceil(alpha / A2)
+    if points is None:
+        points = scaled_lattice(spec)
+    actual = count_in_rectangle(points, rect)
+    passed = lower - slack <= actual <= upper + slack
+    return BoundCheck(alpha=float(alpha), lower=lower, upper=upper, actual=actual, passed=passed)
+
+
 class TestFibonacci:
     def test_base_case(self):
-        assert fibonacci(1) == 1
-        assert fibonacci(2) == 1
+        assert fibonacci_pair_for(1) == (2, 1)
+        assert fibonacci_pair_for(2) == (3, 1)
 
     def test_recurrence_values(self):
-        assert fibonacci(5) == 5
-        assert fibonacci(10) == 55
+        assert fibonacci_pair_for(5) == (5, 3)
+        assert fibonacci_pair_for(55) == (10, 34)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            fibonacci(0)
+            fibonacci_pair_for(0)
 
     def test_is_fibonacci(self):
-        assert [m for m in range(1, 60) if is_fibonacci(m)] == [1, 2, 3, 5, 8, 13, 21, 34, 55]
+        def accepted(m):
+            try:
+                fibonacci_pair_for(m)
+            except ValueError:
+                return False
+            return True
+
+        assert [m for m in range(1, 60) if accepted(m)] == [1, 2, 3, 5, 8, 13, 21, 34, 55]
 
     def test_largest_at_most(self):
         assert largest_fibonacci_at_most(1) == 1
@@ -60,7 +133,7 @@ class TestScaledLattice:
 
     @pytest.mark.parametrize("m", [2, 3, 5, 8, 13, 21])
     def test_unscaled_second_coordinates_are_a_permutation(self, m):
-        ys = [y for _, y in unscaled_lattice(m)]
+        ys = [y for _, y in scaled_lattice(LatticeSpec.create(m, m))]  # n = m: unscaled
         assert sorted(ys) == list(range(m))
 
     @pytest.mark.parametrize("m,n", [(5, 25), (8, 8), (13, 100), (21, 21 * 8)])
@@ -87,12 +160,8 @@ class TestCountInRectangle:
 
 class TestAreaBounds:
     def test_constants_ordering_enforced(self):
-        from fractions import Fraction
-
-        defaults = AreaBoundConstants()
-        assert float(defaults.a1) == 1.9 and float(defaults.a2) == 0.45
-        with pytest.raises(ValueError):
-            AreaBoundConstants(a1=Fraction(1, 10), a2=Fraction(9, 20))
+        assert (A1, A2) == (Fraction(19, 10), Fraction(9, 20))
+        assert A1 > A2 > 0
 
     def test_example_rectangle(self):
         check = check_area_bounds(LatticeSpec.create(5, 25), Rect(0, 20, 0, 20))
@@ -146,6 +215,23 @@ class TestRectangleSweep:
             prefix = sum(1 for j in range(a, b + 1) if c <= perm[j] <= d)
             assert brute == prefix
             assert check_area_bounds(spec, rect, points=points).passed
+
+    @pytest.mark.parametrize("slack,violations", [(-1, 3872), (0, 912), (1, 0)])
+    def test_sweep_bounds_agree_with_reference(self, slack, violations):
+        # the sweep's integer floor/ceil against the exact rational bounds,
+        # over every lattice rectangle; at slack < 1 some must fail
+        m, n = 13, 104
+        spec = LatticeSpec.create(m, n)
+        points = scaled_lattice(spec)
+        coords = [j * n // m for j in range(m)]
+        spans = [(a, b) for a in coords for b in coords if a <= b]
+        failed = sum(
+            not check_area_bounds(spec, Rect(x0, x1, y0, y1), slack, points).passed
+            for x0, x1 in spans
+            for y0, y1 in spans
+        )
+        assert failed == violations
+        assert check_all_lattice_rectangles(m, n, slack).violations == violations
 
 
 class TestDominanceIncidence:

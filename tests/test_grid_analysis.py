@@ -2,18 +2,20 @@ from fractions import Fraction
 
 import pytest
 
-from cplab.fibonacci_lattice import LatticeSpec, dominance_incidence, scaled_lattice
-from cplab.finite_field import FieldMatrix, FieldVector, ff_rank, largest_prime_below
+from cplab.fibonacci_lattice import LatticeSpec, scaled_lattice
+from cplab.finite_field import largest_prime_below
 from cplab.grid_analysis import (
     Grid,
     build_grid_family,
     cell_representatives,
     cross_out_extract,
+    effective_epoch_index,
     export_hitting_csv,
     export_trials_csv,
     hitting_number,
     sample_slab_queries,
     separation_area_threshold,
+    survivor_rank,
     well_separated_frequency,
     well_separated_subset,
 )
@@ -71,6 +73,14 @@ class TestGridFamily:
         g3 = family.grids[3]  # odd index, non-square beta
         assert g3.rounded
         assert g3.width >= 1 and g3.height >= 1
+
+    def test_effective_epoch_index(self):
+        # the largest i >= 1 with beta^i <= epoch size
+        assert effective_epoch_index(5, 55) == 2
+        assert effective_epoch_index(5, 25) == 2
+        assert effective_epoch_index(5, 24) == 1
+        assert effective_epoch_index(5, 3) == 1
+        assert effective_epoch_index(4, 64) == 3
 
 
 class TestHittingNumber:
@@ -159,8 +169,7 @@ class TestCrossOut:
         assert result.survivors == ((55, 55),)
         points = scaled_lattice(LatticeSpec.create(13, 100))
         delta = largest_prime_below(100**4)
-        rows = (FieldVector(delta, dominance_incidence(points, (55, 55))),)
-        assert ff_rank(FieldMatrix(delta, rows)) == 1
+        assert survivor_rank(points, result.survivors, delta) == 1
 
     def test_boundary_rows_and_columns_removed(self):
         queries = [(5, 5), (5, 55), (55, 5), (55, 55)]
@@ -178,22 +187,6 @@ class TestCrossOut:
             assert len(result.survivors) >= (result.initial - result.boundary_removed) / 16
             assert result.initial == len(reps)
 
-    def test_boundary_lattice_point_accounting(self):
-        from cplab.fibonacci_lattice import Rect, count_in_rectangle
-
-        n, m = 440, 55
-        points = scaled_lattice(LatticeSpec.create(m, n))
-        grid = build_grid_family(n, 5, 2, epoch_size=m).grids[2]
-        sample = sample_slab_queries(n, 5, 2, seed=1, epoch_size=m)
-        reps = cell_representatives(sample.queries, grid)
-        result = cross_out_extract(reps, grid, points)
-        # grid is 40 x 88 cells: strips are y < 176 and x < 80
-        expected = count_in_rectangle(points, Rect(0, 439, 0, 175)) + count_in_rectangle(
-            points, Rect(0, 79, 0, 439)
-        )
-        assert result.boundary_lattice_points == expected
-        assert cross_out_extract(reps, grid).boundary_lattice_points is None
-
     def test_survivor_incidence_rank_is_full(self):
         n, beta, m = 440, 5, 55
         delta = largest_prime_below(n**4)
@@ -202,13 +195,12 @@ class TestCrossOut:
         for seed in range(20):
             sample = sample_slab_queries(n, beta, 2, seed=seed, epoch_size=m)
             reps = cell_representatives(sample.queries, grid)
-            survivors = cross_out_extract(reps, grid, points).survivors
-            if not survivors:
-                continue
-            rows = tuple(
-                FieldVector(delta, dominance_incidence(points, q)) for q in survivors
-            )
-            assert ff_rank(FieldMatrix(delta, rows)) == len(survivors)
+            survivors = cross_out_extract(reps, grid).survivors
+            assert survivor_rank(points, survivors, delta) == len(survivors)
+
+    def test_no_survivors_rank_zero(self):
+        points = scaled_lattice(LatticeSpec.create(13, 100))
+        assert survivor_rank(points, (), largest_prime_below(100**4)) == 0
 
     def test_surviving_cells_have_gaps(self):
         # survivors sit in columns/rows with >= 3 crossed lines between

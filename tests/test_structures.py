@@ -1,18 +1,35 @@
+from dataclasses import dataclass, field
+from typing import Sequence
+
 import pytest
 
 from cplab.cell_probe_sim import MemoryConfig, SimulatedMemory
 from cplab.finite_field import FieldVector, largest_prime_below
 from cplab.hard_queries import QueryFamily, QueryFamilyParams
 from cplab.structures import (
-    ArtificialInstance,
     NaiveArtificialStructure,
     OrcInstance,
     PrefixSumRangeStructure,
-    brute_force_oracle,
-    read_workload,
-    write_workload,
 )
 from cplab.rng import substream
+
+
+@dataclass
+class ArtificialInstance:
+    """Reference model of the index-weight problem: a plain weight array."""
+
+    n: int
+    weights: list[int] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if not self.weights:
+            self.weights = [0] * self.n  # all weights start at 0
+
+    def update(self, index: int, weight: int) -> None:
+        self.weights[index] = weight
+
+    def answer(self, coords: Sequence[int]) -> int:
+        return sum(w for bit, w in zip(coords, self.weights) if bit)
 
 
 def family_with_vectors(n, rows):
@@ -143,18 +160,22 @@ class TestPrefixSumStructure:
 
 class TestOracle:
     def test_empty_log(self):
-        assert brute_force_oracle([], ("aqry", (1, 1, 1))) == 0
-        assert brute_force_oracle([], ("oqry", 5, 5)) == 0
+        assert ArtificialInstance(n=3).answer((1, 1, 1)) == 0
+        assert OrcInstance(n=8).answer((5, 5)) == 0
 
     def test_artificial_matches_definition(self):
-        log = [("aupd", 0, 5), ("aupd", 2, 7), ("aupd", 0, 1)]
-        assert brute_force_oracle(log, ("aqry", (1, 0, 1))) == 8
-        assert brute_force_oracle(log, ("aqry", (0, 1, 0))) == 0
+        inst = ArtificialInstance(n=3)
+        for index, weight in [(0, 5), (2, 7), (0, 1)]:
+            inst.update(index, weight)
+        assert inst.answer((1, 0, 1)) == 8
+        assert inst.answer((0, 1, 0)) == 0
 
     def test_orc_matches_dominance_scan(self):
-        log = [("oins", 0, 0, 1), ("oins", 4, 4, 10)]
-        assert brute_force_oracle(log, ("oqry", 3, 3)) == 1
-        assert brute_force_oracle(log, ("oqry", 4, 4)) == 11
+        orc = OrcInstance(n=5)
+        orc.insert(0, 0, 1)
+        orc.insert(4, 4, 10)
+        assert orc.answer((3, 3)) == 1
+        assert orc.answer((4, 4)) == 11
 
     def test_instances_accumulate(self):
         inst = ArtificialInstance(n=3)
@@ -164,24 +185,6 @@ class TestOracle:
         orc.insert(1, 1, 2)
         orc.insert(1, 1, 3)  # multiset: same point twice
         assert orc.answer((1, 1)) == 5
-
-
-class TestWorkloadFiles:
-    def test_round_trip(self, tmp_path):
-        ops = [("aupd", 0, 9), ("aqry", 3), ("oins", 1, 2, 7), ("oqry", 4, 4)]
-        path = tmp_path / "workload.csv"
-        write_workload(str(path), ops)
-        assert read_workload(str(path)) == ops
-        header = path.read_text().splitlines()[0]
-        assert header == "op,arg1,arg2,arg3"
-
-    def test_malformed_op_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_workload(str(tmp_path / "w.csv"), [("nope", 1)])
-        bad = tmp_path / "bad.csv"
-        bad.write_text("op,arg1,arg2,arg3\nzap,1,2,3\n")
-        with pytest.raises(ValueError):
-            read_workload(str(bad))
 
 
 class TestMultiLimbQueries:
