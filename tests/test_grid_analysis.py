@@ -159,6 +159,8 @@ class TestCrossOut:
         result = cross_out_extract([], self.GRID)
         assert result.survivors == ()
         assert result.initial == 0
+        points = scaled_lattice(LatticeSpec.create(13, 100))
+        assert survivor_rank(points, result.survivors, largest_prime_below(100**4)) == 0
 
     def test_duplicate_cell_rejected(self):
         with pytest.raises(ValueError):
@@ -197,10 +199,6 @@ class TestCrossOut:
             reps = cell_representatives(sample.queries, grid)
             survivors = cross_out_extract(reps, grid).survivors
             assert survivor_rank(points, survivors, delta) == len(survivors)
-
-    def test_no_survivors_rank_zero(self):
-        points = scaled_lattice(LatticeSpec.create(13, 100))
-        assert survivor_rank(points, (), largest_prime_below(100**4)) == 0
 
     def test_surviving_cells_have_gaps(self):
         # survivors sit in columns/rows with >= 3 crossed lines between
