@@ -120,7 +120,11 @@ class TestSections:
         message.sections = (Section("a", 3, 5), Section("b", 9, 256))
         raw = message.to_bytes()
         assert message.total_bits == 1 + 3 + 9  # the padding to whole bytes is not counted
-        assert len(raw) > 1 + 2  # padded payloads, plus header and framing
+        framed = lambda label, bits, payload: (
+            bytes([len(label)]) + label + bits.to_bytes(8, "big")
+            + len(payload).to_bytes(8, "big") + payload
+        )
+        assert raw.endswith(framed(b"a", 3, b"\x05") + framed(b"b", 9, b"\x01\x00"))
         assert EncodingMessage.from_bytes(raw).sections == message.sections
 
 
