@@ -5,11 +5,22 @@ The headline asymptotic bounds are not reproducible at desk scale, so
 every criterion here checks constructive content: exact identities,
 exhaustive or Monte Carlo property sweeps at pinned tolerances, and
 end-to-end recovery of epoch weights through the encoding game.
+
+Criteria that loop over independently seeded trials (2, 4, 6, 7, 10 and
+11) hand each trial to a module-level function run in a spawn process
+pool, one worker per usable CPU, and aggregate the results in seed
+order, so every line is the same as a serial run's. The pool starts on
+the first pooled criterion and lives until `AcceptanceSuite.close()`.
+A script that runs the suite must guard its entry point with
+`if __name__ == "__main__":`, because spawned workers import the main
+module.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
 from . import chronogram, encoding_game, fibonacci_lattice, grid_analysis
@@ -45,15 +56,189 @@ class CriterionResult:
         return f"{status} criterion {self.number} ({self.name}): {self.detail}"
 
 
+# -- one trial of each pooled criterion -----------------------------
+# Module-level, so a spawn worker finds each one by its import path.
+
+
+def _family_trial(seed: int) -> tuple[int, int]:
+    """Criterion 2, one family seed: (subsets checked, violations)."""
+    n = 16
+    family = build_query_family(
+        QueryFamilyParams(
+            n=n, modulus=field_modulus(n), independence_constant=2.0, seed=seed
+        )
+    )
+    checks = violations = 0
+    for k in (8, 16):
+        size = subset_bound(k, 2.0)
+        report = check_suffix_independence(
+            family, k=k, subset_size=size, trials=1000, seed=seed * 100 + k
+        )
+        checks += report.trials
+        violations += report.violations
+    return checks, violations
+
+
+def _oracle_trial(seed: int) -> tuple[int, int]:
+    """Criterion 4, one seed: (mismatches, probe-bound violations)."""
+    n = 64
+    delta = field_modulus(n)
+    rng = substream(seed, "oracle-workload")
+    w = chronogram.default_run_cell_width("orc", n, delta, 500)
+    memory = SimulatedMemory(MemoryConfig(w=w))
+    structure = PrefixSumRangeStructure(n, delta, memory, capacity=500)
+    reference = OrcInstance(n=n)
+    mismatches = probe_violations = 0
+    for op in range(500):
+        x, y = rng.randrange(n), rng.randrange(n)
+        weight = rng.randrange(delta.value)
+        memory.begin_operation(("ins", op))
+        before = len(memory.trace)
+        structure.insert(x, y, weight)
+        if len(memory.trace) - before > structure.declared_update_probes:
+            probe_violations += 1
+        reference.insert(x, y, weight)
+    for op in range(500):
+        q = (rng.randrange(n), rng.randrange(n))
+        memory.begin_operation(("qry", op))
+        before = len(memory.trace)
+        got = structure.query(q[0], q[1])
+        if len(memory.trace) - before > structure.declared_query_probes:
+            probe_violations += 1
+        if got != reference.answer(q):
+            mismatches += 1
+    return mismatches, probe_violations
+
+
+def _artificial_game_trial(
+    seed: int, fault: str | None
+) -> tuple[bool, int, bool, encoding_game.EncodingMessage, float]:
+    """Criterion 6, one game: (recovered, flag, fell back, message, H)."""
+    istar = 2
+    run = chronogram.run_hard_distribution("artificial", 25, 5, seed=seed)
+    fallback = False
+    try:
+        resolved = encoding_game.find_resolved_set(
+            run, istar, cell_budget=16, probe_threshold=12, max_tries=8, seed=seed
+        )
+    except encoding_game.ResolvedSetNotFound:
+        resolved = None
+        fallback = True
+    # odd seeds force the raw path through the average-cost test
+    expected_t = 1e-9 if seed % 2 else None
+    message = encoding_game.encode_epoch(run, istar, resolved, expected_t=expected_t)
+    if fault == "corrupt-message" and seed == 0:
+        section = message.sections[0]
+        corrupted = encoding_game.Section(
+            section.label, section.bit_length, section.payload ^ 1
+        )
+        message.sections = (corrupted,) + message.sections[1:]
+    recovered = False
+    try:
+        result = encoding_game.decode_epoch(
+            message, run.updates.prefix_above(istar), run.structure_factory,
+            verify_run=run,
+        )
+        recovered = result.u_istar == run.updates.u(istar)
+    except (encoding_game.DecodingIntegrityError, ValueError, KeyError):
+        pass  # counted as a failed recovery
+    account = encoding_game.entropy_account(run.run_schedule, istar, run.delta, message)
+    return recovered, message.flag, fallback, message, account.h_bits
+
+
+def _orc_game_trial(seed: int) -> tuple[bool, bool]:
+    """Criterion 7, one game: (recovered, fell back)."""
+    run = chronogram.run_hard_distribution("orc", 440, 5, seed=seed)
+    istar = run.run_schedule.count - 1  # second-largest epoch
+    fallback = False
+    try:
+        resolved = encoding_game.find_resolved_set(
+            run, istar, probe_threshold=8, max_tries=8, seed=seed
+        )
+    except encoding_game.ResolvedSetNotFound:
+        resolved = None
+        fallback = True
+    message = encoding_game.encode_epoch(run, istar, resolved)
+    result = encoding_game.decode_epoch(
+        message, run.updates.prefix_above(istar), run.structure_factory,
+        verify_run=run,  # raises on any epoch-istar probe outside C
+    )
+    return result.u_istar == run.updates.u(istar), fallback
+
+
+def _decomposition_trial(seed: int) -> tuple[int, int]:
+    """Criterion 10, one seeded run: (mismatches, queries checked)."""
+    run = chronogram.run_hard_distribution("orc", 440, 5, seed=seed)
+    reference = OrcInstance(n=run.n)
+    for e in run.updates.epochs:
+        for (x, y), weight in zip(e.targets, e.weights):
+            reference.insert(x, y, weight)
+    rng = substream(seed, "decomposition-queries")
+    mismatches = checked = 0
+    for _ in range(2000):
+        q = (rng.randrange(run.n), rng.randrange(run.n))
+        total = 0
+        for i in run.run_schedule.epoch_ids():
+            inc = chronogram.incidence_vector(run, i, q).coords
+            total += sum(w for b, w in zip(inc, run.updates.u(i)) if b)
+        checked += 1
+        if total != reference.answer(q):
+            mismatches += 1
+    return mismatches, checked
+
+
+def _separation_trial(baseline: grid_analysis.WellSeparatedBaseline) -> float:
+    """Criterion 11, one baseline: the measured frequency."""
+    return grid_analysis.well_separated_frequency(
+        baseline.n, baseline.beta, baseline.epoch_size, trials=4000, seed_base=0
+    )
+
+
 class AcceptanceSuite:
     """Runs the numbered criteria; shares expensive state between the
-    encoder-identity criterion and the information-floor criterion."""
+    encoder-identity criterion and the information-floor criterion.
+
+    The pooled criteria share one spawn process pool, started on first
+    use; `close()` (or leaving a `with` block) shuts it down. A suite
+    that is dropped unclosed, or still open at interpreter exit, has
+    its workers joined by `concurrent.futures` itself.
+    """
 
     def __init__(self, fault: str | None = None):
         self.fault = fault
         self._artificial_game: dict | None = None
+        self._pool = None
+
+    def __enter__(self) -> AcceptanceSuite:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Shut the pool down and wait for its workers. Safe to call
+        twice; a pooled criterion run after it starts a new pool."""
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+    def _map(self, trial: Callable, *args) -> list:
+        """`list(map(trial, *args))`, with the calls run in the pool."""
+        if self._pool is None:
+            # imported here: the import alone costs every caller of this
+            # module start-up time, and most never start a pool
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            self._pool = ProcessPoolExecutor(
+                max_workers=len(os.sched_getaffinity(0)),
+                mp_context=multiprocessing.get_context("spawn"),
+            )
+        return list(self._pool.map(trial, *args))
 
     # -- criterion 1 -------------------------------------------------
+    # runs in-process: it is the first criterion, and starting the pool
+    # here would add the pool's start-up to its time
     def fibonacci_area_bounds(self) -> CriterionResult:
         details = []
         ok = True
@@ -65,23 +250,7 @@ class AcceptanceSuite:
 
     # -- criterion 2 -------------------------------------------------
     def query_family_independence(self) -> CriterionResult:
-        n = 16
-        delta = field_modulus(n)
-        violations = 0
-        checks = 0
-        for seed in range(1, 6):
-            family = build_query_family(
-                QueryFamilyParams(
-                    n=n, modulus=delta, independence_constant=2.0, seed=seed
-                )
-            )
-            for k in (8, 16):
-                size = subset_bound(k, 2.0)
-                report = check_suffix_independence(
-                    family, k=k, subset_size=size, trials=1000, seed=seed * 100 + k
-                )
-                checks += report.trials
-                violations += report.violations
+        checks, violations = map(sum, zip(*self._map(_family_trial, range(1, 6))))
         return CriterionResult(
             2,
             "query-family-suffix-independence",
@@ -90,6 +259,7 @@ class AcceptanceSuite:
         )
 
     # -- criterion 3 -------------------------------------------------
+    # runs in-process: one RNG stream draws all 1000 systems in order
     def finite_field_round_trip(self) -> CriterionResult:
         delta = largest_prime_below(10**4)
         rng = substream(3, "field-round-trip")
@@ -115,34 +285,7 @@ class AcceptanceSuite:
 
     # -- criterion 4 -------------------------------------------------
     def oracle_equivalence(self) -> CriterionResult:
-        n = 64
-        delta = field_modulus(n)
-        mismatches = 0
-        probe_violations = 0
-        for seed in range(10):
-            rng = substream(seed, "oracle-workload")
-            w = chronogram.default_run_cell_width("orc", n, delta, 500)
-            memory = SimulatedMemory(MemoryConfig(w=w))
-            structure = PrefixSumRangeStructure(n, delta, memory, capacity=500)
-            reference = OrcInstance(n=n)
-            for op in range(500):
-                x, y = rng.randrange(n), rng.randrange(n)
-                weight = rng.randrange(delta.value)
-                memory.begin_operation(("ins", op))
-                before = len(memory.trace)
-                structure.insert(x, y, weight)
-                if len(memory.trace) - before > structure.declared_update_probes:
-                    probe_violations += 1
-                reference.insert(x, y, weight)
-            for op in range(500):
-                q = (rng.randrange(n), rng.randrange(n))
-                memory.begin_operation(("qry", op))
-                before = len(memory.trace)
-                got = structure.query(q[0], q[1])
-                if len(memory.trace) - before > structure.declared_query_probes:
-                    probe_violations += 1
-                if got != reference.answer(q):
-                    mismatches += 1
+        mismatches, probe_violations = map(sum, zip(*self._map(_oracle_trial, range(10))))
         return CriterionResult(
             4,
             "oracle-equivalence",
@@ -152,6 +295,7 @@ class AcceptanceSuite:
         )
 
     # -- criterion 5 -------------------------------------------------
+    # runs in-process, as do 8 and 9: too little work to repay dispatch
     def chronogram_exactness(self) -> CriterionResult:
         bad_counts = 0
         bad_totals = 0
@@ -181,53 +325,16 @@ class AcceptanceSuite:
     def _run_artificial_game(self) -> dict:
         if self._artificial_game is not None:
             return self._artificial_game
-        istar = 2
-        recovered = 0
-        flags = {0: 0, 1: 0}
-        fallbacks = 0
-        messages = []
-        h_bits = None
         trials = 100
-        for seed in range(trials):
-            run = chronogram.run_hard_distribution("artificial", 25, 5, seed=seed)
-            try:
-                resolved = encoding_game.find_resolved_set(
-                    run, istar, cell_budget=16, probe_threshold=12, max_tries=8, seed=seed
-                )
-            except encoding_game.ResolvedSetNotFound:
-                resolved = None
-                fallbacks += 1
-            # odd seeds force the raw path through the average-cost test
-            expected_t = 1e-9 if seed % 2 else None
-            message = encoding_game.encode_epoch(run, istar, resolved, expected_t=expected_t)
-            if self.fault == "corrupt-message" and seed == 0:
-                section = message.sections[0]
-                corrupted = encoding_game.Section(
-                    section.label, section.bit_length, section.payload ^ 1
-                )
-                message.sections = (corrupted,) + message.sections[1:]
-            flags[message.flag] += 1
-            try:
-                result = encoding_game.decode_epoch(
-                    message, run.updates.prefix_above(istar), run.structure_factory,
-                    verify_run=run,
-                )
-                if result.u_istar == run.updates.u(istar):
-                    recovered += 1
-            except (encoding_game.DecodingIntegrityError, ValueError, KeyError):
-                pass  # counted as a failed recovery
-            messages.append(message)
-            account = encoding_game.entropy_account(
-                run.run_schedule, istar, run.delta, message
-            )
-            h_bits = account.h_bits
+        outcomes = self._map(_artificial_game_trial, range(trials), repeat(self.fault))
+        recovered, flags, fallbacks, messages, h_bits = zip(*outcomes)
         self._artificial_game = {
-            "recovered": recovered,
+            "recovered": sum(recovered),
             "trials": trials,
-            "flags": flags,
-            "fallbacks": fallbacks,
-            "messages": messages,
-            "h_bits": h_bits,
+            "flags": {flag: flags.count(flag) for flag in (0, 1)},
+            "fallbacks": sum(fallbacks),
+            "messages": list(messages),
+            "h_bits": h_bits[-1],
         }
         return self._artificial_game
 
@@ -249,26 +356,8 @@ class AcceptanceSuite:
 
     # -- criterion 7 -------------------------------------------------
     def encode_decode_orc(self) -> CriterionResult:
-        recovered = 0
-        fallbacks = 0
         trials = 25
-        for seed in range(trials):
-            run = chronogram.run_hard_distribution("orc", 440, 5, seed=seed)
-            istar = run.run_schedule.count - 1  # second-largest epoch
-            try:
-                resolved = encoding_game.find_resolved_set(
-                    run, istar, probe_threshold=8, max_tries=8, seed=seed
-                )
-            except encoding_game.ResolvedSetNotFound:
-                resolved = None
-                fallbacks += 1
-            message = encoding_game.encode_epoch(run, istar, resolved)
-            result = encoding_game.decode_epoch(
-                message, run.updates.prefix_above(istar), run.structure_factory,
-                verify_run=run,  # raises on any epoch-istar probe outside C
-            )
-            if result.u_istar == run.updates.u(istar):
-                recovered += 1
+        recovered, fallbacks = map(sum, zip(*self._map(_orc_game_trial, range(trials))))
         return CriterionResult(
             7,
             "encode-decode-orc",
@@ -323,24 +412,7 @@ class AcceptanceSuite:
 
     # -- criterion 10 ------------------------------------------------
     def answer_decomposition(self) -> CriterionResult:
-        mismatches = 0
-        checked = 0
-        for seed in range(5):
-            run = chronogram.run_hard_distribution("orc", 440, 5, seed=seed)
-            reference = OrcInstance(n=run.n)
-            for e in run.updates.epochs:
-                for (x, y), weight in zip(e.targets, e.weights):
-                    reference.insert(x, y, weight)
-            rng = substream(seed, "decomposition-queries")
-            for _ in range(2000):
-                q = (rng.randrange(run.n), rng.randrange(run.n))
-                total = 0
-                for i in run.run_schedule.epoch_ids():
-                    inc = chronogram.incidence_vector(run, i, q).coords
-                    total += sum(w for b, w in zip(inc, run.updates.u(i)) if b)
-                checked += 1
-                if total != reference.answer(q):
-                    mismatches += 1
+        mismatches, checked = map(sum, zip(*self._map(_decomposition_trial, range(5))))
         return CriterionResult(
             10,
             "answer-decomposition",
@@ -350,12 +422,10 @@ class AcceptanceSuite:
 
     # -- criterion 11 ------------------------------------------------
     def well_separated_frequency(self) -> CriterionResult:
+        baselines = grid_analysis.WELL_SEPARATED_BASELINES
         details = []
         ok = True
-        for baseline in grid_analysis.WELL_SEPARATED_BASELINES:
-            freq = grid_analysis.well_separated_frequency(
-                baseline.n, baseline.beta, baseline.epoch_size, trials=4000, seed_base=0
-            )
+        for baseline, freq in zip(baselines, self._map(_separation_trial, baselines)):
             within = abs(freq - baseline.frequency) <= 0.05
             ok = ok and within
             details.append(
@@ -390,12 +460,12 @@ def run_acceptance(
     fault: str | None = None,
     report: Callable[[str], None] = print,
 ) -> list[CriterionResult]:
-    suite = AcceptanceSuite(fault=fault)
     results = []
-    for method, group in CRITERIA:
-        if only is not None and only not in (group, method):
-            continue
-        result: CriterionResult = getattr(suite, method)()
-        results.append(result)
-        report(result.line())
+    with AcceptanceSuite(fault=fault) as suite:
+        for method, group in CRITERIA:
+            if only is not None and only not in (group, method):
+                continue
+            result: CriterionResult = getattr(suite, method)()
+            results.append(result)
+            report(result.line())
     return results

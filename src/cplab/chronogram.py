@@ -43,7 +43,6 @@ from .structures import (
 )
 
 KINDS = ("artificial", "orc")
-STRUCTURE_FOR_KIND = {"artificial": "naive", "orc": "orc2d"}
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,6 @@ class RunRecord:
     updates: UpdateSequence
     memory: SimulatedMemory
     structure: DynamicStructure
-    structure_id: str
     structure_factory: Callable[[SimulatedMemory], DynamicStructure]
     family: QueryFamily | None
     epoch_points: dict[int, PointSet] | None
@@ -227,7 +225,6 @@ def run_hard_distribution(
     n: int,
     beta: float,
     seed: int,
-    structure: str | None = None,
     w: int | None = None,
     family_constant: float = 22.0,
 ) -> RunRecord:
@@ -238,7 +235,6 @@ def run_hard_distribution(
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
-    structure_id = structure or STRUCTURE_FOR_KIND[kind]
     delta = field_modulus(n)
     schedule = epoch_schedule(n, beta)
     run_sched = schedule.snap_to_fibonacci() if kind == "orc" else schedule
@@ -303,7 +299,6 @@ def run_hard_distribution(
         updates=updates,
         memory=memory,
         structure=instance,
-        structure_id=structure_id,
         structure_factory=factory,
         family=family,
         epoch_points=epoch_points,

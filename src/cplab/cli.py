@@ -159,9 +159,7 @@ def _cmd_chronogram(args, parser) -> int:
     sample_size = args.trials if args.trials is not None else 200
     _field_modulus(args.n, parser)
     outdir = _outdir(args)
-    run = chronogram.run_hard_distribution(
-        kind, args.n, args.beta, seed=seed, structure=structure, w=args.w
-    )
+    run = chronogram.run_hard_distribution(kind, args.n, args.beta, seed=seed, w=args.w)
     rng = substream(seed, "cli-query-sample")
     if kind == "artificial":
         universe = len(run.family.vectors)

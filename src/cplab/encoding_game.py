@@ -241,7 +241,6 @@ class ResolvedSet:
     istar: int
     cell_addresses: tuple[int, ...]
     queries: tuple
-    probe_threshold: float
     sample_mean_t: float
     sample_size: int
     tries_used: int
@@ -307,13 +306,14 @@ def find_resolved_set(
             distinct[qrng.randrange(run.n), qrng.randrange(run.n)] = None
         pool = list(distinct)
 
-    # hold only the eligible queries' probe sets; mean_t needs just the sum
+    # hold only the eligible queries' probe cells, as tuples (a third of a
+    # small set's bytes); mean_t needs just the sum
     eligible, probe_sum, query_probes = [], 0, 0
     for q, probes, raw in _query_probe_sets(run, cells, pool):
         probe_sum += len(probes)
         query_probes += raw
         if len(probes) <= probe_threshold:
-            eligible.append((q, probes))
+            eligible.append((q, tuple(probes)))
     mean_t = probe_sum / len(pool)
 
     crng = substream(seed, "cell-sample")
@@ -324,7 +324,7 @@ def find_resolved_set(
     for attempt in range(max_tries):
         tries_used = attempt + 1
         chosen = set(crng.sample(population, cell_budget))
-        resolved = [q for q, probes in eligible if probes <= chosen]
+        resolved = [q for q, probes in eligible if chosen.issuperset(probes)]
         if best is None or len(resolved) > len(best):
             best = resolved
             best_cells = tuple(sorted(chosen))
@@ -347,7 +347,6 @@ def find_resolved_set(
         istar=istar,
         cell_addresses=best_cells,
         queries=tuple(sorted(best)),
-        probe_threshold=probe_threshold,
         sample_mean_t=mean_t,
         sample_size=len(pool),
         tries_used=tries_used,

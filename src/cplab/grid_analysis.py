@@ -270,16 +270,14 @@ class WellSeparatedBaseline:
     beta: float
     epoch_size: int
     frequency: float
-    oracle_trials: int
-    oracle_seed_base: int
 
 
 # frozen by scripts/calibrate_well_separated.py (20000 trials each,
 # seeds starting at 1_000_000; regression runs use disjoint seeds)
 WELL_SEPARATED_BASELINES: tuple[WellSeparatedBaseline, ...] = (
-    WellSeparatedBaseline(440, 5.0, 55, 0.0000, 20000, 1_000_000),
-    WellSeparatedBaseline(1024, 64.0, 512, 0.3260, 20000, 1_000_000),
-    WellSeparatedBaseline(1024, 81.0, 405, 0.5349, 20000, 1_000_000),
+    WellSeparatedBaseline(440, 5.0, 55, 0.0000),
+    WellSeparatedBaseline(1024, 64.0, 512, 0.3260),
+    WellSeparatedBaseline(1024, 81.0, 405, 0.5349),
 )
 
 

@@ -155,7 +155,6 @@ def build_query_family(
 @dataclass(frozen=True)
 class IndependenceReport:
     k: int
-    subset_size: int
     trials: int
     violations: int
     witness: tuple[int, ...] | None
@@ -188,9 +187,7 @@ def check_suffix_independence(
             violations += 1
             if witness is None:
                 witness = tuple(sorted(idxs))
-    return IndependenceReport(
-        k=k, subset_size=subset_size, trials=trials, violations=violations, witness=witness
-    )
+    return IndependenceReport(k=k, trials=trials, violations=violations, witness=witness)
 
 
 def write_family(family: QueryFamily, fh: TextIO) -> None:

@@ -39,7 +39,9 @@ EXPECTED_LINES = {
 
 @pytest.fixture(scope="module")
 def suite():
-    yield AcceptanceSuite()
+    suite = AcceptanceSuite()
+    yield suite
+    suite.close()
 
 
 def _check(result):

@@ -68,7 +68,7 @@ def _run_with_family_rows(rows, beta=2):
         kind="artificial", n=n, beta=float(beta), seed=0, w=16,
         delta=params.modulus, schedule=sched, run_schedule=sched,
         updates=updates, memory=memory, structure=structure,
-        structure_id="naive", structure_factory=factory,
+        structure_factory=factory,
         family=family, epoch_points=None,
     )
 
@@ -489,7 +489,6 @@ class TestIntegrityChecks:
             istar=2,
             cell_addresses=(),
             queries=(victim,),
-            probe_threshold=99.0,
             sample_mean_t=1.0,
             sample_size=1,
             tries_used=1,
@@ -523,7 +522,6 @@ class TestIntegrityChecks:
                 istar=2,
                 cell_addresses=tuple(sorted(c_cells)),
                 queries=queries,
-                probe_threshold=99.0,
                 sample_mean_t=1.0,
                 sample_size=len(queries),
                 tries_used=1,
