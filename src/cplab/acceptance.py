@@ -94,16 +94,13 @@ def _oracle_trial(seed: int) -> tuple[int, int]:
         weight = rng.randrange(delta.value)
         memory.begin_operation(("ins", op))
         before = len(memory.trace)
-        structure.insert(x, y, weight)
+        structure.update((x, y), weight)
         if len(memory.trace) - before > structure.declared_update_probes:
             probe_violations += 1
         reference.insert(x, y, weight)
-    for op in range(500):
-        q = (rng.randrange(n), rng.randrange(n))
-        memory.begin_operation(("qry", op))
-        before = len(memory.trace)
-        got = structure.query(q[0], q[1])
-        if len(memory.trace) - before > structure.declared_query_probes:
+    queries = [(rng.randrange(n), rng.randrange(n)) for _ in range(500)]
+    for q, (got, addresses) in zip(queries, chronogram.replay_queries(structure, queries)):
+        if len(addresses) > structure.declared_query_probes:
             probe_violations += 1
         if got != reference.answer(q):
             mismatches += 1

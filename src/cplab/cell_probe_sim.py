@@ -113,23 +113,14 @@ class SimulatedMemory:
     def begin_operation(self, op_id: Hashable) -> None:
         self.trace.begin(op_id)
 
-    # read, read_many, add_many and write are the hot path: they append
+    # read_many, add_many and write are the hot path: they append
     # probes to the log's columns, with no per-probe object
-    def read(self, address: int) -> int:
-        if not 0 <= address < self._limit:
-            raise ValueError(f"address {address} does not fit in {self.config.w} bits")
-        contents, tag = self.cells.get(address, UNWRITTEN)
-        trace = self.trace
-        trace.addresses.append(address)
-        trace.kinds.append(0)
-        trace.tags.append(tag)
-        return contents
-
     def read_many(self, addresses: Sequence[int]) -> list[int]:
-        """Read the cells in order and log the probes exactly as the same
-        sequence of `read` calls would. Every address is checked before
-        the log changes, so a bad one raises and leaves it as it was."""
-        batch = array("q", addresses)  # OverflowError at 2^63, as in read
+        """Read the cells in order and log one read probe per address,
+        tagged with the cell's epoch (-1 if unwritten). Every address is
+        checked before the log changes, so a bad one raises and leaves it
+        as it was."""
+        batch = array("q", addresses)  # OverflowError at 2^63, as in write
         if addresses and (min(addresses) < 0 or max(addresses) >= self._limit):
             bad = next(a for a in addresses if not 0 <= a < self._limit)
             raise ValueError(f"address {bad} does not fit in {self.config.w} bits")
@@ -143,15 +134,15 @@ class SimulatedMemory:
     def add_many(self, bases: Sequence[int], count: int, addend: int) -> None:
         """Add `addend` to each value held in `count` little-endian limbs
         from a base on, in base order. The log gets, per value, `count`
-        reads and then `count` writes of its limbs, exactly as the same
-        `read` and `write` calls would leave it. The values' cells must be
-        distinct, so one pass reads what the calls in turn would read.
+        reads and then `count` writes of its limbs, with the tags that
+        probing them one cell at a time would log. The values' cells must
+        be distinct, so one pass reads what the values in turn would read.
         Every address and every new value is checked before any state
         changes, so a bad one raises and leaves the memory as it was."""
         addresses = [0] * (len(bases) * count)
         for limb in range(count):
             addresses[limb::count] = map(add, bases, repeat(limb))
-        batch = array("q", addresses)  # OverflowError at 2^63, as in read
+        batch = array("q", addresses)  # OverflowError at 2^63, as in write
         if addresses and (min(addresses) < 0 or max(addresses) >= self._limit):
             bad = next(a for a in addresses if not 0 <= a < self._limit)
             raise ValueError(f"address {bad} does not fit in {self.config.w} bits")

@@ -118,7 +118,6 @@ class EpochUpdates:
 
 @dataclass(frozen=True)
 class UpdateSequence:
-    kind: str
     epochs: tuple[EpochUpdates, ...]  # time order, largest epoch first
 
     def epoch(self, epoch_id: int) -> EpochUpdates:
@@ -133,9 +132,7 @@ class UpdateSequence:
 
     def prefix_above(self, istar: int) -> "UpdateSequence":
         """Updates of the epochs preceding istar in time (ids > istar)."""
-        return UpdateSequence(
-            kind=self.kind, epochs=tuple(e for e in self.epochs if e.epoch > istar)
-        )
+        return UpdateSequence(epochs=tuple(e for e in self.epochs if e.epoch > istar))
 
 
 @dataclass
@@ -208,16 +205,31 @@ def execute_epochs(
         for j, (target, weight) in enumerate(zip(epoch.targets, epoch.weights)):
             memory.begin_operation(("upd", epoch.epoch, j))
             before = len(memory.trace)
-            if updates.kind == "artificial":
-                structure.update(target, weight)
-            else:
-                structure.update(target[0], target[1], weight)
+            structure.update(target, weight)
             used = len(memory.trace) - before
             if used > structure.declared_update_probes:
                 raise AssertionError(
                     f"update ({epoch.epoch}, {j}) probed {used} cells, declared "
                     f"bound is {structure.declared_update_probes}"
                 )
+
+
+def executed_schedule(
+    kind: str, schedule: EpochSchedule, lattices_up_to: int | None = None
+) -> tuple[EpochSchedule, dict[int, PointSet] | None]:
+    """The schedule a run of this kind executes and, for dominance runs,
+    the scaled lattice each epoch inserts (only epochs up to
+    `lattices_up_to`, when given). A dominance epoch's size is snapped
+    to a Fibonacci number so that the epoch can insert a lattice."""
+    if kind != "orc":
+        return schedule, None
+    run_sched = schedule.snap_to_fibonacci()
+    top = run_sched.count if lattices_up_to is None else lattices_up_to
+    return run_sched, {
+        i: scaled_lattice(LatticeSpec.create(run_sched.size_of(i), schedule.n))
+        for i in run_sched.epoch_ids()
+        if i <= top
+    }
 
 
 def run_hard_distribution(
@@ -237,10 +249,9 @@ def run_hard_distribution(
         raise ValueError(f"kind must be one of {KINDS}")
     delta = field_modulus(n)
     schedule = epoch_schedule(n, beta)
-    run_sched = schedule.snap_to_fibonacci() if kind == "orc" else schedule
+    run_sched, epoch_points = executed_schedule(kind, schedule)
 
     family = None
-    epoch_points: dict[int, PointSet] | None = None
     if kind == "artificial":
         family = build_query_family(
             QueryFamilyParams(
@@ -250,11 +261,6 @@ def run_hard_distribution(
                 seed=substream_seed(seed, "family"),
             )
         )
-    else:
-        epoch_points = {
-            i: scaled_lattice(LatticeSpec.create(run_sched.size_of(i), n))
-            for i in run_sched.epoch_ids()
-        }
 
     weights_rng = substream(seed, "weights")
     epochs = []
@@ -268,7 +274,7 @@ def run_hard_distribution(
             targets = epoch_points[epoch_id].points
         weights = tuple(weights_rng.randrange(delta.value) for _ in range(size))
         epochs.append(EpochUpdates(epoch=epoch_id, targets=targets, weights=weights))
-    updates = UpdateSequence(kind=kind, epochs=tuple(epochs))
+    updates = UpdateSequence(epochs=tuple(epochs))
 
     if w is None:
         w = default_run_cell_width(kind, n, delta, run_sched.total)
@@ -340,32 +346,31 @@ class ProbeProfile:
                 )
 
 
-def run_query(run: RunRecord, query) -> int:
-    if run.kind == "artificial":
-        return run.structure.query(query)
-    return run.structure.query(query[0], query[1])
-
-
 def replay_queries(
-    run: RunRecord, queries: Iterable, log: ProbeTrace | None = None
-) -> Iterator[array]:
-    """Run the queries one at a time against the finished run, logging
-    their probes in `log` with op ids ("qry", index), and yield each
-    query's probed addresses as it finishes. Without a `log`, each query
-    runs in a log of its own, dropped after its addresses are yielded.
-    The run's own log is swapped back in around every yield, so it is
-    left as it was."""
-    memory = run.memory
+    structure: DynamicStructure, queries: Iterable, log: ProbeTrace | None = None
+) -> Iterator[tuple[int, array]]:
+    """Ask the structure the queries one at a time after its updates,
+    logging their probes in `log` with op ids ("qry", index), and yield
+    each query's answer and probed addresses as it finishes. Without a
+    `log`, each query runs in a log of its own, dropped after its
+    addresses are yielded. The memory's own log is swapped back in
+    around every yield, so it is left as it was. A query that writes
+    raises AssertionError: a query must not mutate the run it reads."""
+    memory = structure.memory
     saved = memory.trace
     for idx, q in enumerate(queries):
         scoped = ProbeTrace() if log is None else log
         scoped.begin(("qry", idx))
+        start = len(scoped)
         memory.trace = scoped
         try:
-            run_query(run, q)
+            answer = structure.query(q)
         finally:
             memory.trace = saved
-        yield scoped.segment(("qry", idx))
+        write = scoped.kinds.find(1, start)
+        if write >= 0:
+            raise AssertionError(f"query {q!r} wrote cell {scoped.addresses[write]}")
+        yield answer, scoped.segment(("qry", idx))
 
 
 def epoch_probe_profile(run: RunRecord, queries: Sequence) -> ProbeProfile:
@@ -374,7 +379,7 @@ def epoch_probe_profile(run: RunRecord, queries: Sequence) -> ProbeProfile:
     log = ProbeTrace()
     counts = tuple(
         probe_counts_by_epoch(addresses, run.memory)
-        for addresses in replay_queries(run, queries, log)
+        for _, addresses in replay_queries(run.structure, queries, log)
     )
     return ProbeProfile(
         epochs=tuple(run.run_schedule.epoch_ids()),

@@ -3,8 +3,11 @@
 Subcommands: lattice, family, chronogram, encode, grid, acceptance.
 Every run writes a JSON manifest echoing the resolved configuration
 (enough to reproduce the run bit for bit) next to its CSV artifacts.
-Options can come from a flat key=value config file via --config; flags
-override file values. Exit codes: 0 ok, 1 invariant failure, 2 usage.
+Options can come from a flat key=value config file via --config; its
+values are parsed as flags placed before the command line's own, so
+they meet the same checks and flags override them. Each subcommand
+takes only the options it reads. Exit codes: 0 ok, 1 invariant failure,
+2 usage.
 """
 
 from __future__ import annotations
@@ -43,24 +46,6 @@ def _read_config_file(path: str) -> dict[str, str]:
         key, value = line.split("=", 1)
         values[key.strip()] = value.strip()
     return values
-
-
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    if not getattr(args, "config", None):
-        return
-    try:
-        values = _read_config_file(args.config)
-    except (OSError, ValueError) as exc:
-        parser.error(f"bad config file: {exc}")
-    coercions = {"n": int, "beta": float, "w": int, "seed": int, "m": int,
-                 "istar": int, "trials": int, "c": float, "cell_budget": int,
-                 "probe_threshold": float, "tries": int}
-    for key, raw in values.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            parser.error(f"unknown config key {key!r}")
-        if getattr(args, attr) is None:
-            setattr(args, attr, coercions.get(attr, str)(raw))
 
 
 def _outdir(args: argparse.Namespace) -> Path:
@@ -194,8 +179,6 @@ def _cmd_chronogram(args, parser) -> int:
 
 def _cmd_encode(args, parser) -> int:
     _require(args, parser, "kind", "n", "beta", "istar")
-    if args.kind not in chronogram.KINDS:
-        parser.error(f"--kind must be one of {chronogram.KINDS}")
     seed = args.seed or 0
     _field_modulus(args.n, parser)
     outdir = _outdir(args)
@@ -312,51 +295,61 @@ def _cmd_acceptance(args, parser) -> int:
     return 0
 
 
+_OPTIONS = {
+    "n": {"type": int},
+    "m": {"type": int},
+    "beta": {"type": float},
+    "w": {"type": int},
+    "seed": {"type": int},
+    "structure": {"choices": ["naive", "orc2d"]},
+    "kind": {"choices": list(chronogram.KINDS)},
+    "istar": {"type": int},
+    "trials": {"type": int},
+    "c": {"type": float},
+    "cell-budget": {"type": int},
+    "probe-threshold": {"type": float},
+    "tries": {"type": int},
+    "only": {},
+    "fault": {"choices": ["corrupt-message"]},
+    "out": {},
+    "config": {},
+}
+
+# each subcommand, and the options it reads
+_COMMANDS = (
+    ("lattice", _cmd_lattice, "m n out"),
+    ("family", _cmd_family, "n c seed trials out"),
+    ("chronogram", _cmd_chronogram, "n beta structure w seed trials out"),
+    ("encode", _cmd_encode, "kind n beta istar w seed cell-budget probe-threshold tries out"),
+    ("grid", _cmd_grid, "n beta m seed trials out"),
+    ("acceptance", _cmd_acceptance, "only fault"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cplab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--n", type=int)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--w", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--structure", choices=["naive", "orc2d"])
-        p.add_argument("--istar", type=int)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--out")
-        p.add_argument("--config")
-
-    for name, fn in (
-        ("lattice", _cmd_lattice),
-        ("family", _cmd_family),
-        ("chronogram", _cmd_chronogram),
-        ("encode", _cmd_encode),
-        ("grid", _cmd_grid),
-        ("acceptance", _cmd_acceptance),
-    ):
-        p = sub.add_parser(name)
-        add_common(p)
+    for name, fn, options in _COMMANDS:
+        # no prefix matching, so a config key must name its flag exactly
+        p = sub.add_parser(name, allow_abbrev=False)
         p.set_defaults(fn=fn)
-        if name in ("lattice", "grid"):
-            p.add_argument("--m", type=int)
-        if name == "family":
-            p.add_argument("--c", type=float)
-        if name == "encode":
-            p.add_argument("--kind", choices=list(chronogram.KINDS))
-            p.add_argument("--cell-budget", dest="cell_budget", type=int)
-            p.add_argument("--probe-threshold", dest="probe_threshold", type=float)
-            p.add_argument("--tries", type=int)
-        if name == "acceptance":
-            p.add_argument("--only")
-            p.add_argument("--fault", choices=["corrupt-message"])
+        for option in options.split() + ["config"]:
+            p.add_argument(f"--{option}", **_OPTIONS[option])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    _apply_config(args, parser)
+    if args.config:
+        try:
+            values = _read_config_file(args.config)
+        except (OSError, ValueError) as exc:
+            parser.error(f"bad config file: {exc}")
+        # the command comes first; the file's values go before the flags
+        tokens = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
+        args = parser.parse_args([argv[0], *tokens, *argv[1:]])
     try:
         return args.fn(args, parser)
     except InvariantFailure as exc:

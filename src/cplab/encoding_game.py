@@ -22,21 +22,21 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import itemgetter
+from itertools import compress
 from typing import Callable, Iterator, Sequence
 
-from .cell_probe_sim import UNWRITTEN, MemoryConfig, SimulatedMemory
+from .cell_probe_sim import MemoryConfig, SimulatedMemory
 from .chronogram import (
     EpochSchedule,
     RunRecord,
     UpdateSequence,
     epoch_schedule,
+    executed_schedule,
     execute_epochs,
     incidence_vector,
     replay_queries,
 )
-from .fibonacci_lattice import LatticeSpec, dominance_incidence, scaled_lattice
+from .fibonacci_lattice import dominance_incidence
 from .finite_field import (
     FieldMatrix,
     FieldVector,
@@ -252,7 +252,7 @@ def _query_probe_sets(
 ) -> Iterator[tuple[object, set[int], int]]:
     """Per query in order: the query, the distinct target cells it
     probes, and the raw probe count of its replay."""
-    for q, addresses in zip(queries, replay_queries(run, queries)):
+    for q, (_, addresses) in zip(queries, replay_queries(run.structure, queries)):
         yield q, target_cells.intersection(addresses), len(addresses)
 
 
@@ -519,43 +519,6 @@ def encode_epoch(
 # decoding
 
 
-class _ResolvingMemory:
-    """Read-only memory view answering probes by the three-way rule:
-    smaller-epoch cell sets, then the resolved subset C, then the
-    decoder's own prefix re-execution (blank cells read as zero)."""
-
-    def __init__(
-        self,
-        config: MemoryConfig,
-        small_cells: dict[int, int],
-        c_cells: dict[int, int],
-        prefix_memory: SimulatedMemory,
-        verify_run: RunRecord | None,
-        istar: int,
-    ):
-        self.config = config
-        self.known = {**c_cells, **small_cells}  # a smaller-epoch cell wins over C
-        self.prefix_cells = prefix_memory.cells
-        self.istar = istar
-        # the verify run's epoch-istar cells outside C, which replay must not probe
-        self.forbidden = (
-            set() if verify_run is None
-            else {addr for addr, _ in verify_run.cells_of_epoch(istar)} - c_cells.keys()
-        )
-
-    def read_many(self, addresses: Sequence[int]) -> list[int]:
-        if not self.forbidden.isdisjoint(addresses):
-            address = next(a for a in addresses if a in self.forbidden)
-            raise DecodingIntegrityError(
-                f"replay probed epoch-{self.istar} cell {address} outside C"
-            )
-        cells = map(self.prefix_cells.get, addresses, repeat(UNWRITTEN))
-        return list(map(self.known.get, addresses, map(itemgetter(0), cells)))
-
-    def write(self, address: int, value: int) -> None:
-        raise DecodingIntegrityError("query replay attempted a write")
-
-
 @dataclass
 class DecodeResult:
     u_istar: tuple[int, ...]
@@ -577,18 +540,21 @@ def decode_epoch(
     The flag-0 path builds each transmitted query's row from its id
     alone (an id outside the family raises ValueError) and keeps the
     rows that enlarge the span, as the encoder did. It re-executes the
-    prefix on a fresh structure, replays only the kept queries against
-    the three-way cell resolution, subtracts the known epochs'
-    contributions and solves the full-rank system. With `verify_run`,
-    every replayed probe is checked against the true run: an epoch-istar
-    cell outside C is an integrity error. (`find_resolved_set`'s verify
-    replay checks every transmitted query.)
+    prefix on a fresh structure, loads C and then the smaller epochs'
+    cells into that memory (a smaller-epoch cell wins over C), replays
+    only the kept queries on it through `replay_queries`, subtracts the
+    known epochs' contributions and solves the full-rank system. With
+    `verify_run`, every replayed probe is checked against the true run:
+    an epoch-istar cell outside C is an integrity error.
+    (`find_resolved_set`'s verify replay checks every transmitted query.)
     """
     delta = PrimeModulus(message.delta)
     istar = message.istar
     n = message.n
-    sched = epoch_schedule(n, message.beta)
-    run_sched = sched.snap_to_fibonacci() if message.kind == "orc" else sched
+    # a flag-1 message needs the epoch sizes but no lattice
+    run_sched, epoch_points = executed_schedule(
+        message.kind, epoch_schedule(n, message.beta), istar if message.flag == 0 else 0
+    )
     m = run_sched.size_of(istar)
 
     if message.flag == 1:
@@ -601,10 +567,11 @@ def decode_epoch(
 
     w = message.w
     c_cells = _parse_cells_section(message.section("resolved_cells"), w)
-    small_cells: dict[int, int] = {}
+    small_cells: dict[int, dict[int, int]] = {}
     small_weights: dict[int, tuple[int, ...]] = {}
     for epoch_id in range(istar - 1, 0, -1):
-        small_cells.update(_parse_cells_section(message.section(f"cells_epoch_{epoch_id}"), w))
+        section = message.section(f"cells_epoch_{epoch_id}")
+        small_cells[epoch_id] = _parse_cells_section(section, w)
         if message.kind == "orc":
             section = message.section(f"weights_epoch_{epoch_id}")
             size = run_sched.size_of(epoch_id)
@@ -617,21 +584,17 @@ def decode_epoch(
     qids = [reader.take(qbits) for _ in range(count)]
 
     prefix_memory = SimulatedMemory(MemoryConfig(w=w))
-    prefix_structure = structure_factory(prefix_memory)
+    structure = structure_factory(prefix_memory)
     prefix_points = [pair for e in prefix_updates.epochs for pair in zip(e.targets, e.weights)]
     if message.kind == "orc":
         id_limit = n * n
-        epoch_points = {
-            i: scaled_lattice(LatticeSpec.create(run_sched.size_of(i), n))
-            for i in run_sched.epoch_ids()
-        }
-        query_args = lambda qid: divmod(qid, n)
+        query_of = lambda qid: divmod(qid, n)
         row_of = lambda qid: FieldVector(
-            delta, dominance_incidence(epoch_points[istar], divmod(qid, n))
+            delta, dominance_incidence(epoch_points[istar], query_of(qid))
         )
 
         def known_of(qid: int) -> int:
-            q = divmod(qid, n)
+            q = query_of(qid)
             known = sum(wt for (pt, wt) in prefix_points if pt[0] <= q[0] and pt[1] <= q[1])
             for epoch_id, weights in small_weights.items():
                 known += sum(compress(weights, dominance_incidence(epoch_points[epoch_id], q)))
@@ -639,12 +602,12 @@ def decode_epoch(
 
         dim = m
     else:
-        family = getattr(prefix_structure, "family")
+        family = getattr(structure, "family")
         id_limit = min(n * n, len(family.vectors))
         k_len = run_sched.suffix_length(istar)
         prefix_weight_at = dict(prefix_points)
         prefix_weights = [prefix_weight_at[pos] for pos in range(n - k_len)]
-        query_args = lambda qid: (qid,)
+        query_of = lambda qid: qid
         row_of = lambda qid: family.vectors[qid].last(k_len)
         known_of = lambda qid: sum(compress(prefix_weights, family.vectors[qid].coords))
         dim = k_len
@@ -656,16 +619,25 @@ def decode_epoch(
     kept_ids = [qids[i] for i in independent_row_indices(map(row_of, qids))]
     kept_rows = [row_of(qid) for qid in kept_ids]
 
-    # re-execute the preceding epochs on a fresh structure
-    execute_epochs(prefix_structure, prefix_memory, prefix_updates)
-    resolving = _ResolvingMemory(
-        MemoryConfig(w=w), small_cells, c_cells, prefix_memory, verify_run, istar
+    # re-execute the preceding epochs, then write C and the smaller
+    # epochs' cells over them, each with the tag of the epoch it stands for
+    execute_epochs(structure, prefix_memory, prefix_updates)
+    cells = prefix_memory.cells
+    cells.update((addr, (contents, istar)) for addr, contents in c_cells.items())
+    for epoch_id, epoch_cells in small_cells.items():
+        cells.update((addr, (contents, epoch_id)) for addr, contents in epoch_cells.items())
+    # the verify run's epoch-istar cells outside C, which replay must not probe
+    forbidden = (
+        set() if verify_run is None
+        else {addr for addr, _ in verify_run.cells_of_epoch(istar)} - c_cells.keys()
     )
-    replay_structure = structure_factory(resolving)
-    z_values = [
-        (replay_structure.query(*query_args(qid)) - known_of(qid)) % delta.value
-        for qid in kept_ids
-    ]
+    z_values = []
+    replies = replay_queries(structure, map(query_of, kept_ids))
+    for qid, (answer, addresses) in zip(kept_ids, replies):
+        if not forbidden.isdisjoint(addresses):
+            address = next(a for a in addresses if a in forbidden)
+            raise DecodingIntegrityError(f"replay probed epoch-{istar} cell {address} outside C")
+        z_values.append((answer - known_of(qid)) % delta.value)
     completion = complete_basis(kept_rows, dim, modulus=delta)
 
     psection = message.section("completion_products")

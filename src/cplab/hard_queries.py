@@ -24,10 +24,7 @@ from .rng import substream
 
 
 class FamilyConstructionError(RuntimeError):
-    def __init__(self, message: str, k: int | None = None, witness: tuple | None = None):
-        super().__init__(message)
-        self.k = k
-        self.witness = witness
+    """Family construction rejected too many candidates in a row."""
 
 
 @dataclass(frozen=True)
@@ -108,16 +105,15 @@ def build_query_family(
     accepted: list[FieldVector] = []
     pair_suffixes: set[tuple[int, ...]] = set()
     rejects_in_a_row = 0
-    last_witness: tuple | None = None
     last_k: int | None = None
     while len(accepted) < n * n:
         coords = bits_to_coords(rng.getrandbits(n), n)
 
         ok = True
         if k_single is not None and not any(coords[-k_single:]):
-            ok, last_k, last_witness = False, k_single, (len(accepted),)
+            ok, last_k = False, k_single
         if ok and k_pair is not None and coords[-k_pair:] in pair_suffixes:
-            ok, last_k, last_witness = False, k_pair, (len(accepted),)
+            ok, last_k = False, k_pair
         if ok and ks_multi and accepted:
             for _ in range(validation_trials):
                 k = rng.choice(ks_multi)
@@ -129,9 +125,7 @@ def build_query_family(
                 rows = [accepted[i].last(k) for i in others]
                 rows.append(FieldVector(params.modulus, coords[-k:]))
                 if ff_rank(FieldMatrix(params.modulus, tuple(rows))) < size:
-                    ok = False
-                    last_k = k
-                    last_witness = tuple(sorted(others)) + (len(accepted),)
+                    ok, last_k = False, k
                     break
 
         if not ok:
@@ -139,9 +133,7 @@ def build_query_family(
             if rejects_in_a_row > retry_budget:
                 raise FamilyConstructionError(
                     f"family construction stalled after {retry_budget} consecutive "
-                    f"rejections at k={last_k}",
-                    k=last_k,
-                    witness=last_witness,
+                    f"rejections at k={last_k}"
                 )
             continue
         rejects_in_a_row = 0
@@ -154,7 +146,6 @@ def build_query_family(
 
 @dataclass(frozen=True)
 class IndependenceReport:
-    k: int
     trials: int
     violations: int
     witness: tuple[int, ...] | None
@@ -187,7 +178,7 @@ def check_suffix_independence(
             violations += 1
             if witness is None:
                 witness = tuple(sorted(idxs))
-    return IndependenceReport(k=k, trials=trials, violations=violations, witness=witness)
+    return IndependenceReport(trials=trials, violations=violations, witness=witness)
 
 
 def write_family(family: QueryFamily, fh: TextIO) -> None:

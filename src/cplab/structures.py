@@ -33,16 +33,19 @@ def _write_limbs(mem: SimulatedMemory, base: int, count: int, w: int, value: int
 
 
 class DynamicStructure:
-    """Base contract: all state lives in the simulated memory, and every
-    operation stays within the declared worst-case probe counts."""
+    """Base contract: all state lives in the simulated `memory`, and every
+    operation stays within the declared worst-case probe counts. An
+    update and a query each take one target: a position or query index
+    in the index-weight game, an (x, y) point in the dominance game."""
 
+    memory: SimulatedMemory
     declared_update_probes: int
     declared_query_probes: int
 
-    def update(self, *args) -> None:
+    def update(self, target, weight: int) -> None:
         raise NotImplementedError
 
-    def query(self, *args) -> int:
+    def query(self, q) -> int:
         raise NotImplementedError
 
 
@@ -125,10 +128,8 @@ class PrefixSumRangeStructure(DynamicStructure):
     def _counter_base(self, xi: int, yi: int) -> int:
         return ((xi - 1) * self.n + (yi - 1)) * self.cells_per_counter
 
-    def update(self, x: int, y: int, weight: int) -> None:
-        self.insert(x, y, weight)
-
-    def insert(self, x: int, y: int, weight: int) -> None:
+    def update(self, point: tuple[int, int], weight: int) -> None:
+        x, y = point
         if not (0 <= x < self.n and 0 <= y < self.n):
             raise ValueError(f"point ({x}, {y}) outside [0, {self.n})^2")
         if not 0 <= weight < self.delta.value:
@@ -150,7 +151,8 @@ class PrefixSumRangeStructure(DynamicStructure):
         self.memory.add_many(bases, cpc, weight)
         self._inserted += 1
 
-    def query(self, x: int, y: int) -> int:
+    def query(self, q: tuple[int, int]) -> int:
+        x, y = q
         if not (0 <= x < self.n and 0 <= y < self.n):
             raise ValueError(f"query ({x}, {y}) outside [0, {self.n})^2")
         cpc = self.cells_per_counter

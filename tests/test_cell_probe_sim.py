@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cplab.cell_probe_sim import (
+    UNWRITTEN,
     MemoryConfig,
     SimulatedMemory,
     ceil_lg,
@@ -14,8 +15,23 @@ from cplab.cell_probe_sim import (
 )
 
 
+class ReferenceMemory(SimulatedMemory):
+    """The simulated memory plus a per-cell `read`: the reference that
+    `read_many` and `add_many` are compared with."""
+
+    def read(self, address: int) -> int:
+        if not 0 <= address < self._limit:
+            raise ValueError(f"address {address} does not fit in {self.config.w} bits")
+        contents, tag = self.cells.get(address, UNWRITTEN)
+        trace = self.trace
+        trace.addresses.append(address)
+        trace.kinds.append(0)
+        trace.tags.append(tag)
+        return contents
+
+
 def make_memory(w=16):
-    return SimulatedMemory(MemoryConfig(w=w))
+    return ReferenceMemory(MemoryConfig(w=w))
 
 
 class TestConfig:
@@ -203,7 +219,7 @@ class TestTrace:
 @settings(max_examples=50, deadline=None)
 def test_replay_determinism(ops):
     def run():
-        mem = SimulatedMemory(MemoryConfig(w=8))
+        mem = make_memory(w=8)
         mem.begin_epoch(2)
         for kind, addr, value in ops:
             if kind == "w":

@@ -131,7 +131,6 @@ class TestProbeProfiles:
         memory = SimulatedMemory(MemoryConfig(w=8))
         structure = NaiveArtificialStructure(family, params.modulus, memory)
         updates = UpdateSequence(
-            kind="artificial",
             epochs=(
                 EpochUpdates(epoch=2, targets=(0, 1), weights=(3, 4)),
                 EpochUpdates(epoch=1, targets=(2, 3), weights=(5, 6)),
@@ -166,12 +165,35 @@ class TestReplayQueries:
         trace = run.memory.trace
         before = (len(trace), bytes(trace.addresses), bytes(trace.kinds), bytes(trace.tags))
         log = ProbeTrace()
-        logged = [bytes(a) for a in replay_queries(run, queries, log)]
-        unlogged = [bytes(a) for a in replay_queries(run, queries)]
+        logged = [bytes(a) for _, a in replay_queries(run.structure, queries, log)]
+        unlogged = [bytes(a) for _, a in replay_queries(run.structure, queries)]
         assert unlogged == logged
         assert sum(map(len, unlogged)) == len(log) * log.addresses.itemsize
         assert run.memory.trace is trace
         assert (len(trace), bytes(trace.addresses), bytes(trace.kinds), bytes(trace.tags)) == before
+
+    def test_query_that_writes_raises(self):
+        from cplab.encoding_game import decode_epoch, encode_epoch, find_resolved_set
+
+        class WritingQueries(NaiveArtificialStructure):
+            def query(self, q):
+                self.memory.write(0, 0)
+                return super().query(q)
+
+        run = run_hard_distribution("artificial", 25, 5, seed=0)
+        resolved = find_resolved_set(
+            run, 2, cell_budget=16, probe_threshold=12, max_tries=8, seed=0
+        )
+        message = encode_epoch(run, 2, resolved)
+        assert message.flag == 0
+        factory = lambda memory: WritingQueries(run.family, run.delta, memory)
+        run.structure = factory(run.memory)
+        with pytest.raises(AssertionError, match="wrote cell 0"):
+            list(replay_queries(run.structure, [0]))
+        with pytest.raises(AssertionError, match="wrote cell 0"):
+            epoch_probe_profile(run, [0])
+        with pytest.raises(AssertionError, match="wrote cell 0"):
+            decode_epoch(message, run.updates.prefix_above(2), factory)
 
 
 class TestIncidenceVectors:
@@ -238,7 +260,6 @@ class TestUpdateSequence:
         structure = factory(memory)
         structure.declared_update_probes = 1  # impossible bound
         updates = UpdateSequence(
-            kind="orc",
             epochs=(EpochUpdates(epoch=1, targets=((3, 3),), weights=(5,)),),
         )
         with pytest.raises(AssertionError):

@@ -245,6 +245,51 @@ class TestConfigFile:
             run_cli("lattice", "--config", str(config), "--m", "13")
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "command, line, flags",
+        [
+            ("chronogram", "structure = bogus", ["--n", "55", "--beta", "5"]),
+            ("acceptance", "fault = typo", ["--only", "lattice"]),
+        ],
+    )
+    def test_config_values_are_checked_like_flags(self, tmp_path, capsys, command, line, flags):
+        config = tmp_path / "run.conf"
+        config.write_text(line + "\n")
+        out = tmp_path / "out"
+        argv = [command, "--config", str(config), *flags]
+        if command != "acceptance":
+            argv += ["--out", str(out)]
+        with pytest.raises(SystemExit) as err:
+            run_cli(*argv)
+        assert err.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_key_abbreviating_a_flag_exits_2(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("struct = naive\n")
+        with pytest.raises(SystemExit) as err:
+            run_cli("chronogram", "--config", str(config), "--n", "25", "--beta", "5")
+        assert err.value.code == 2
+
+    def test_config_key_with_underscore_names_the_flag(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("cell_budget = 16\nprobe-threshold = 12\n")
+        out = tmp_path / "enc"
+        argv = ["--kind", "artificial", "--n", "25", "--beta", "5", "--istar", "2", "--seed", "1"]
+        assert run_cli("encode", "--config", str(config), *argv, "--out", str(out)) == 0
+        manifest = json.loads((out / "encode_manifest.json").read_text())
+        assert manifest["config"]["cell_budget"] == 16
+        assert manifest["config"]["probe_threshold"] == 12.0
+
+
+class TestOptionsPerCommand:
+    def test_option_the_command_does_not_read_exits_2(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            run_cli("lattice", "--m", "13", "--seed", "1", "--out", str(tmp_path / "out"))
+        assert err.value.code == 2
+        assert not (tmp_path / "out").exists()
+
 
 class TestAcceptanceCommand:
     def test_only_lattice(self, capsys):

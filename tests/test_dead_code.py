@@ -3,16 +3,20 @@
 Every public top-level function and class, and every public method of a
 top-level class, must be referenced by name somewhere in src/cplab
 outside its own body, or in perfbench/ or scripts/. A name counts as
-referenced when it appears as a variable, an attribute, an imported
-name or an identifier-like string (getattr dispatch). Dunders are
-exempt.
+referenced when it appears as a variable, an attribute or an imported
+name. A string counts only when it names a method in
+`acceptance.CRITERIA`, the one table that `getattr` dispatches on.
+Dunders are exempt.
 """
 
 import ast
 from collections import Counter
 from pathlib import Path
 
+from cplab.acceptance import CRITERIA
+
 ROOT = Path(__file__).resolve().parents[1]
+DISPATCHED = {method for method, _ in CRITERIA}
 
 ALLOWED = {
     # the only reader of `cplab family`'s family.txt; it validates that file
@@ -30,9 +34,8 @@ def _names(tree):
             names[node.attr] += 1
         elif isinstance(node, ast.alias):
             names[node.name.rsplit(".", 1)[-1]] += 1
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if node.value.isidentifier():
-                names[node.value] += 1
+        elif isinstance(node, ast.Constant) and node.value in DISPATCHED:
+            names[node.value] += 1
     return names
 
 

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cplab.cell_probe_sim import SimulatedMemory
-from cplab.chronogram import run_hard_distribution
+from cplab.chronogram import replay_queries, run_hard_distribution
 from cplab.encoding_game import (
     DecodingIntegrityError,
     EncodingMessage,
@@ -59,7 +58,7 @@ def _run_with_family_rows(rows, beta=2):
             )
         )
         position += size
-    updates = UpdateSequence(kind="artificial", epochs=tuple(epochs))
+    updates = UpdateSequence(epochs=tuple(epochs))
     memory = SimulatedMemory(MemoryConfig(w=16))
     factory = lambda mem: NaiveArtificialStructure(family, params.modulus, mem)
     structure = factory(memory)
@@ -430,11 +429,10 @@ class TestArtificialRoundTrip:
         replays = []
 
         def counting_factory(memory):
-            # count the queries asked of the decoder's replay structure
+            # count the queries asked of the decoder's structure
             structure = run.structure_factory(memory)
-            if not isinstance(memory, SimulatedMemory):
-                query = structure.query
-                structure.query = lambda *args: replays.append(args) or query(*args)
+            query = structure.query
+            structure.query = lambda *args: replays.append(args) or query(*args)
             return structure
 
         result = decode_epoch(
@@ -495,19 +493,21 @@ class TestIntegrityChecks:
             query_probes=0,
         )
         message = encode_epoch(run, 2, bogus)
-        with pytest.raises(DecodingIntegrityError):
+        # the error names the victim's first epoch-2 probe, in probe order
+        epoch2 = {addr for addr, _ in run.cells_of_epoch(2)}
+        ((_, addresses),) = replay_queries(run.structure, [victim])
+        first = next(a for a in addresses if a in epoch2)
+        with pytest.raises(DecodingIntegrityError, match=rf"cell {first} outside C"):
             decode_epoch(
                 message, run.updates.prefix_above(2), run.structure_factory, verify_run=run
             )
 
     def test_kept_query_outside_c_detected(self):
-        from cplab.chronogram import replay_queries
-
         run = run_hard_distribution("artificial", 25, 5, seed=3)
         epoch2 = {addr for addr, _ in run.cells_of_epoch(2)}
         vectors = run.family.vectors
         first = next(j for j, v in enumerate(vectors) if any(v.coords[:20]))
-        (addresses,) = replay_queries(run, [first])
+        ((_, addresses),) = replay_queries(run.structure, [first])
         c_cells = epoch2.intersection(addresses)
         # a second query, independent of the first, reading an epoch-2
         # position the first does not read, i.e. a cell outside C
@@ -540,23 +540,6 @@ class TestIntegrityChecks:
         assert alone.queries_replayed == alone.independent_rows == 1
         with pytest.raises(DecodingIntegrityError, match="outside C"):
             decode((first, second))
-
-    def test_batch_names_first_probe_outside_c(self):
-        from cplab.cell_probe_sim import MemoryConfig, SimulatedMemory
-        from cplab.encoding_game import _ResolvingMemory
-
-        run = run_hard_distribution("artificial", 25, 5, seed=3)
-        first, second, third = sorted(addr for addr, _ in run.cells_of_epoch(2))[:3]
-        contents = run.memory.contents_of(first)
-        config = MemoryConfig(w=run.w)
-        resolving = _ResolvingMemory(
-            config, {}, {first: contents}, SimulatedMemory(config), run, istar=2
-        )
-        assert resolving.read_many([first]) == [contents]
-        with pytest.raises(DecodingIntegrityError, match=rf"cell {second} outside C"):
-            resolving.read_many([first, second, third])
-        with pytest.raises(DecodingIntegrityError, match=rf"cell {third} outside C"):
-            resolving.read_many([first, third, second])
 
     def test_prefix_covering_istar_rejected(self):
         run = run_hard_distribution("artificial", 25, 5, seed=3)

@@ -108,22 +108,22 @@ class TestPrefixSumStructure:
         delta = largest_prime_below(8**4)
         memory = SimulatedMemory(MemoryConfig(w=32))
         ds = PrefixSumRangeStructure(8, delta, memory, capacity=10)
-        ds.insert(2, 3, 7)
-        assert ds.query(5, 5) == 7
-        assert ds.query(1, 1) == 0
+        ds.update((2, 3), 7)
+        assert ds.query((5, 5)) == 7
+        assert ds.query((1, 1)) == 0
 
     def test_point_out_of_range(self):
         delta = largest_prime_below(8**4)
         ds = PrefixSumRangeStructure(8, delta, SimulatedMemory(MemoryConfig(w=32)), capacity=4)
         with pytest.raises(ValueError):
-            ds.insert(8, 0, 1)
+            ds.update((8, 0), 1)
 
     def test_capacity_guard(self):
         delta = largest_prime_below(8**4)
         ds = PrefixSumRangeStructure(8, delta, SimulatedMemory(MemoryConfig(w=32)), capacity=1)
-        ds.insert(0, 0, 1)
+        ds.update((0, 0), 1)
         with pytest.raises(OverflowError):
-            ds.insert(0, 0, 1)
+            ds.update((0, 0), 1)
 
     @pytest.mark.parametrize("w", [16, 48])
     def test_matches_reference_model(self, w):
@@ -136,11 +136,11 @@ class TestPrefixSumStructure:
         rng = substream(4, f"bit-workload-{w}")
         for _ in range(200):
             x, y, weight = rng.randrange(n), rng.randrange(n), rng.randrange(delta.value)
-            ds.insert(x, y, weight)
+            ds.update((x, y), weight)
             reference.insert(x, y, weight)
         for _ in range(200):
             q = (rng.randrange(n), rng.randrange(n))
-            assert ds.query(q[0], q[1]) == reference.answer(q)
+            assert ds.query(q) == reference.answer(q)
 
     def test_probe_counts_within_declared_bounds(self):
         n = 64
@@ -150,11 +150,11 @@ class TestPrefixSumStructure:
         rng = substream(5, "probe-bounds")
         for op in range(100):
             memory.begin_operation(("i", op))
-            ds.insert(rng.randrange(n), rng.randrange(n), rng.randrange(delta.value))
+            ds.update((rng.randrange(n), rng.randrange(n)), rng.randrange(delta.value))
             assert len(memory.trace.segment(("i", op))) <= ds.declared_update_probes
         for op in range(100):
             memory.begin_operation(("q", op))
-            ds.query(rng.randrange(n), rng.randrange(n))
+            ds.query((rng.randrange(n), rng.randrange(n)))
             assert len(memory.trace.segment(("q", op))) <= ds.declared_query_probes
 
 
@@ -220,13 +220,13 @@ class TestMultiLimbQueries:
         rng = substream(7, "multi-limb-prefix-sum")
         for _ in range(n):
             x, y, weight = rng.randrange(n), rng.randrange(n), rng.randrange(delta.value)
-            ds.insert(x, y, weight)
+            ds.update((x, y), weight)
             reference.insert(x, y, weight)
         for x in range(n):
             for y in range(n):
-                assert ds.query(x, y) == reference.answer((x, y))
+                assert ds.query((x, y)) == reference.answer((x, y))
         memory.begin_operation("q")
-        ds.query(6, 5)
+        ds.query((6, 5))
         assert list(memory.trace.segment("q")) == [
             106, 107, 102, 103, 90, 91, 86, 87, 58, 59, 54, 55
         ]
@@ -241,10 +241,10 @@ def test_prefix_sum_multi_limb_insert_log():
     assert ds.cells_per_counter == 2
     memory.begin_epoch(2)
     memory.begin_operation("a")
-    ds.insert(2, 5, 4000)
+    ds.update((2, 5), 4000)
     memory.begin_epoch(1)
     memory.begin_operation("b")
-    ds.insert(3, 4, 200)
+    ds.update((3, 4), 200)
     expected = []
     for base, tag in [(56, ""), (58, 2), (62, 2), (120, ""), (122, 2), (126, 2)]:
         expected += [("b", "read", base, tag), ("b", "read", base + 1, tag)]
