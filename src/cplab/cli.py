@@ -198,13 +198,16 @@ def _cmd_encode(args, parser) -> int:
     except encoding_game.ResolvedSetNotFound:
         resolved = None
     message = encoding_game.encode_epoch(run, istar, resolved)
+    message_path = outdir / "encode_message.bin"
+    data = message.to_bytes()
+    message_path.write_bytes(data)
+    # "recovery" covers the file: decode the bytes written, not the message object
     result = encoding_game.decode_epoch(
-        message, run.updates.prefix_above(istar), run.structure_factory, verify_run=run
+        encoding_game.EncodingMessage.from_bytes(data),
+        run.updates.prefix_above(istar), run.structure_factory, verify_run=run,
     )
     exact = result.u_istar == run.updates.u(istar)
     account = encoding_game.entropy_account(run.run_schedule, istar, run.delta, message)
-    message_path = outdir / "encode_message.bin"
-    message_path.write_bytes(message.to_bytes())
     config = {
         "kind": args.kind, "n": args.n, "beta": args.beta, "istar": istar,
         "seed": seed, "w": run.w, "cell_budget": args.cell_budget,

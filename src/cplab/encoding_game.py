@@ -38,14 +38,13 @@ from .chronogram import (
 )
 from .fibonacci_lattice import dominance_incidence
 from .finite_field import (
-    FieldMatrix,
     FieldVector,
     PrimeModulus,
     SingularMatrixError,
-    complete_basis,
     ff_dot,
     ff_solve,
     independent_row_indices,
+    matrix_from_lists,
 )
 from .grid_analysis import (
     build_grid_family,
@@ -202,21 +201,30 @@ class EncodingMessage:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EncodingMessage":
+        """Parse `to_bytes` output; a field that runs past the buffer, a
+        payload length that disagrees with its bit length, or an unknown
+        version raises ValueError."""
         newline = data.index(b"\n")
         header = json.loads(data[:newline])
+        if header["version"] != 1:
+            raise ValueError(f"unknown message version {header['version']!r}")
         pos = newline + 1
+
+        def take(size: int, what: str) -> bytes:
+            nonlocal pos
+            if pos + size > len(data):
+                raise ValueError(f"section {what} runs past the end of the message")
+            pos += size
+            return data[pos - size : pos]
+
         sections = []
         while pos < len(data):
-            label_len = data[pos]
-            pos += 1
-            label = data[pos : pos + label_len].decode()
-            pos += label_len
-            bit_length = int.from_bytes(data[pos : pos + 8], "big")
-            pos += 8
-            nbytes = int.from_bytes(data[pos : pos + 8], "big")
-            pos += 8
-            payload = int.from_bytes(data[pos : pos + nbytes], "big") if nbytes else 0
-            pos += nbytes
+            label = take(take(1, "label length")[0], "label").decode()
+            bit_length = int.from_bytes(take(8, f"{label!r} bit length"), "big")
+            nbytes = int.from_bytes(take(8, f"{label!r} byte length"), "big")
+            if nbytes != -(-bit_length // 8):
+                raise ValueError(f"section {label!r}: {nbytes} bytes for {bit_length} bits")
+            payload = int.from_bytes(take(nbytes, f"{label!r} payload"), "big")
             sections.append(Section(label=label, bit_length=bit_length, payload=payload))
         return cls(
             kind=header["kind"],
@@ -456,14 +464,12 @@ def encode_epoch(
     if run.kind == "orc":
         queries = _extract_independent_queries(run, istar, resolved.queries)
         row_of = lambda q: incidence_vector(run, istar, q)
-        dim = m
-        u_key = FieldVector(delta, u_istar)
+        u_key = u_istar
     else:
         queries = list(resolved.queries)
         k_len = sched.suffix_length(istar)
         row_of = lambda j: run.family.vectors[j].last(k_len)
-        dim = k_len
-        u_key = FieldVector(delta, _suffix_weight_vector(run, istar))
+        u_key = _suffix_weight_vector(run, istar)
 
     qbits = _query_id_bits(run.n)
     writer = _FieldWriter()
@@ -473,12 +479,12 @@ def encode_epoch(
         writer.put(qid, qbits)
     sections.append(writer.section("resolved_queries"))
 
-    # both parties keep rows that enlarge the span, scanning in the
-    # transmitted query order, so the completion below is shared; rows
-    # past the point where the span is full are never built
-    kept = independent_row_indices(map(row_of, queries))
-    completion = complete_basis([row_of(queries[i]) for i in kept], dim, modulus=delta)
-    products = [ff_dot(x, u_key) for x in completion]
+    # both parties keep the rows that enlarge the span, scanning in the
+    # transmitted query order, so they share its pivot columns P; the
+    # message carries u on the complement of P, which the rows leave open
+    _, pivots = independent_row_indices(map(row_of, queries))
+    pivot_set = set(pivots)
+    products = [u for j, u in enumerate(u_key) if j not in pivot_set]
     sections.append(
         Section(
             label="completion_products",
@@ -542,8 +548,10 @@ def decode_epoch(
     rows that enlarge the span, as the encoder did. It re-executes the
     prefix on a fresh structure, loads C and then the smaller epochs'
     cells into that memory (a smaller-epoch cell wins over C), replays
-    only the kept queries on it through `replay_queries`, subtracts the
-    known epochs' contributions and solves the full-rank system. With
+    only the kept queries on it through `replay_queries` and subtracts
+    the known epochs' contributions. The k kept rows X fix u on their
+    pivot columns P; the message carries u on the rest, so only the
+    k x k system X|_P u_P = z - X|_Pbar u_Pbar is solved. With
     `verify_run`, every replayed probe is checked against the true run:
     an epoch-istar cell outside C is an integrity error.
     (`find_resolved_set`'s verify replay checks every transmitted query.)
@@ -616,7 +624,8 @@ def decode_epoch(
 
     # the rows depend on the ids alone, so only the queries whose rows
     # enlarge the span (the encoder's own selection) are replayed
-    kept_ids = [qids[i] for i in independent_row_indices(map(row_of, qids))]
+    kept, pivots = independent_row_indices(map(row_of, qids))
+    kept_ids = [qids[i] for i in kept]
     kept_rows = [row_of(qid) for qid in kept_ids]
 
     # re-execute the preceding epochs, then write C and the smaller
@@ -638,24 +647,31 @@ def decode_epoch(
             address = next(a for a in addresses if a in forbidden)
             raise DecodingIntegrityError(f"replay probed epoch-{istar} cell {address} outside C")
         z_values.append((answer - known_of(qid)) % delta.value)
-    completion = complete_basis(kept_rows, dim, modulus=delta)
 
+    # u off the pivot columns comes in the message, u on them from the solve
+    pivot_set = set(pivots)
+    open_columns = [j for j in range(dim) if j not in pivot_set]
     psection = message.section("completion_products")
-    products = unpack_weights(psection.payload, delta, len(completion))
-
-    matrix = FieldMatrix(delta, tuple(kept_rows + completion))
-    z_vec = FieldVector(delta, tuple(z_values + list(products)))
-    try:
-        solution = ff_solve(matrix, z_vec)
-    except SingularMatrixError as exc:
-        raise DecodingIntegrityError(f"assembled system is singular: {exc}") from exc
+    u = [0] * dim
+    for j, value in zip(open_columns, unpack_weights(psection.payload, delta, len(open_columns))):
+        u[j] = value
+    if kept_rows:  # with no rows, all of u is in the message
+        known = FieldVector(delta, tuple(u))
+        matrix = matrix_from_lists(delta, ([row.coords[j] for j in pivots] for row in kept_rows))
+        rhs = tuple(z - ff_dot(row, known) for row, z in zip(kept_rows, z_values))
+        try:
+            solution = ff_solve(matrix, FieldVector(delta, rhs))
+        except SingularMatrixError as exc:
+            raise DecodingIntegrityError(f"pivot system is singular: {exc}") from exc
+        for j, value in zip(pivots, solution.coords):
+            u[j] = value
 
     return DecodeResult(
-        u_istar=solution.coords[:m],  # the whole solution in a dominance game
+        u_istar=tuple(u[:m]),  # the whole of u in a dominance game
         flag=0,
         queries_replayed=len(kept_ids),
         independent_rows=len(kept_rows),
-        suffix_weights=None if message.kind == "orc" else solution.coords,
+        suffix_weights=None if message.kind == "orc" else tuple(u),
     )
 
 

@@ -126,12 +126,6 @@ def matrix_from_lists(modulus: PrimeModulus, rows: Iterable[Sequence[int]]) -> F
     return FieldMatrix(modulus, tuple(FieldVector(modulus, tuple(r)) for r in rows))
 
 
-def unit_vector(index: int, dim: int, modulus: PrimeModulus) -> FieldVector:
-    coords = [0] * dim
-    coords[index] = 1
-    return FieldVector(modulus, tuple(coords))
-
-
 def ff_dot(a: FieldVector, b: FieldVector) -> int:
     """Inner product mod p."""
     if a.modulus != b.modulus or a.dimension != b.dimension:
@@ -196,8 +190,14 @@ def ff_rank(A: FieldMatrix) -> int:
     return ech.rank
 
 
-def independent_row_indices(rows: Iterable[FieldVector]) -> list[int]:
+def independent_row_indices(rows: Iterable[FieldVector]) -> tuple[list[int], list[int]]:
     """Greedy scan keeping each row that enlarges the span.
+
+    Returns the kept indices and the pivot columns P of their span: the
+    j at which some vector of the span has its *last* nonzero coordinate,
+    in increasing order. Together with the k kept rows X, the unit
+    vectors outside P complete a basis, and X restricted to P is
+    invertible, since every nonzero vector of the span is nonzero on P.
 
     The scan order is the input order, so any two parties holding the
     same row sequence select the same subset. Rows are pulled lazily and
@@ -208,47 +208,14 @@ def independent_row_indices(rows: Iterable[FieldVector]) -> list[int]:
     for idx, row in enumerate(rows):
         if ech is None:
             ech = _Echelon(row.modulus.value, row.dimension)
-        if ech.insert(row.coords):
+        # reversed, the echelon's leading columns are the last nonzeros
+        if ech.insert(row.coords[::-1]):
             kept.append(idx)
             if ech.rank == ech.dim:
                 break
-    return kept
-
-
-def complete_basis(
-    X: Sequence[FieldVector], dim: int, modulus: PrimeModulus | None = None
-) -> list[FieldVector]:
-    """Extend an independent set X to a basis of Z_p^dim with unit vectors.
-
-    Unit vectors are scanned in increasing coordinate order and skipped
-    when already spanned. The scan is deterministic, so two parties
-    that share X produce the same completion without communicating.
-    Returns only the added vectors, in scan order. `modulus` is needed
-    only when X is empty.
-    """
-    X = list(X)
-    if dim < 1:
-        raise ValueError("dimension must be positive")
-    if len(X) > dim:
-        raise ValueError("more vectors than the target dimension")
-    if X:
-        modulus = X[0].modulus
-    elif modulus is None:
-        raise ValueError("cannot complete an empty set without a modulus")
-    ech = _Echelon(modulus.value, dim)
-    for v in X:
-        if v.dimension != dim or v.modulus != modulus:
-            raise ValueError("vector dimension or modulus differs from target")
-        if not ech.insert(v.coords):
-            raise ValueError("input vectors are linearly dependent")
-    added: list[FieldVector] = []
-    for idx in range(dim):
-        if ech.rank == dim:
-            break
-        e = unit_vector(idx, dim, modulus)
-        if ech.insert(e.coords):
-            added.append(e)
-    return added
+    if ech is None:
+        return kept, []
+    return kept, sorted(ech.dim - 1 - col for col in ech.pivots)
 
 
 def ff_solve(A: FieldMatrix, z: FieldVector) -> FieldVector:

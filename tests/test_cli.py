@@ -135,6 +135,23 @@ class TestEncode:
             run_cli("encode", "--n", "25", "--beta", "5", "--istar", "2")
         assert err.value.code == 2
 
+    def test_decodes_the_file_it_writes(self, tmp_path, monkeypatch):
+        # a written file that does not parse must fail the run, even though
+        # the message object it came from decodes
+        from cplab.encoding_game import EncodingMessage
+
+        to_bytes = EncodingMessage.to_bytes
+        monkeypatch.setattr(EncodingMessage, "to_bytes", lambda self: to_bytes(self) + b"\x00")
+        out = tmp_path / "enc"
+        with pytest.raises(ValueError, match="runs past the end"):
+            run_cli(
+                "encode", "--kind", "artificial", "--n", "25", "--beta", "5",
+                "--istar", "2", "--seed", "1", "--cell-budget", "16",
+                "--probe-threshold", "12", "--out", str(out),
+            )
+        assert (out / "encode_message.bin").read_bytes().endswith(b"\x00")
+        assert not (out / "encode_manifest.json").exists()
+
 
 class TestEncodeGolden:
     """Byte-exact flag-0 messages of `cplab encode`, pinned from a

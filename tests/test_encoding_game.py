@@ -127,6 +127,54 @@ class TestSections:
         assert EncodingMessage.from_bytes(raw).sections == message.sections
 
 
+class TestStrictParsing:
+    """`from_bytes` rejects a buffer it cannot frame exactly."""
+
+    def _message(self):
+        run = run_hard_distribution("artificial", 25, 5, seed=0)
+        resolved = find_resolved_set(
+            run, 2, cell_budget=16, probe_threshold=12, max_tries=8, seed=0
+        )
+        message = encode_epoch(run, 2, resolved)
+        assert message.flag == 0
+        return run, message
+
+    def test_no_strict_prefix_decodes(self):
+        run, message = self._message()
+        data = message.to_bytes()
+        prefix = run.updates.prefix_above(2)
+        for end in range(len(data)):
+            # a cut inside a section fails to parse; a cut between sections
+            # parses, but the decoder then misses a section it needs
+            with pytest.raises((ValueError, KeyError)):
+                parsed = EncodingMessage.from_bytes(data[:end])
+                decode_epoch(parsed, prefix, run.structure_factory, verify_run=run)
+
+    def test_trailing_byte_rejected(self):
+        _, message = self._message()
+        with pytest.raises(ValueError, match="runs past the end"):
+            EncodingMessage.from_bytes(message.to_bytes() + b"\x00")
+
+    def test_unknown_version_rejected(self):
+        _, message = self._message()
+        with pytest.raises(ValueError, match="version"):
+            EncodingMessage.from_bytes(dataclasses.replace(message, version=7).to_bytes())
+
+    @pytest.mark.parametrize("nbytes", [0, 2])
+    def test_byte_count_must_match_bit_length(self, nbytes):
+        _, message = self._message()
+        message.sections = (Section("a", 3, 5),)
+        raw = message.to_bytes()
+        framed = b"\x01a" + (3).to_bytes(8, "big") + (1).to_bytes(8, "big") + b"\x05"
+        assert raw.endswith(framed)
+        forged = (
+            raw[: -len(framed)] + b"\x01a" + (3).to_bytes(8, "big")
+            + nbytes.to_bytes(8, "big") + b"\x05".rjust(nbytes, b"\x00")[:nbytes]
+        )
+        with pytest.raises(ValueError, match="bytes for 3 bits"):
+            EncodingMessage.from_bytes(forged)
+
+
 class _ShiftFieldWriter:
     """The former writer, kept as the oracle: ORs each field into one int."""
 
@@ -443,6 +491,31 @@ class TestArtificialRoundTrip:
         assert result.independent_rows <= min(
             message.query_count, run.run_schedule.suffix_length(istar)
         )
+
+
+def test_decode_from_the_products_alone():
+    """Queries whose rows vanish on the suffix resolve trivially and keep no
+    row (k = 0): the message then carries every suffix weight, and the
+    decoder recovers them with no replay and no solve."""
+    run = run_hard_distribution("artificial", 25, 5, seed=0)
+    k_len = run.run_schedule.suffix_length(1)
+    zero_ids = tuple(
+        j for j, v in enumerate(run.family.vectors) if not any(v.last(k_len).coords)
+    )
+    assert zero_ids
+    resolved = ResolvedSet(
+        istar=1, cell_addresses=(), queries=zero_ids, sample_mean_t=0.0,
+        sample_size=len(zero_ids), tries_used=1, query_probes=0,
+    )
+    message = EncodingMessage.from_bytes(encode_epoch(run, 1, resolved).to_bytes())
+    assert message.flag == 0 and message.query_count == len(zero_ids)
+    products = message.section("completion_products")
+    assert products.bit_length == ceil_bits_for_weights(run.delta, k_len)
+    result = decode_epoch(
+        message, run.updates.prefix_above(1), run.structure_factory, verify_run=run
+    )
+    assert result.u_istar == run.updates.u(1)
+    assert result.queries_replayed == result.independent_rows == 0
 
 
 class TestOrcRoundTrip:

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cplab.finite_field import (
@@ -9,7 +9,6 @@ from cplab.finite_field import (
     FieldVector,
     PrimeModulus,
     SingularMatrixError,
-    complete_basis,
     ff_rank,
     ff_solve,
     field_modulus,
@@ -18,12 +17,36 @@ from cplab.finite_field import (
     largest_prime_below,
     mat_vec,
     matrix_from_lists,
-    unit_vector,
 )
 from cplab.rng import substream
 
 P5 = PrimeModulus(5)
 P7 = PrimeModulus(7)
+
+
+def unit_vector(index, dim, modulus):
+    coords = [0] * dim
+    coords[index] = 1
+    return FieldVector(modulus, tuple(coords))
+
+
+def complete_basis(X, dim, modulus=None):
+    """Reference: extend an independent set X to a basis of Z_p^dim with
+    unit vectors, scanned in increasing coordinate order and skipped when
+    already spanned. Returns only the added vectors, in scan order.
+    `modulus` is needed only when X is empty."""
+    X = list(X)
+    modulus = X[0].modulus if X else modulus
+    if X and ff_rank(FieldMatrix(modulus, tuple(X))) < len(X):
+        raise ValueError("input vectors are linearly dependent")
+    added = []
+    for idx in range(dim):
+        if len(X) + len(added) == dim:
+            break
+        e = unit_vector(idx, dim, modulus)
+        if ff_rank(FieldMatrix(modulus, tuple(X + added + [e]))) > len(X) + len(added):
+            added.append(e)
+    return added
 
 
 def identity(dim, modulus):
@@ -212,15 +235,15 @@ class TestInSpan:
 
     def test_scalar_multiple(self):
         rows = [FieldVector(P5, (1, 0)), FieldVector(P5, (3, 0))]
-        assert independent_row_indices(rows) == [0]
+        assert independent_row_indices(rows)[0] == [0]
 
     def test_independent(self):
         rows = [FieldVector(P5, (1, 0)), FieldVector(P5, (0, 1))]
-        assert independent_row_indices(rows) == [0, 1]
+        assert independent_row_indices(rows)[0] == [0, 1]
 
     def test_empty_set_spans_zero(self):
-        assert independent_row_indices([FieldVector(P7, (0, 0))]) == []
-        assert independent_row_indices([FieldVector(P7, (0, 1))]) == [0]
+        assert independent_row_indices([FieldVector(P7, (0, 0))]) == ([], [])
+        assert independent_row_indices([FieldVector(P7, (0, 1))]) == ([0], [1])
 
     def test_agrees_with_rank_identity(self):
         rng = substream(1, "span-rank")
@@ -234,7 +257,7 @@ class TestInSpan:
             x = FieldVector(P7, tuple(rng.randrange(7) for _ in range(dim)))
             base = ff_rank(FieldMatrix(P7, tuple(X)))
             extended = ff_rank(FieldMatrix(P7, tuple(X) + (x,)))
-            in_span = count not in independent_row_indices(X + [x])
+            in_span = count not in independent_row_indices(X + [x])[0]
             assert in_span == (base == extended)
 
 
@@ -270,6 +293,39 @@ class TestCompleteBasis:
                     X.append(candidate)
             added = complete_basis(X, dim, P7)
             assert ff_rank(FieldMatrix(P7, tuple(X + added))) == dim
+
+
+_rows_with_dim = st.integers(1, 5).flatmap(
+    lambda dim: st.tuples(
+        st.just(dim),
+        st.lists(
+            st.lists(st.one_of(st.just(0), st.integers(0, 6)), min_size=dim, max_size=dim),
+            max_size=8,
+        ),
+    )
+)
+
+
+@given(_rows_with_dim)
+@example((3, []))  # k = 0, no rows at all
+@example((3, [[0, 0, 0], [0, 0, 0]]))  # k = 0, only zero rows
+@example((3, [[1, 2, 3], [0, 1, 5], [4, 0, 1]]))  # k = dim
+@example((2, [[1, 1]]))
+@settings(max_examples=200, deadline=None)
+def test_pivot_complement_is_the_greedy_completion(case):
+    """The unit vectors the greedy completion adds are exactly those off
+    the kept rows' pivot columns, and the rows restricted to the pivot
+    columns form an invertible k x k matrix."""
+    dim, coords = case
+    rows = [FieldVector(P7, tuple(c)) for c in coords]
+    kept, pivots = independent_row_indices(rows)
+    X = [rows[i] for i in kept]
+    added = complete_basis(X, dim, P7)
+    assert [v.coords.index(1) for v in added] == [j for j in range(dim) if j not in pivots]
+    assert pivots == sorted(set(pivots)) and len(pivots) == len(kept)
+    if kept:
+        restricted = matrix_from_lists(P7, ([row.coords[j] for j in pivots] for row in X))
+        assert ff_rank(restricted) == len(kept)
 
 
 class TestSolve:
@@ -320,7 +376,7 @@ class TestIndependentRows:
                 FieldVector(P7, tuple(rng.randrange(7) for _ in range(dim)))
                 for _ in range(rng.randint(1, 8))
             ]
-            kept = independent_row_indices(rows)
+            kept, _ = independent_row_indices(rows)
             if kept:
                 sub = FieldMatrix(P7, tuple(rows[i] for i in kept))
                 assert ff_rank(sub) == len(kept)
@@ -356,13 +412,13 @@ def test_independent_rows_stop_once_the_span_is_full(coords):
                 raise AssertionError(f"row {idx} pulled after the span was full")
             yield row
 
-    assert independent_row_indices(pulled()) == expected
-    assert independent_row_indices(rows) == expected
+    assert independent_row_indices(pulled())[0] == expected
+    assert independent_row_indices(rows)[0] == expected
 
 
 def test_independent_rows_of_nothing():
-    assert independent_row_indices([]) == []
-    assert independent_row_indices(iter(())) == []
+    assert independent_row_indices([]) == ([], [])
+    assert independent_row_indices(iter(())) == ([], [])
 
 
 @given(st.lists(st.integers(-50, 50), min_size=1, max_size=8))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cplab.finite_field import FieldVector, PrimeModulus, largest_prime_below, unit_vector
+from cplab.finite_field import FieldVector, PrimeModulus, largest_prime_below
 from cplab.hard_queries import (
     QueryFamily,
     QueryFamilyParams,
@@ -15,6 +15,7 @@ from cplab.hard_queries import (
     subset_bound,
     write_family,
 )
+from test_finite_field import unit_vector
 
 
 def params_for(n, c=2.0, seed=0):
