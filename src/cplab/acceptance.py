@@ -385,14 +385,13 @@ class AcceptanceSuite:
         n, beta, m = 440, 5, 55
         delta = field_modulus(n)
         points = fibonacci_lattice.scaled_lattice(fibonacci_lattice.LatticeSpec.create(m, n))
-        family = grid_analysis.build_grid_family(n, beta, 2, epoch_size=m)
-        grid = family.grids[2]
+        grid = grid_analysis.build_grid_family(n, beta, m)[2]
         full_rank = 0
         bound_ok = 0
         trials = 100
         for seed in range(trials):
-            sample = grid_analysis.sample_slab_queries(n, beta, 2, seed, epoch_size=m)
-            reps = grid_analysis.cell_representatives(sample.queries, grid)
+            sample = grid_analysis.sample_slab_queries(n, beta, seed, m)
+            reps = grid_analysis.cell_representatives(sample, grid)
             result = grid_analysis.cross_out_extract(reps, grid)
             q = result.survivors
             if len(q) >= (result.initial - result.boundary_removed) / 16:
@@ -453,9 +452,7 @@ CRITERIA: tuple[tuple[str, str], ...] = (
 
 
 def run_acceptance(
-    only: str | None = None,
-    fault: str | None = None,
-    report: Callable[[str], None] = print,
+    only: str | None = None, fault: str | None = None
 ) -> list[CriterionResult]:
     results = []
     with AcceptanceSuite(fault=fault) as suite:
@@ -464,5 +461,5 @@ def run_acceptance(
                 continue
             result: CriterionResult = getattr(suite, method)()
             results.append(result)
-            report(result.line())
+            print(result.line())
     return results

@@ -28,7 +28,6 @@ from .cell_probe_sim import (
 )
 from .fibonacci_lattice import (
     LatticeSpec,
-    PointSet,
     dominance_incidence,
     largest_fibonacci_at_most,
     scaled_lattice,
@@ -150,7 +149,7 @@ class RunRecord:
     structure: DynamicStructure
     structure_factory: Callable[[SimulatedMemory], DynamicStructure]
     family: QueryFamily | None
-    epoch_points: dict[int, PointSet] | None
+    epoch_points: dict[int, tuple[tuple[int, int], ...]] | None
 
     def cells_of_epoch(self, epoch_id: int) -> set[tuple[int, int]]:
         return self.memory.cells_of_epoch(epoch_id)
@@ -190,6 +189,8 @@ def structure_factory(
             raise ValueError("artificial structures need a query family")
         return lambda memory: NaiveArtificialStructure(family, delta, memory)
     if kind == "orc":
+        if capacity is None:
+            raise ValueError("dominance structures need a capacity")
         return lambda memory: PrefixSumRangeStructure(n, delta, memory, capacity=capacity)
     raise ValueError(f"unknown kind {kind!r}")
 
@@ -216,7 +217,7 @@ def execute_epochs(
 
 def executed_schedule(
     kind: str, schedule: EpochSchedule, lattices_up_to: int | None = None
-) -> tuple[EpochSchedule, dict[int, PointSet] | None]:
+) -> tuple[EpochSchedule, dict[int, tuple[tuple[int, int], ...]] | None]:
     """The schedule a run of this kind executes and, for dominance runs,
     the scaled lattice each epoch inserts (only epochs up to
     `lattices_up_to`, when given). A dominance epoch's size is snapped
@@ -238,7 +239,6 @@ def run_hard_distribution(
     beta: float,
     seed: int,
     w: int | None = None,
-    family_constant: float = 22.0,
 ) -> RunRecord:
     """Execute the full hard distribution for one seed.
 
@@ -254,12 +254,7 @@ def run_hard_distribution(
     family = None
     if kind == "artificial":
         family = build_query_family(
-            QueryFamilyParams(
-                n=n,
-                modulus=delta,
-                independence_constant=family_constant,
-                seed=substream_seed(seed, "family"),
-            )
+            QueryFamilyParams(n=n, modulus=delta, seed=substream_seed(seed, "family"))
         )
 
     weights_rng = substream(seed, "weights")
@@ -271,7 +266,7 @@ def run_hard_distribution(
             targets: tuple = tuple(range(position, position + size))
             position += size
         else:
-            targets = epoch_points[epoch_id].points
+            targets = epoch_points[epoch_id]
         weights = tuple(weights_rng.randrange(delta.value) for _ in range(size))
         epochs.append(EpochUpdates(epoch=epoch_id, targets=targets, weights=weights))
     updates = UpdateSequence(epochs=tuple(epochs))

@@ -107,8 +107,7 @@ def _cmd_lattice(args, parser) -> int:
 
 def _cmd_family(args, parser) -> int:
     _require(args, parser, "n")
-    n, seed = args.n, args.seed or 0
-    c = args.c if args.c is not None else 22.0
+    n, seed, c = args.n, args.seed, args.c
     trials = args.trials if args.trials is not None else 200
     delta = _field_modulus(n, parser)
     outdir = _outdir(args)
@@ -140,7 +139,7 @@ def _cmd_chronogram(args, parser) -> int:
     _require(args, parser, "n", "beta")
     structure = args.structure or "orc2d"
     kind = "artificial" if structure == "naive" else "orc"
-    seed = args.seed or 0
+    seed = args.seed
     sample_size = args.trials if args.trials is not None else 200
     _field_modulus(args.n, parser)
     outdir = _outdir(args)
@@ -179,7 +178,7 @@ def _cmd_chronogram(args, parser) -> int:
 
 def _cmd_encode(args, parser) -> int:
     _require(args, parser, "kind", "n", "beta", "istar")
-    seed = args.seed or 0
+    seed = args.seed
     _field_modulus(args.n, parser)
     outdir = _outdir(args)
     run = chronogram.run_hard_distribution(args.kind, args.n, args.beta, seed=seed, w=args.w)
@@ -241,39 +240,37 @@ def _cmd_encode(args, parser) -> int:
 
 def _cmd_grid(args, parser) -> int:
     _require(args, parser, "n", "beta", "m")
-    n, beta, m = args.n, args.beta, args.m
-    seed = args.seed or 0
+    n, beta, m, seed = args.n, args.beta, args.m, args.seed
     trials = args.trials if args.trials is not None else 100
     delta = _field_modulus(n, parser)
     outdir = _outdir(args)
     points = fibonacci_lattice.scaled_lattice(fibonacci_lattice.LatticeSpec.create(m, n))
-    i_eff = grid_analysis.effective_epoch_index(beta, m)
-    if i_eff < 2:
+    if grid_analysis.effective_epoch_index(beta, m) < 2:
         parser.error(f"epoch size {m} too small for any grid at beta={beta}")
-    family = grid_analysis.build_grid_family(n, beta, i_eff, epoch_size=m)
+    grids = grid_analysis.build_grid_family(n, beta, m)
+    grid = grids[2]
     threshold = grid_analysis.separation_area_threshold(n, beta, m)
     rows = []
     first_sample = None
     for t in range(trials):
-        sample = grid_analysis.sample_slab_queries(n, beta, i_eff, seed + t, epoch_size=m)
+        sample = grid_analysis.sample_slab_queries(n, beta, seed + t, m)
         if first_sample is None:
             first_sample = sample
-        grid = family.grids[family.indices()[0]]
-        reps = grid_analysis.cell_representatives(sample.queries, grid)
+        reps = grid_analysis.cell_representatives(sample, grid)
         survivors = grid_analysis.cross_out_extract(reps, grid).survivors
         rank = grid_analysis.survivor_rank(points, survivors, delta)
-        separated, _ = grid_analysis.well_separated_subset(sample.queries, threshold)
-        rows.append((t, len(survivors), rank, len(separated) / len(sample.queries)))
+        separated, _ = grid_analysis.well_separated_subset(sample, threshold)
+        rows.append((t, len(survivors), rank, len(separated) / len(sample)))
     trials_path = outdir / "grid_trials.csv"
     grid_analysis.export_trials_csv(str(trials_path), rows)
     hitting_path = outdir / "grid_hitting.csv"
-    grid_analysis.export_hitting_csv(str(hitting_path), family, first_sample.queries)
+    grid_analysis.export_hitting_csv(str(hitting_path), grids, first_sample)
     config = {"n": n, "beta": beta, "m": m, "seed": seed, "trials": trials}
     _write_manifest(
         outdir, "grid", config, [trials_path.name, hitting_path.name],
         {
-            "grids": {j: [float(g.width), float(g.height)] for j, g in family.grids.items()},
-            "rounded": {j: g.rounded for j, g in family.grids.items()},
+            "grids": {j: [float(g.width), float(g.height)] for j, g in grids.items()},
+            "rounded": {j: g.rounded for j, g in grids.items()},
             "separation_threshold": threshold,
             "full_rank_trials": sum(1 for r in rows if r[1] == r[2]),
         },
@@ -303,12 +300,12 @@ _OPTIONS = {
     "m": {"type": int},
     "beta": {"type": float},
     "w": {"type": int},
-    "seed": {"type": int},
+    "seed": {"type": int, "default": 0},
     "structure": {"choices": ["naive", "orc2d"]},
     "kind": {"choices": list(chronogram.KINDS)},
     "istar": {"type": int},
     "trials": {"type": int},
-    "c": {"type": float},
+    "c": {"type": float, "default": QueryFamilyParams.independence_constant},
     "cell-budget": {"type": int},
     "probe-threshold": {"type": float},
     "tries": {"type": int},

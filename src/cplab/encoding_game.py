@@ -202,11 +202,12 @@ class EncodingMessage:
     @classmethod
     def from_bytes(cls, data: bytes) -> "EncodingMessage":
         """Parse `to_bytes` output; a field that runs past the buffer, a
-        payload length that disagrees with its bit length, or an unknown
-        version raises ValueError."""
+        payload length that disagrees with its bit length, a repeated
+        section label, or a version other than the integer 1 raises
+        ValueError."""
         newline = data.index(b"\n")
         header = json.loads(data[:newline])
-        if header["version"] != 1:
+        if type(header["version"]) is not int or header["version"] != 1:
             raise ValueError(f"unknown message version {header['version']!r}")
         pos = newline + 1
 
@@ -220,6 +221,8 @@ class EncodingMessage:
         sections = []
         while pos < len(data):
             label = take(take(1, "label length")[0], "label").decode()
+            if any(s.label == label for s in sections):
+                raise ValueError(f"section {label!r} appears twice")
             bit_length = int.from_bytes(take(8, f"{label!r} bit length"), "big")
             nbytes = int.from_bytes(take(8, f"{label!r} byte length"), "big")
             if nbytes != -(-bit_length // 8):
@@ -272,6 +275,10 @@ def default_cell_budget(run: RunRecord, istar: int) -> int:
     return base
 
 
+# distinct uniform query points a dominance run's resolve search replays
+DOMINANCE_QUERY_POOL = 400
+
+
 def find_resolved_set(
     run: RunRecord,
     istar: int,
@@ -279,11 +286,12 @@ def find_resolved_set(
     probe_threshold: float | None = None,
     max_tries: int = 16,
     seed: int = 0,
-    query_sample: int | None = None,
 ) -> ResolvedSet:
     """Sample uniform cell subsets of the target epoch until one
     resolves a non-empty set of low-cost queries; keep the best try.
 
+    The candidates are every family index (index-weight runs) or
+    DOMINANCE_QUERY_POOL distinct seeded points (dominance runs).
     Queries qualify when their distinct epoch-istar probe count is at
     most the threshold (default lg_beta(n)/4) and every such probe lands
     in the sampled subset. Raises ResolvedSetNotFound when every try
@@ -299,18 +307,11 @@ def find_resolved_set(
         probe_threshold = math.log(run.n, run.beta) / 4
 
     if run.kind == "artificial":
-        pool: list = (
-            list(range(len(run.family.vectors)))
-            if query_sample is None
-            else substream(seed, "query-sample").sample(
-                range(len(run.family.vectors)), query_sample
-            )
-        )
+        pool: list = list(range(len(run.family.vectors)))
     else:
-        size = query_sample if query_sample is not None else 400
         qrng = substream(seed, "query-sample")
         distinct: dict[tuple[int, int], None] = {}  # keeps first-draw order
-        while len(distinct) < size:
+        while len(distinct) < DOMINANCE_QUERY_POOL:
             distinct[qrng.randrange(run.n), qrng.randrange(run.n)] = None
         pool = list(distinct)
 
@@ -399,13 +400,10 @@ def _extract_independent_queries(run: RunRecord, istar: int, queries: Sequence) 
     independent by construction. When the epoch is too small to carry
     any grid (2i-2 < 2), fall back to the greedy rank filter alone."""
     m = run.run_schedule.size_of(istar)
-    i_eff = effective_epoch_index(run.beta, m)
-    if i_eff < 2:
+    if effective_epoch_index(run.beta, m) < 2:
         return list(queries)
-    family = build_grid_family(run.n, run.beta, i_eff, epoch_size=m)
     best: tuple[int, list] | None = None
-    for j in family.indices():
-        grid = family.grids[j]
+    for grid in build_grid_family(run.n, run.beta, m).values():
         reps = cell_representatives(queries, grid)
         survivors = list(cross_out_extract(reps, grid).survivors)
         if best is None or len(survivors) > best[0]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -59,28 +59,11 @@ class LatticeSpec:
         return cls(m=m, multiplier=multiplier, n=n)
 
 
-@dataclass(frozen=True)
-class PointSet:
-    """Integer points in insertion order (order = update order)."""
-
-    points: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.points)
-
-    def __getitem__(self, idx: int) -> tuple[int, int]:
-        return self.points[idx]
-
-
-def scaled_lattice(spec: LatticeSpec) -> PointSet:
-    """The m lattice points floor-scaled by n/m, one per column j*n//m."""
+def scaled_lattice(spec: LatticeSpec) -> tuple[tuple[int, int], ...]:
+    """The m lattice points floor-scaled by n/m, one per column j*n//m,
+    in insertion order (the order an epoch updates them)."""
     m, mult, n = spec.m, spec.multiplier, spec.n
-    return PointSet(
-        tuple((j * n // m, ((j * mult) % m) * n // m) for j in range(m))
-    )
+    return tuple((j * n // m, ((j * mult) % m) * n // m) for j in range(m))
 
 
 def dominance_incidence(

@@ -64,20 +64,6 @@ def _beta_half_power(beta: float, j: int) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
-class GridFamily:
-    """Grids G_2..G_{2i-2}: G_j has width n/beta^(i-j/2) and height
-    n/beta^(j/2), so every grid shares the cell area n^2/beta^i."""
-
-    n: int
-    beta: float
-    epoch_size: int
-    grids: dict[int, Grid]
-
-    def indices(self) -> list[int]:
-        return sorted(self.grids)
-
-
 def effective_epoch_index(beta: float, epoch_size: int) -> int:
     """The largest i >= 1 with beta^i <= epoch_size (1 if there is none):
     the epoch index whose grid family fits an epoch of that size."""
@@ -87,15 +73,16 @@ def effective_epoch_index(beta: float, epoch_size: int) -> int:
     return i
 
 
-def build_grid_family(
-    n: int, beta: float, i: int, epoch_size: int | None = None
-) -> GridFamily:
-    """Build the family for epoch i. `epoch_size` substitutes the actual
-    (possibly Fibonacci-snapped) epoch size for the ideal beta^i so the
-    constant-area identity tracks the executed lattice."""
+def build_grid_family(n: int, beta: float, m: int) -> dict[int, Grid]:
+    """Grids G_2..G_{2i-2} for an epoch of size m, keyed by j in
+    increasing order, with i its effective epoch index: G_j has width
+    n/(m/beta^(j/2)) and height n/beta^(j/2), so every grid shares the
+    cell area n^2/m. The actual (possibly Fibonacci-snapped) epoch size
+    m stands for the ideal beta^i, so the constant-area identity tracks
+    the executed lattice."""
+    i = effective_epoch_index(beta, m)
     if i < 2:
-        raise ValueError("grid families need epoch index i >= 2")
-    m = epoch_size if epoch_size is not None else int(beta**i)
+        raise ValueError(f"epoch size {m} carries no grid at beta={beta}")
     grids: dict[int, Grid] = {}
     for j in range(2, 2 * i - 1):
         half = _beta_half_power(beta, j)
@@ -110,7 +97,7 @@ def build_grid_family(
         width = max(width, Fraction(1))
         height = max(height, Fraction(1))
         grids[j] = Grid(width=width, height=height, extent=n, rounded=rounded)
-    return GridFamily(n=n, beta=float(beta), epoch_size=m, grids=grids)
+    return grids
 
 
 def hit_cells(queries: Iterable[Query], grid: Grid) -> dict[tuple[int, int], list[Query]]:
@@ -156,25 +143,13 @@ def separation_area_threshold(n: int, beta: float, epoch_size: int) -> float:
     return n * n * math.sqrt(beta) / epoch_size
 
 
-@dataclass(frozen=True)
-class SlabSample:
-    """One uniform query per vertical slab of width n/slab_count."""
-
-    queries: tuple[Query, ...]
-    slab_count: int
-    seed: int
-
-
 def sample_slab_queries(
-    n: int, beta: float, i: int, seed: int, epoch_size: int | None = None
-) -> SlabSample:
+    n: int, beta: float, seed: int, epoch_size: int
+) -> tuple[Query, ...]:
     """Draw one uniform random integer point from each of the
-    beta^(i-1) vertical slabs (epoch_size/beta slabs when the epoch
-    size is given explicitly)."""
-    if epoch_size is not None:
-        slab_count = max(1, int(epoch_size / beta))
-    else:
-        slab_count = max(1, int(beta ** (i - 1)))
+    epoch_size/beta vertical slabs (beta^(i-1) for an epoch of size
+    beta^i), in slab order."""
+    slab_count = max(1, int(epoch_size / beta))
     if slab_count > n:
         raise ValueError(f"{slab_count} slabs do not fit in extent {n}")
     rng = substream(seed, "slab-sample")
@@ -183,7 +158,7 @@ def sample_slab_queries(
         lo = h * n // slab_count
         hi = (h + 1) * n // slab_count
         queries.append((rng.randrange(lo, hi), rng.randrange(n)))
-    return SlabSample(queries=tuple(queries), slab_count=slab_count, seed=seed)
+    return tuple(queries)
 
 
 @dataclass(frozen=True)
@@ -216,9 +191,8 @@ def cross_out_extract(hit_queries: Sequence[Query], grid: Grid) -> CrossOutResul
     live = {cell: q for cell, q in cells.items() if cell[0] >= 2 and cell[1] >= 2}
     boundary_removed = initial - len(live)
 
-    live_columns = sorted(range(2, grid.columns))
-    live_rows = sorted(range(2, grid.rows))
-    for axis, live_indices in ((0, live_columns), (1, live_rows)):
+    for axis, extent in ((0, grid.columns), (1, grid.rows)):
+        live_indices = list(range(2, extent))
         for _ in range(2):
             ranks = {idx: r for r, idx in enumerate(live_indices)}
             by_parity = [0, 0]
@@ -231,10 +205,6 @@ def cross_out_extract(hit_queries: Sequence[Query], grid: Grid) -> CrossOutResul
                 if ranks[cell[axis]] % 2 != crossed_parity
             }
             live_indices = [idx for idx in live_indices if ranks[idx] % 2 != crossed_parity]
-        if axis == 0:
-            live_columns = live_indices
-        else:
-            live_rows = live_indices
 
     return CrossOutResult(
         survivors=tuple(sorted(live.values())),
@@ -289,19 +259,20 @@ def well_separated_frequency(
     threshold = separation_area_threshold(n, beta, epoch_size)
     hits = 0
     for s in range(trials):
-        sample = sample_slab_queries(n, beta, 0, seed_base + s, epoch_size=epoch_size)
-        if well_separated_subset(sample.queries, threshold)[1]:
+        sample = sample_slab_queries(n, beta, seed_base + s, epoch_size)
+        if well_separated_subset(sample, threshold)[1]:
             hits += 1
     return hits / trials
 
 
-def export_hitting_csv(path: str, family: GridFamily, queries: Sequence[Query]) -> None:
+def export_hitting_csv(
+    path: str, grids: dict[int, Grid], queries: Sequence[Query]
+) -> None:
     """CSV `grid_j,mu,gamma,hitting_number` for one query set."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["grid_j", "mu", "gamma", "hitting_number"])
-        for j in family.indices():
-            grid = family.grids[j]
+        for j, grid in grids.items():
             writer.writerow(
                 [j, float(grid.width), float(grid.height), hitting_number(queries, grid)]
             )

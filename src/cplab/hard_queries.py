@@ -23,6 +23,12 @@ from .finite_field import ff_rank
 from .rng import substream
 
 
+# random subset-rank audits per candidate, and the consecutive rejections
+# after which construction gives up
+VALIDATION_TRIALS = 48
+RETRY_BUDGET = 500
+
+
 class FamilyConstructionError(RuntimeError):
     """Family construction rejected too many candidates in a row."""
 
@@ -56,9 +62,6 @@ class QueryFamily:
         if not set(chain.from_iterable(map(attrgetter("coords"), self.vectors))) <= {0, 1}:
             raise ValueError("family vectors must be 0/1 valued")
 
-    def __len__(self) -> int:
-        return len(self.vectors)
-
 
 def subset_bound(k: int, c: float) -> int:
     """Largest subset size constrained at suffix length k: floor(k / (c lg k))."""
@@ -82,17 +85,12 @@ def bits_to_coords(bits: int, n: int) -> tuple[int, ...]:
     return tuple(format(bits, f"0{n}b").encode().translate(_BIT_VALUES))
 
 
-def build_query_family(
-    params: QueryFamilyParams,
-    validation_trials: int = 48,
-    retry_budget: int = 500,
-) -> QueryFamily:
+def build_query_family(params: QueryFamilyParams) -> QueryFamily:
     """Greedily sample uniform {0,1}^n vectors into a family of n^2.
 
     A candidate is accepted only when the deterministic suffix checks
-    and `validation_trials` random subset-rank audits all pass. The
-    whole construction is a pure function of the params and the trial
-    count.
+    and VALIDATION_TRIALS random subset-rank audits all pass. The
+    whole construction is a pure function of the params.
     """
     n = params.n
     c = params.independence_constant
@@ -115,7 +113,7 @@ def build_query_family(
         if ok and k_pair is not None and coords[-k_pair:] in pair_suffixes:
             ok, last_k = False, k_pair
         if ok and ks_multi and accepted:
-            for _ in range(validation_trials):
+            for _ in range(VALIDATION_TRIALS):
                 k = rng.choice(ks_multi)
                 top = min(subset_bound(k, c), len(accepted) + 1)
                 if top < 2:
@@ -130,9 +128,9 @@ def build_query_family(
 
         if not ok:
             rejects_in_a_row += 1
-            if rejects_in_a_row > retry_budget:
+            if rejects_in_a_row > RETRY_BUDGET:
                 raise FamilyConstructionError(
-                    f"family construction stalled after {retry_budget} consecutive "
+                    f"family construction stalled after {RETRY_BUDGET} consecutive "
                     f"rejections at k={last_k}"
                 )
             continue

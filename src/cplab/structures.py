@@ -105,16 +105,12 @@ class PrefixSumRangeStructure(DynamicStructure):
     """
 
     def __init__(
-        self,
-        n: int,
-        delta: PrimeModulus,
-        memory: SimulatedMemory,
-        capacity: int | None = None,
+        self, n: int, delta: PrimeModulus, memory: SimulatedMemory, capacity: int
     ):
         self.n = n
         self.delta = delta
         self.memory = memory
-        self.capacity = capacity if capacity is not None else n
+        self.capacity = capacity
         w = memory.config.w
         counter_bits = max(1, (self.capacity * (delta.value - 1)).bit_length())
         self.cells_per_counter = -(-counter_bits // w)

@@ -49,11 +49,10 @@ def _wait_for_no_children(seconds):
     return multiprocessing.active_children()
 
 
-def test_run_acceptance_closes_its_pool():
-    lines = []
-    results = _within(TIMEOUT_S, lambda: run_acceptance(only="encode", report=lines.append))
+def test_run_acceptance_closes_its_pool(capsys):
+    results = _within(TIMEOUT_S, lambda: run_acceptance(only="encode"))
     assert [r.number for r in results] == [6, 7]
-    assert lines == [EXPECTED_LINES[6], EXPECTED_LINES[7]]
+    assert capsys.readouterr().out.splitlines() == [EXPECTED_LINES[6], EXPECTED_LINES[7]]
     assert multiprocessing.active_children() == []
 
 

@@ -71,7 +71,7 @@ class TestHardDistributionRuns:
             expected = scaled_lattice(
                 LatticeSpec.create(run.run_schedule.size_of(epoch_id), run.n)
             )
-            assert run.updates.epoch(epoch_id).targets == expected.points
+            assert run.updates.epoch(epoch_id).targets == expected
 
     def test_orc_total_is_snapped_sum(self):
         run = run_hard_distribution("orc", 440, 5, seed=0)
@@ -251,6 +251,13 @@ class TestUpdateSequence:
         assert [e.epoch for e in prefix.epochs] == [4, 3]
         sizes = [len(e.weights) for e in prefix.epochs]
         assert sizes == [run.run_schedule.size_of(4), run.run_schedule.size_of(3)]
+
+    def test_factory_needs_the_input_of_its_kind(self):
+        delta = largest_prime_below(16**4)
+        with pytest.raises(ValueError, match="capacity"):
+            structure_factory("orc", 16, delta)
+        with pytest.raises(ValueError, match="query family"):
+            structure_factory("artificial", 16, delta)
 
     def test_declared_update_bound_enforced(self):
         # a structure that lies about its update bound aborts the run

@@ -7,10 +7,17 @@ referenced when it appears as a variable, an attribute or an imported
 name. A string counts only when it names a method in
 `acceptance.CRITERIA`, the one table that `getattr` dispatches on.
 Dunders are exempt.
+
+Every defaulted parameter of those functions and methods (and of a
+public class's `__init__`) must be passed by some call in src/cplab,
+perfbench/ or scripts/: by keyword, by position, or through `*` or
+`**`. Calls are matched to definitions by name alone, so a call to
+another function of the same name also counts.
 """
 
 import ast
-from collections import Counter
+import math
+from collections import Counter, defaultdict
 from pathlib import Path
 
 from cplab.acceptance import CRITERIA
@@ -21,6 +28,12 @@ DISPATCHED = {method for method, _ in CRITERIA}
 ALLOWED = {
     # the only reader of `cplab family`'s family.txt; it validates that file
     "read_family",
+}
+
+ALLOWED_DEFAULTS = {
+    # the console-script entry point: the installed `cplab` command calls
+    # it with no argument and it reads sys.argv; tests pass argv instead
+    "cli.main(argv)",
 }
 
 
@@ -69,3 +82,63 @@ def test_every_public_symbol_has_a_caller():
             if in_src[node.name] == _names(node)[node.name]:  # only its own body
                 unused.append(f"{module}: {qualname}")
     assert not unused, "no caller outside tests: " + ", ".join(unused)
+
+
+def _signatures(tree):
+    """(called name, label, arguments, bound) of each public function,
+    public method and public class's `__init__`; callers do not pass a
+    bound method's first parameter."""
+    for qualname, node in _public_defs(tree):
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and member.name == "__init__":
+                    yield node.name, f"{qualname}.__init__", member.args, True
+        else:
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            yield node.name, qualname, node.args, "." in qualname and not static
+
+
+def _defaulted(args, bound):
+    """(position, name) of each defaulted parameter, the position
+    counted among the arguments a call passes; None when keyword-only."""
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional[first:], first):
+        yield index - bound, arg.arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _calls():
+    """Per called name, each call's (positions it fills, keywords it
+    names): a `*` argument fills every position, and `**` shows up as
+    the keyword None."""
+    calls = defaultdict(list)
+    for directory in ("src/cplab", "perfbench", "scripts"):
+        for path in sorted((ROOT / directory).glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    star = any(isinstance(arg, ast.Starred) for arg in node.args)
+                    filled = math.inf if star else len(node.args)
+                    calls[name].append((filled, {k.arg for k in node.keywords}))
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed():
+    calls = _calls()
+    unpassed = []
+    for path in sorted((ROOT / "src" / "cplab").glob("*.py")):
+        for name, qualname, args, bound in _signatures(ast.parse(path.read_text())):
+            for position, param in _defaulted(args, bound):
+                label = f"{path.stem}.{qualname}({param})"
+                passed = any(
+                    param in keywords
+                    or None in keywords
+                    or (position is not None and position < filled)
+                    for filled, keywords in calls[name]
+                )
+                if not passed and label not in ALLOWED_DEFAULTS:
+                    unpassed.append(label)
+    assert not unpassed, "defaulted but never passed outside tests: " + ", ".join(unpassed)

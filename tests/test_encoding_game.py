@@ -160,6 +160,24 @@ class TestStrictParsing:
         with pytest.raises(ValueError, match="version"):
             EncodingMessage.from_bytes(dataclasses.replace(message, version=7).to_bytes())
 
+    def _flag1_bytes(self):
+        run = run_hard_distribution("artificial", 25, 5, seed=1)
+        return encode_epoch(run, 1, None).to_bytes()
+
+    def test_repeated_section_rejected(self):
+        data = self._flag1_bytes()
+        sections = data[data.index(b"\n") + 1 :]
+        EncodingMessage.from_bytes(data)
+        with pytest.raises(ValueError, match="'raw_weights' appears twice"):
+            EncodingMessage.from_bytes(data + sections)
+
+    def test_boolean_version_rejected(self):
+        data = self._flag1_bytes()
+        forged = data.replace(b'"version": 1,', b'"version": true,', 1)
+        assert forged != data
+        with pytest.raises(ValueError, match="version True"):
+            EncodingMessage.from_bytes(forged)
+
     @pytest.mark.parametrize("nbytes", [0, 2])
     def test_byte_count_must_match_bit_length(self, nbytes):
         _, message = self._message()
@@ -525,7 +543,7 @@ class TestOrcRoundTrip:
         istar = run.run_schedule.count - 1
         try:
             resolved = find_resolved_set(
-                run, istar, probe_threshold=8, max_tries=8, seed=seed, query_sample=200
+                run, istar, probe_threshold=8, max_tries=8, seed=seed
             )
         except ResolvedSetNotFound:
             resolved = None

@@ -9,7 +9,6 @@ from cplab.fibonacci_lattice import (
     A1,
     A2,
     LatticeSpec,
-    PointSet,
     check_all_lattice_rectangles,
     dominance_incidence,
     fibonacci_pair_for,
@@ -62,7 +61,7 @@ def check_area_bounds(
     spec: LatticeSpec,
     rect: Rect,
     slack: int = 1,
-    points: PointSet | None = None,
+    points: tuple[tuple[int, int], ...] | None = None,
 ) -> BoundCheck:
     """Test floor(alpha/A1) - slack <= count <= ceil(alpha/A2) + slack.
 

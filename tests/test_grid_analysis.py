@@ -47,30 +47,27 @@ class TestGrid:
 
 class TestGridFamily:
     def test_example_dimensions(self):
-        family = build_grid_family(64, 4, 3)
-        assert family.indices() == [2, 3, 4]
-        g2 = family.grids[2]
+        grids = build_grid_family(64, 4, 4**3)
+        assert list(grids) == [2, 3, 4]
+        g2 = grids[2]
         assert (g2.width, g2.height) == (Fraction(4), Fraction(16))
 
     def test_constant_cell_area(self):
-        family = build_grid_family(64, 4, 3)
-        for grid in family.grids.values():
+        for grid in build_grid_family(64, 4, 4**3).values():
             assert grid.width * grid.height == Fraction(64 * 64, 4**3)
             assert not grid.rounded
 
     def test_snapped_epoch_size_override(self):
-        family = build_grid_family(440, 5, 2, epoch_size=55)
-        grid = family.grids[2]
+        grid = build_grid_family(440, 5, 55)[2]
         assert (grid.width, grid.height) == (Fraction(40), Fraction(88))
         assert grid.width * grid.height == Fraction(440 * 440, 55)
 
     def test_small_epoch_rejected(self):
         with pytest.raises(ValueError):
-            build_grid_family(64, 4, 1)
+            build_grid_family(64, 4, 4**1)
 
     def test_irrational_dimensions_floored(self):
-        family = build_grid_family(125, 5, 3)
-        g3 = family.grids[3]  # odd index, non-square beta
+        g3 = build_grid_family(125, 5, 5**3)[3]  # odd index, non-square beta
         assert g3.rounded
         assert g3.width >= 1 and g3.height >= 1
 
@@ -134,22 +131,21 @@ class TestWellSeparated:
 
 class TestSlabSampling:
     def test_count_and_bounds(self):
-        sample = sample_slab_queries(440, 5, 2, seed=0, epoch_size=55)
-        assert sample.slab_count == 11
-        assert len(sample.queries) == 11
-        for h, (x, y) in enumerate(sample.queries):
+        sample = sample_slab_queries(440, 5, seed=0, epoch_size=55)
+        assert len(sample) == 11
+        for h, (x, y) in enumerate(sample):
             assert h * 40 <= x < (h + 1) * 40
             assert 0 <= y < 440
 
     def test_deterministic(self):
-        a = sample_slab_queries(128, 4, 3, seed=5)
-        b = sample_slab_queries(128, 4, 3, seed=5)
+        a = sample_slab_queries(128, 4, seed=5, epoch_size=4**3)
+        b = sample_slab_queries(128, 4, seed=5, epoch_size=4**3)
         assert a == b
-        assert a.slab_count == 16
+        assert len(a) == 16
 
     def test_too_many_slabs(self):
         with pytest.raises(ValueError):
-            sample_slab_queries(8, 2, 5, seed=0)
+            sample_slab_queries(8, 2, seed=0, epoch_size=2**5)
 
 
 class TestCrossOut:
@@ -182,9 +178,9 @@ class TestCrossOut:
 
     def test_size_bound_holds(self):
         for seed in range(30):
-            sample = sample_slab_queries(440, 5, 2, seed=seed, epoch_size=55)
-            grid = build_grid_family(440, 5, 2, epoch_size=55).grids[2]
-            reps = cell_representatives(sample.queries, grid)
+            sample = sample_slab_queries(440, 5, seed=seed, epoch_size=55)
+            grid = build_grid_family(440, 5, 55)[2]
+            reps = cell_representatives(sample, grid)
             result = cross_out_extract(reps, grid)
             assert len(result.survivors) >= (result.initial - result.boundary_removed) / 16
             assert result.initial == len(reps)
@@ -193,10 +189,10 @@ class TestCrossOut:
         n, beta, m = 440, 5, 55
         delta = largest_prime_below(n**4)
         points = scaled_lattice(LatticeSpec.create(m, n))
-        grid = build_grid_family(n, beta, 2, epoch_size=m).grids[2]
+        grid = build_grid_family(n, beta, m)[2]
         for seed in range(20):
-            sample = sample_slab_queries(n, beta, 2, seed=seed, epoch_size=m)
-            reps = cell_representatives(sample.queries, grid)
+            sample = sample_slab_queries(n, beta, seed=seed, epoch_size=m)
+            reps = cell_representatives(sample, grid)
             survivors = cross_out_extract(reps, grid).survivors
             assert survivor_rank(points, survivors, delta) == len(survivors)
 
@@ -223,9 +219,9 @@ class TestFrequencies:
 
 class TestExports:
     def test_hitting_csv(self, tmp_path):
-        family = build_grid_family(64, 4, 3)
+        grids = build_grid_family(64, 4, 4**3)
         path = tmp_path / "hits.csv"
-        export_hitting_csv(str(path), family, [(1, 1), (50, 50)])
+        export_hitting_csv(str(path), grids, [(1, 1), (50, 50)])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "grid_j,mu,gamma,hitting_number"
         assert len(lines) == 4
