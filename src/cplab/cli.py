@@ -81,12 +81,31 @@ def _field_modulus(n: int, parser: argparse.ArgumentParser) -> PrimeModulus:
         parser.error(f"--n: {exc}")
 
 
+def _lattice_spec(m: int, n: int, parser: argparse.ArgumentParser) -> fibonacci_lattice.LatticeSpec:
+    # a non-Fibonacci --m, or one outside [1, n], is a usage error (exit 2)
+    try:
+        return fibonacci_lattice.LatticeSpec.create(m, n)
+    except ValueError as exc:
+        parser.error(f"--m: {exc}")
+
+
+def _positive_count(text: str) -> int:
+    """argparse type of --trials: an int >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # reported below, without naming this function
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive count, got {text!r}")
+    return value
+
+
 def _cmd_lattice(args, parser) -> int:
     _require(args, parser, "m")
     m = args.m
     n = args.n if args.n is not None else 8 * m
+    spec = _lattice_spec(m, n, parser)
     outdir = _outdir(args)
-    spec = fibonacci_lattice.LatticeSpec.create(m, n)
     points = fibonacci_lattice.scaled_lattice(spec)
     points_path = outdir / "lattice_points.csv"
     with open(points_path, "w") as fh:
@@ -243,8 +262,8 @@ def _cmd_grid(args, parser) -> int:
     n, beta, m, seed = args.n, args.beta, args.m, args.seed
     trials = args.trials if args.trials is not None else 100
     delta = _field_modulus(n, parser)
+    points = fibonacci_lattice.scaled_lattice(_lattice_spec(m, n, parser))
     outdir = _outdir(args)
-    points = fibonacci_lattice.scaled_lattice(fibonacci_lattice.LatticeSpec.create(m, n))
     if grid_analysis.effective_epoch_index(beta, m) < 2:
         parser.error(f"epoch size {m} too small for any grid at beta={beta}")
     grids = grid_analysis.build_grid_family(n, beta, m)
@@ -304,7 +323,7 @@ _OPTIONS = {
     "structure": {"choices": ["naive", "orc2d"]},
     "kind": {"choices": list(chronogram.KINDS)},
     "istar": {"type": int},
-    "trials": {"type": int},
+    "trials": {"type": _positive_count},
     "c": {"type": float, "default": QueryFamilyParams.independence_constant},
     "cell-budget": {"type": int},
     "probe-threshold": {"type": float},

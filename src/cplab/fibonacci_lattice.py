@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-import numpy as np
-
 # the rectangle bound's two divisors, as exact decimals
 A1 = Fraction(19, 10)
 A2 = Fraction(9, 20)
@@ -84,37 +82,47 @@ def check_all_lattice_rectangles(m: int, n: int, slack: int = 1) -> RectangleSwe
     """Exhaustive bound check over every rectangle with corners on
     lattice coordinates inside [0, n - n/m]^2.
 
-    Vectorised sweep: per x-range, a prefix sum over the column->row
-    permutation answers all y-ranges at once. The test is the one a
-    single rectangle gets: floor(alpha/A1) - slack <= count <=
-    ceil(alpha/A2) + slack, with alpha the area in units of n^2/m.
+    Vectorised sweep over the y-ranges c <= d, one flat array each: per
+    x-range [a, b], the counts grow by one column's "y-range holds this
+    column's row" mask as b advances. The test is the one a single
+    rectangle gets: floor(alpha/A1) - slack <= count <= ceil(alpha/A2) +
+    slack, with alpha the area in units of n^2/m. The bounds are worked
+    out in Python integers, so they stay exact at any n.
     """
+    # the sweep is numpy's only user in cplab: importing it here keeps
+    # every other process from paying for it at start-up
+    import numpy as np
+
     spec = LatticeSpec.create(m, n)
-    xs = np.array([j * n // m for j in range(m)], dtype=np.int64)
-    ys = xs.copy()  # row values are the same floor-scaled multiples
-    perm = np.array([(j * spec.multiplier) % m for j in range(m)], dtype=np.int64)
-    limit = m * n - n  # times m: lattice coords c with m*c <= m*n - n
-    if np.any(m * xs > limit):
+    xs = [j * n // m for j in range(m)]  # row values are the same multiples
+    if any(m * x > m * n - n for x in xs):  # lattice coords c with m*c <= m*n - n
         raise ValueError("lattice coordinates leave the bound's domain")
 
-    n2 = n * n
-    rectangles = 0
+    # the distinct side lengths, x-widths and y-heights alike
+    sides = sorted({xs[b] - xs[a] for a in range(m) for b in range(a, m)})
+    side_index = {side: i for i, side in enumerate(sides)}
+    c, d = np.triu_indices(m)  # every y-range [xs[c], xs[d]]
+    height_of = np.array([side_index[xs[j] - xs[i]] for i, j in zip(c.tolist(), d.tolist())])
+    perm = np.array([(j * spec.multiplier) % m for j in range(m)])
+    holds = (c <= perm[:, None]) & (perm[:, None] <= d)  # holds[j]: y-ranges holding column j's row
+    # counts lie in [0, m], so bounds clipped to [-1, m + 1] compare the
+    # same, and both fit the narrowest signed dtype holding m + 1
+    dtype = np.min_scalar_type(-(m + 1))
+    # per x-width, each y-range's floor(alpha/A1) - slack and
+    # ceil(alpha/A2) + slack, in exact integers: alpha = w * h * m / n^2
+    lower_den, upper_den = A1.numerator * n * n, A2.numerator * n * n
+    bounds = {}
+    for w in sides:
+        m_areas = [w * h * m for h in sides]
+        lower = [min(max(A1.denominator * a // lower_den - slack, 0), m + 1) for a in m_areas]
+        upper = [min(max(-(-A2.denominator * a // upper_den) + slack, -1), m) for a in m_areas]
+        bounds[w] = (np.array(lower, dtype)[height_of], np.array(upper, dtype)[height_of])
+
     violations = 0
-    hy = ys[None, :] - ys[:, None]  # hy[c, d] = ys[d] - ys[c]
-    upper_tri = np.triu(np.ones((m, m), dtype=bool))
-    # plain ints, so the arrays below stay int64
-    a1_num, a1_den = A1.numerator, A1.denominator
-    a2_num, a2_den = A2.numerator, A2.denominator
     for a in range(m):
-        indicator = np.zeros(m + 1, dtype=np.int64)
+        counts = np.zeros(len(c), dtype=dtype)
         for b in range(a, m):
-            indicator[perm[b] + 1] += 1
-            cums = np.cumsum(indicator)
-            counts = cums[None, 1:] - cums[:-1, None]  # counts[c, d]
-            area = (xs[b] - xs[a]) * hy * m
-            lower = (a1_den * area) // (a1_num * n2)  # floor(alpha / A1)
-            upper = -((-a2_den * area) // (a2_num * n2))  # ceil(alpha / A2)
-            bad = (counts < lower - slack) | (counts > upper + slack)
-            violations += int(np.count_nonzero(bad & upper_tri))
-            rectangles += int(np.count_nonzero(upper_tri))
-    return RectangleSweep(rectangles=rectangles, violations=violations)
+            counts += holds[b]
+            lower, upper = bounds[xs[b] - xs[a]]
+            violations += int(np.count_nonzero((counts < lower) | (counts > upper)))
+    return RectangleSweep(rectangles=len(c) ** 2, violations=violations)

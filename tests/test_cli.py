@@ -24,6 +24,24 @@ class TestLattice:
             run_cli("lattice", "--out", str(tmp_path))
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lattice", "--m", "10"),
+            ("lattice", "--m", "0"),
+            ("lattice", "--m", "13", "--n", "5"),
+            ("grid", "--n", "440", "--beta", "5", "--m", "10"),
+        ],
+        ids=["not-fibonacci", "zero", "m-above-n", "grid-not-fibonacci"],
+    )
+    def test_bad_lattice_size_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            run_cli(*argv, "--out", str(out))
+        assert err.value.code == 2
+        assert "--m:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFamily:
     def test_build_and_audit(self, tmp_path):
@@ -240,6 +258,35 @@ class TestNRange:
             assert err.value.code == 2
             assert "--n:" in capsys.readouterr().err
             assert not out.exists()
+
+
+class TestTrialsCount:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("grid", "--n", "440", "--beta", "5", "--m", "55", "--trials", "0"),
+            ("chronogram", "--n", "440", "--beta", "5", "--trials", "-1"),
+            ("family", "--n", "16", "--trials", "0"),
+        ],
+        ids=["grid", "chronogram", "family"],
+    )
+    def test_trials_below_one_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            run_cli(*argv, "--out", str(out))
+        assert err.value.code == 2
+        assert "--trials: must be a positive count" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_trials_from_config_file_checked(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("trials = 0\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            run_cli("family", "--config", str(config), "--n", "16", "--out", str(out))
+        assert err.value.code == 2
+        assert "--trials: must be a positive count" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigFile:

@@ -1,14 +1,20 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterable
 
+import numpy as np
 import pytest
 
 from cplab.fibonacci_lattice import (
     A1,
     A2,
     LatticeSpec,
+    RectangleSweep,
     check_all_lattice_rectangles,
     dominance_incidence,
     fibonacci_pair_for,
@@ -198,8 +204,9 @@ class TestRectangleSweep:
         assert sweep.violations == 0
 
     def test_sweep_counting_agrees_with_brute_force(self):
-        # the sweep counts via an index-space prefix sum; check it
-        # against the brute-force scan on random lattice rectangles
+        # the sweeps count in index space (columns a..b, rows c..d of the
+        # permutation); check that against the brute-force scan on random
+        # lattice rectangles
         m, n = 13, 104
         spec = LatticeSpec.create(m, n)
         points = scaled_lattice(spec)
@@ -231,6 +238,78 @@ class TestRectangleSweep:
         )
         assert failed == violations
         assert check_all_lattice_rectangles(m, n, slack).violations == violations
+
+
+def reference_sweep(m: int, n: int, slack: int = 1) -> RectangleSweep:
+    """Reference for check_all_lattice_rectangles, in int64 arrays: full
+    m x m count and bound arrays per x-range, one prefix sum over the
+    column->row permutation per (a, b), masked to c <= d."""
+    spec = LatticeSpec.create(m, n)
+    xs = np.array([j * n // m for j in range(m)], dtype=np.int64)
+    ys = xs.copy()
+    perm = np.array([(j * spec.multiplier) % m for j in range(m)], dtype=np.int64)
+    if np.any(m * xs > m * n - n):
+        raise ValueError("lattice coordinates leave the bound's domain")
+    n2 = n * n
+    rectangles = 0
+    violations = 0
+    hy = ys[None, :] - ys[:, None]  # hy[c, d] = ys[d] - ys[c]
+    upper_tri = np.triu(np.ones((m, m), dtype=bool))
+    a1_num, a1_den = A1.numerator, A1.denominator
+    a2_num, a2_den = A2.numerator, A2.denominator
+    for a in range(m):
+        indicator = np.zeros(m + 1, dtype=np.int64)
+        for b in range(a, m):
+            indicator[perm[b] + 1] += 1
+            cums = np.cumsum(indicator)
+            counts = cums[None, 1:] - cums[:-1, None]  # counts[c, d]
+            area = (xs[b] - xs[a]) * hy * m
+            lower = (a1_den * area) // (a1_num * n2)
+            upper = -((-a2_den * area) // (a2_num * n2))
+            bad = (counts < lower - slack) | (counts > upper + slack)
+            violations += int(np.count_nonzero(bad & upper_tri))
+            rectangles += int(np.count_nonzero(upper_tri))
+    return RectangleSweep(rectangles=rectangles, violations=violations)
+
+
+class TestSweepAgainstReference:
+    # n = 6m + ceil(m/2) is not a multiple of m (for m > 1), and n/m is
+    # about 6.5, so the floor-scaled x-widths of b - a columns take two values
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 13, 21, 34])
+    def test_sweep_equals_reference(self, m):
+        for n in (m, 8 * m, 6 * m + (m + 1) // 2):
+            for slack in (-1, 0, 1, 2):
+                expected = reference_sweep(m, n, slack)
+                assert check_all_lattice_rectangles(m, n, slack) == expected, (n, slack)
+
+
+def test_cplab_starts_without_numpy():
+    # numpy's only user is the rectangle sweep; the modules every game,
+    # CLI run and pool worker imports must not load it
+    code = (
+        "import sys\n"
+        "import cplab.cli, cplab.acceptance, cplab.chronogram, cplab.encoding_game\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded at import'\n"
+        "from cplab.fibonacci_lattice import check_all_lattice_rectangles\n"
+        "check_all_lattice_rectangles(13, 104)\n"
+        "assert 'numpy' in sys.modules, 'the sweep ran without numpy'\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+
+
+class TestSweepPastInt64:
+    @pytest.mark.parametrize("slack,violations", [(0, 14532), (1, 0)])
+    def test_bounds_do_not_depend_on_the_scale(self, slack, violations):
+        # with m | n every area in units of n^2/m is the same as at n = m,
+        # so the sweep must not change where w * h * m overflows int64
+        m = 34
+        assert check_all_lattice_rectangles(m, m, slack).violations == violations
+        assert check_all_lattice_rectangles(m, m * 10**9, slack).violations == violations
 
 
 class TestDominanceIncidence:
