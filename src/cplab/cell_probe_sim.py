@@ -13,7 +13,7 @@ import csv
 from array import array
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add, and_, itemgetter, lshift, rshift
+from operator import add, and_, itemgetter
 from typing import Hashable, Iterable, Iterator, Sequence
 
 
@@ -131,48 +131,38 @@ class SimulatedMemory:
         trace.tags.extend(array("q", map(itemgetter(1), found)))
         return list(map(itemgetter(0), found))
 
-    def add_many(self, bases: Sequence[int], count: int, addend: int) -> None:
-        """Add `addend` to each value held in `count` little-endian limbs
-        from a base on, in base order. The log gets, per value, `count`
-        reads and then `count` writes of its limbs, with the tags that
-        probing them one cell at a time would log. The values' cells must
-        be distinct, so one pass reads what the values in turn would read.
+    def add_many(self, addresses: Sequence[int], addend: int) -> None:
+        """Add `addend` to the value in each cell, in the order given. The
+        log gets, per cell, one read and then one write, with the tags
+        that probing the cells one at a time would log. The cells must be
+        distinct, so one pass reads what the cells in turn would read.
         Every address and every new value is checked before any state
         changes, so a bad one raises and leaves the memory as it was."""
-        addresses = [0] * (len(bases) * count)
-        for limb in range(count):
-            addresses[limb::count] = map(add, bases, repeat(limb))
         batch = array("q", addresses)  # OverflowError at 2^63, as in write
-        if addresses and (min(addresses) < 0 or max(addresses) >= self._limit):
-            bad = next(a for a in addresses if not 0 <= a < self._limit)
+        limit = self._limit
+        if addresses and (min(addresses) < 0 or max(addresses) >= limit):
+            bad = next(a for a in addresses if not 0 <= a < limit)
             raise ValueError(f"address {bad} does not fit in {self.config.w} bits")
         if len(set(addresses)) != len(addresses):
-            raise ValueError("values share a cell; add to each one separately")
+            raise ValueError("a cell repeats; add to it once")
         found = list(map(self.cells.get, addresses, repeat(UNWRITTEN)))
-        contents = list(map(itemgetter(0), found))
-        w = self.config.w
-        values = list(map(add, contents[::count], repeat(addend)))
-        for limb in range(1, count):
-            values = list(map(add, values, map(lshift, contents[limb::count], repeat(w * limb))))
-        if values and (min(values) < 0 or max(values) >> (w * count)):
-            bad = next(v for v in values if v >> (w * count))  # negatives included
-            raise OverflowError(f"value {bad} exceeds {count} limbs of {w} bits")
+        values = list(map(add, map(itemgetter(0), found), repeat(addend)))
+        if values and (min(values) < 0 or max(values) >= limit):
+            bad = next(v for v in values if not 0 <= v < limit)
+            raise OverflowError(f"value {bad} does not fit in {self.config.w} bits")
 
         tag = self.current_epoch if self.current_epoch is not None else 0
-        mask = self._limit - 1
-        span = 2 * count
-        logged = batch * 2  # per value: its limbs read, then written
+        logged = batch * 2  # per cell: read, then written
+        logged[::2] = logged[1::2] = batch
         tags = array("q", [tag]) * len(logged)
-        read_tags = array("q", map(itemgetter(1), found))
-        for limb in range(count):
-            logged[limb::span] = logged[count + limb::span] = batch[limb::count]
-            tags[limb::span] = read_tags[limb::count]
-            contents[limb::count] = map(and_, map(rshift, values, repeat(w * limb)), repeat(mask))
+        tags[::2] = array("q", map(itemgetter(1), found))
         trace = self.trace
         trace.addresses.extend(logged)
-        trace.kinds.extend((bytes(count) + b"\1" * count) * len(values))
+        trace.kinds.extend(b"\0\1" * len(batch))
         trace.tags.extend(tags)
-        self.cells.update(zip(addresses, zip(contents, repeat(tag))))
+        # masking stores right-sized ints; a sum keeps its addition's spare digit
+        values = map(and_, values, repeat(limit - 1))
+        self.cells.update(zip(addresses, zip(values, repeat(tag))))
 
     def write(self, address: int, value: int) -> None:
         if not 0 <= address < self._limit:

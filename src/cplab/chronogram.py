@@ -84,7 +84,7 @@ class EpochSchedule:
 def epoch_schedule(n: int, beta: float) -> EpochSchedule:
     """Sizes beta^i for epochs i < count, with the first-in-time epoch
     absorbing the remaining n - sum(beta^i) updates."""
-    if beta < 2 or beta > n / 2:
+    if not 2 <= beta <= n / 2:
         raise ValueError(f"beta={beta} outside [2, n/2] for n={n}")
     if float(beta).is_integer():
         beta = int(beta)
@@ -166,8 +166,8 @@ class RunRecord:
 
 
 def default_run_cell_width(kind: str, n: int, delta: PrimeModulus, capacity: int) -> int:
-    """Smallest multiple of 8 wide enough for addresses and for whole
-    weights/counters in a single cell, so probe profiles stay exact."""
+    """The cell width of every run: the smallest multiple of 8 wide
+    enough for addresses and for whole weights/counters in one cell."""
     weight_bits = (delta.value - 1).bit_length()
     if kind == "artificial":
         need = max(ceil_lg(n), weight_bits)
@@ -233,14 +233,9 @@ def executed_schedule(
     }
 
 
-def run_hard_distribution(
-    kind: str,
-    n: int,
-    beta: float,
-    seed: int,
-    w: int | None = None,
-) -> RunRecord:
-    """Execute the full hard distribution for one seed.
+def run_hard_distribution(kind: str, n: int, beta: float, seed: int) -> RunRecord:
+    """Execute the full hard distribution for one seed, on cells of the
+    width `default_run_cell_width` derives.
 
     Deterministic given the seed: weights, the query family (artificial
     runs) and the epoch point sets are all reproduced exactly.
@@ -271,8 +266,7 @@ def run_hard_distribution(
         epochs.append(EpochUpdates(epoch=epoch_id, targets=targets, weights=weights))
     updates = UpdateSequence(epochs=tuple(epochs))
 
-    if w is None:
-        w = default_run_cell_width(kind, n, delta, run_sched.total)
+    w = default_run_cell_width(kind, n, delta, run_sched.total)
     memory = SimulatedMemory(MemoryConfig(w=w))
     factory = structure_factory(
         kind, n, delta, family=family, capacity=run_sched.total if kind == "orc" else None
@@ -394,14 +388,12 @@ def incidence_vector(run: RunRecord, epoch: int, q: tuple[int, int]) -> FieldVec
 
 def analytic_epoch_counts(run: RunRecord, j: int) -> dict[int, int]:
     """Exact probe profile of the naive structure for query j: per
-    epoch, the number of 1-coordinates whose position that epoch owns,
-    times the cells per weight."""
+    epoch, the number of 1-coordinates whose position that epoch owns."""
     if run.kind != "artificial" or run.family is None:
         raise ValueError("the analytic profile is for artificial runs")
-    cpw = run.structure.cells_per_weight
     coords = run.family.vectors[j].coords
     result = {i: 0 for i in run.run_schedule.epoch_ids()}
     for position, bit in enumerate(coords):
         if bit:
-            result[run.epoch_of_position(position)] += cpw
+            result[run.epoch_of_position(position)] += 1
     return result

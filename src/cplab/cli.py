@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import sys
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from . import __version__, chronogram, encoding_game, fibonacci_lattice, grid_analysis
 from .acceptance import run_acceptance
-from .finite_field import PrimeModulus, field_modulus
+from .finite_field import field_modulus
 from .hard_queries import (
     QueryFamilyParams,
     build_query_family,
@@ -29,6 +31,8 @@ from .hard_queries import (
     write_family,
 )
 from .rng import substream
+
+T = TypeVar("T")
 
 
 class InvariantFailure(Exception):
@@ -73,38 +77,37 @@ def _require(args: argparse.Namespace, parser: argparse.ArgumentParser, *keys: s
             parser.error(f"--{key.replace('_', '-')} is required")
 
 
-def _field_modulus(n: int, parser: argparse.ArgumentParser) -> PrimeModulus:
-    # an out-of-range --n is a usage error (exit 2), not a traceback
+def _checked(parser: argparse.ArgumentParser, flag: str, build: Callable[..., T], *values) -> T:
+    # a value the builder refuses (an --n without a field, a non-Fibonacci
+    # --m, a --beta above n/2) is a usage error (exit 2), not a traceback
     try:
-        return field_modulus(n)
+        return build(*values)
     except ValueError as exc:
-        parser.error(f"--n: {exc}")
+        parser.error(f"{flag}: {exc}")
 
 
-def _lattice_spec(m: int, n: int, parser: argparse.ArgumentParser) -> fibonacci_lattice.LatticeSpec:
-    # a non-Fibonacci --m, or one outside [1, n], is a usage error (exit 2)
-    try:
-        return fibonacci_lattice.LatticeSpec.create(m, n)
-    except ValueError as exc:
-        parser.error(f"--m: {exc}")
+def _at_least(low: int, convert: Callable[[str], T], what: str) -> Callable[[str], T]:
+    """argparse type of a finite number >= low."""
+    def parse(text: str) -> T:
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan  # reported below, without naming this function
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _positive_count(text: str) -> int:
-    """argparse type of --trials: an int >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0  # reported below, without naming this function
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive count, got {text!r}")
-    return value
+_positive_count = _at_least(1, int, "a positive count")
 
 
 def _cmd_lattice(args, parser) -> int:
     _require(args, parser, "m")
     m = args.m
     n = args.n if args.n is not None else 8 * m
-    spec = _lattice_spec(m, n, parser)
+    spec = _checked(parser, "--m", fibonacci_lattice.LatticeSpec.create, m, n)
     outdir = _outdir(args)
     points = fibonacci_lattice.scaled_lattice(spec)
     points_path = outdir / "lattice_points.csv"
@@ -128,7 +131,7 @@ def _cmd_family(args, parser) -> int:
     _require(args, parser, "n")
     n, seed, c = args.n, args.seed, args.c
     trials = args.trials if args.trials is not None else 200
-    delta = _field_modulus(n, parser)
+    delta = _checked(parser, "--n", field_modulus, n)
     outdir = _outdir(args)
     family = build_query_family(
         QueryFamilyParams(n=n, modulus=delta, independence_constant=c, seed=seed)
@@ -160,9 +163,10 @@ def _cmd_chronogram(args, parser) -> int:
     kind = "artificial" if structure == "naive" else "orc"
     seed = args.seed
     sample_size = args.trials if args.trials is not None else 200
-    _field_modulus(args.n, parser)
+    _checked(parser, "--n", field_modulus, args.n)
+    _checked(parser, "--beta", chronogram.epoch_schedule, args.n, args.beta)
     outdir = _outdir(args)
-    run = chronogram.run_hard_distribution(kind, args.n, args.beta, seed=seed, w=args.w)
+    run = chronogram.run_hard_distribution(kind, args.n, args.beta, seed=seed)
     rng = substream(seed, "cli-query-sample")
     if kind == "artificial":
         universe = len(run.family.vectors)
@@ -198,20 +202,18 @@ def _cmd_chronogram(args, parser) -> int:
 def _cmd_encode(args, parser) -> int:
     _require(args, parser, "kind", "n", "beta", "istar")
     seed = args.seed
-    _field_modulus(args.n, parser)
-    outdir = _outdir(args)
-    run = chronogram.run_hard_distribution(args.kind, args.n, args.beta, seed=seed, w=args.w)
+    _checked(parser, "--n", field_modulus, args.n)
+    # snapping dominance epochs to Fibonacci sizes keeps their count
+    count = _checked(parser, "--beta", chronogram.epoch_schedule, args.n, args.beta).count
     istar = args.istar
-    if not 1 <= istar <= run.run_schedule.count:
-        parser.error(f"--istar must be in [1, {run.run_schedule.count}]")
+    if not 1 <= istar <= count:
+        parser.error(f"--istar must be in [1, {count}]")
+    outdir = _outdir(args)
+    run = chronogram.run_hard_distribution(args.kind, args.n, args.beta, seed=seed)
     try:
         resolved = encoding_game.find_resolved_set(
-            run,
-            istar,
-            cell_budget=args.cell_budget,
-            probe_threshold=args.probe_threshold,
-            max_tries=args.tries if args.tries is not None else 16,
-            seed=seed,
+            run, istar, cell_budget=args.cell_budget, probe_threshold=args.probe_threshold,
+            max_tries=args.tries, seed=seed,
         )
     except encoding_game.ResolvedSetNotFound:
         resolved = None
@@ -261,12 +263,11 @@ def _cmd_grid(args, parser) -> int:
     _require(args, parser, "n", "beta", "m")
     n, beta, m, seed = args.n, args.beta, args.m, args.seed
     trials = args.trials if args.trials is not None else 100
-    delta = _field_modulus(n, parser)
-    points = fibonacci_lattice.scaled_lattice(_lattice_spec(m, n, parser))
+    delta = _checked(parser, "--n", field_modulus, n)
+    spec = _checked(parser, "--m", fibonacci_lattice.LatticeSpec.create, m, n)
+    points = fibonacci_lattice.scaled_lattice(spec)
+    grids = _checked(parser, "--m", grid_analysis.build_grid_family, n, beta, m)
     outdir = _outdir(args)
-    if grid_analysis.effective_epoch_index(beta, m) < 2:
-        parser.error(f"epoch size {m} too small for any grid at beta={beta}")
-    grids = grid_analysis.build_grid_family(n, beta, m)
     grid = grids[2]
     threshold = grid_analysis.separation_area_threshold(n, beta, m)
     rows = []
@@ -317,17 +318,16 @@ def _cmd_acceptance(args, parser) -> int:
 _OPTIONS = {
     "n": {"type": int},
     "m": {"type": int},
-    "beta": {"type": float},
-    "w": {"type": int},
+    "beta": {"type": _at_least(2, float, "a finite number >= 2")},
     "seed": {"type": int, "default": 0},
     "structure": {"choices": ["naive", "orc2d"]},
     "kind": {"choices": list(chronogram.KINDS)},
     "istar": {"type": int},
     "trials": {"type": _positive_count},
     "c": {"type": float, "default": QueryFamilyParams.independence_constant},
-    "cell-budget": {"type": int},
+    "cell-budget": {"type": _positive_count},
     "probe-threshold": {"type": float},
-    "tries": {"type": int},
+    "tries": {"type": _positive_count, "default": encoding_game.DEFAULT_MAX_TRIES},
     "only": {},
     "fault": {"choices": ["corrupt-message"]},
     "out": {},
@@ -338,8 +338,8 @@ _OPTIONS = {
 _COMMANDS = (
     ("lattice", _cmd_lattice, "m n out"),
     ("family", _cmd_family, "n c seed trials out"),
-    ("chronogram", _cmd_chronogram, "n beta structure w seed trials out"),
-    ("encode", _cmd_encode, "kind n beta istar w seed cell-budget probe-threshold tries out"),
+    ("chronogram", _cmd_chronogram, "n beta structure seed trials out"),
+    ("encode", _cmd_encode, "kind n beta istar seed cell-budget probe-threshold tries out"),
     ("grid", _cmd_grid, "n beta m seed trials out"),
     ("acceptance", _cmd_acceptance, "only fault"),
 )
@@ -351,26 +351,35 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn, options in _COMMANDS:
         # no prefix matching, so a config key must name its flag exactly
         p = sub.add_parser(name, allow_abbrev=False)
-        p.set_defaults(fn=fn)
+        # the command reports its usage errors on its own parser
+        p.set_defaults(fn=fn, parser=p)
         for option in options.split() + ["config"]:
             p.add_argument(f"--{option}", **_OPTIONS[option])
     return parser
 
 
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    # an unknown flag is reported on the subcommand's parser, like its other errors
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
+    args = _parse(parser, argv)
     if args.config:
         try:
             values = _read_config_file(args.config)
         except (OSError, ValueError) as exc:
-            parser.error(f"bad config file: {exc}")
+            args.parser.error(f"bad config file: {exc}")
         # the command comes first; the file's values go before the flags
         tokens = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
-        args = parser.parse_args([argv[0], *tokens, *argv[1:]])
+        args = _parse(parser, [argv[0], *tokens, *argv[1:]])
     try:
-        return args.fn(args, parser)
+        return args.fn(args, args.parser)
     except InvariantFailure as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 1

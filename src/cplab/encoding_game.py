@@ -277,6 +277,8 @@ def default_cell_budget(run: RunRecord, istar: int) -> int:
 
 # distinct uniform query points a dominance run's resolve search replays
 DOMINANCE_QUERY_POOL = 400
+# cell subsets the resolve search samples before it gives up
+DEFAULT_MAX_TRIES = 16
 
 
 def find_resolved_set(
@@ -284,7 +286,7 @@ def find_resolved_set(
     istar: int,
     cell_budget: int | None = None,
     probe_threshold: float | None = None,
-    max_tries: int = 16,
+    max_tries: int = DEFAULT_MAX_TRIES,
     seed: int = 0,
 ) -> ResolvedSet:
     """Sample uniform cell subsets of the target epoch until one

@@ -67,6 +67,8 @@ def _beta_half_power(beta: float, j: int) -> Fraction | None:
 def effective_epoch_index(beta: float, epoch_size: int) -> int:
     """The largest i >= 1 with beta^i <= epoch_size (1 if there is none):
     the epoch index whose grid family fits an epoch of that size."""
+    if not beta > 1:  # NaN included; beta <= 1 never outgrows the epoch
+        raise ValueError(f"beta={beta} must exceed 1")
     i = 1
     while beta ** (i + 1) <= epoch_size:
         i += 1

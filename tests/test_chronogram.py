@@ -32,6 +32,9 @@ class TestEpochSchedule:
             epoch_schedule(10, 6)  # beta > n/2
         with pytest.raises(ValueError):
             epoch_schedule(10, 1.5)
+        for beta in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                epoch_schedule(25, beta)
 
     def test_sizes_sum_to_n(self):
         for n, beta in ((100, 3), (440, 5), (1000, 2), (50, 3.5)):

@@ -39,7 +39,9 @@ class TestLattice:
         with pytest.raises(SystemExit) as err:
             run_cli(*argv, "--out", str(out))
         assert err.value.code == 2
-        assert "--m:" in capsys.readouterr().err
+        stderr = capsys.readouterr().err
+        assert "--m:" in stderr
+        assert stderr.startswith(f"usage: cplab {argv[0]} ")
         assert not out.exists()
 
 
@@ -287,6 +289,70 @@ class TestTrialsCount:
         assert err.value.code == 2
         assert "--trials: must be a positive count" in capsys.readouterr().err
         assert not out.exists()
+
+
+ENCODE_25 = ("encode", "--kind", "artificial", "--n", "25", "--beta", "5", "--istar", "2")
+
+
+class TestUsageErrors:
+    """Bad values exit 2 with the subcommand's own usage line, before
+    any output directory is made."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("grid", "--n", "440", "--beta", "1", "--m", "55"), "--beta: must be a finite"),
+            (("grid", "--n", "440", "--beta", "0.5", "--m", "55"), "--beta: must be a finite"),
+            (("chronogram", "--n", "25", "--beta", "nan"), "--beta: must be a finite"),
+            (("chronogram", "--n", "25", "--beta", "inf"), "--beta: must be a finite"),
+            (("chronogram", "--n", "25", "--beta", "1"), "--beta: must be a finite"),
+            (("chronogram", "--n", "25", "--beta", "13"), "--beta: beta=13.0 outside"),
+            (("encode", "--kind", "orc", "--n", "440", "--beta", "1", "--istar", "1"),
+             "--beta: must be a finite"),
+            (("encode", "--kind", "orc", "--n", "440", "--beta", "221", "--istar", "1"),
+             "--beta: beta=221.0 outside"),
+            ((*ENCODE_25, "--tries", "0"), "--tries: must be a positive count"),
+            ((*ENCODE_25, "--cell-budget", "-1"), "--cell-budget: must be a positive count"),
+            (("grid", "--n", "440", "--beta", "5", "--m", "5"), "--m: epoch size 5 carries no grid"),
+            (("encode", "--kind", "orc", "--n", "440", "--beta", "5", "--istar", "99"),
+             "--istar must be in [1, 3]"),
+            (("chronogram", "--n", "25", "--beta", "5", "--w", "32"), "unrecognized"),
+            ((*ENCODE_25, "--w", "8"), "unrecognized"),
+        ],
+        ids=[
+            "grid-beta-1", "grid-beta-half", "chronogram-beta-nan", "chronogram-beta-inf",
+            "chronogram-beta-1", "chronogram-beta-above-n-half", "encode-beta-1",
+            "encode-beta-above-n-half", "encode-tries-0", "encode-cell-budget-negative",
+            "grid-epoch-too-small", "encode-istar-99",
+            "chronogram-w", "encode-w",
+        ],
+    )
+    def test_exits_2_with_its_usage_and_no_directory(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            run_cli(*argv, "--out", str(out))
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"usage: cplab {argv[0]} ")
+        assert message in stderr
+        assert not out.exists()
+
+    def test_beta_from_config_file_checked(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("beta = 1\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            run_cli("chronogram", "--config", str(config), "--n", "25", "--out", str(out))
+        assert err.value.code == 2
+        assert "--beta: must be a finite number >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tries_default_is_the_search_default(self):
+        from cplab.cli import build_parser
+        from cplab.encoding_game import DEFAULT_MAX_TRIES
+
+        args = build_parser().parse_args(list(ENCODE_25))
+        assert args.tries == DEFAULT_MAX_TRIES
 
 
 class TestConfigFile:

@@ -78,6 +78,9 @@ class TestGridFamily:
         assert effective_epoch_index(5, 24) == 1
         assert effective_epoch_index(5, 3) == 1
         assert effective_epoch_index(4, 64) == 3
+        for beta in (1, 0.5, float("nan")):  # no power of beta outgrows the epoch
+            with pytest.raises(ValueError):
+                effective_epoch_index(beta, 55)
 
 
 class TestHittingNumber:

@@ -40,7 +40,7 @@ def family_with_vectors(n, rows):
 
 def naive_setup(w=24):
     family = family_with_vectors(
-        4, [(1, 0, 0, 0), (1, 0, 1, 0), (1, 1, 1, 1), (0, 0, 0, 0)]
+        4, [(1, 0, 0, 0), (1, 0, 1, 0), (1, 1, 1, 1), (0, 0, 0, 0), (0, 1, 0, 0)]
     )
     memory = SimulatedMemory(MemoryConfig(w=w))
     return NaiveArtificialStructure(family, family.params.modulus, memory), memory
@@ -56,7 +56,7 @@ class TestNaiveStructure:
         ds, _ = naive_setup()
         ds.update(1, 5)
         ds.update(1, 9)
-        assert ds.query_vector((0, 1, 0, 0)) == 9
+        assert ds.query(4) == 9  # vector e1
 
     def test_weight_at_modulus_rejected(self):
         ds, _ = naive_setup()
@@ -76,12 +76,12 @@ class TestNaiveStructure:
         ds, _ = naive_setup()
         for i, w in enumerate((1, 2, 3, 4)):
             ds.update(i, w)
-        assert ds.query_vector((1, 0, 1, 0)) == 4
-        assert ds.query_vector((1, 1, 1, 1)) == 10
+        assert ds.query(1) == 4
+        assert ds.query(2) == 10
 
     def test_single_cell_probe_profile(self):
         ds, memory = naive_setup()
-        assert ds.cells_per_weight == 1
+        assert (ds.declared_update_probes, ds.declared_query_probes) == (1, 4)
         memory.begin_operation("u")
         ds.update(0, 3)
         assert len(memory.trace.segment("u")) == 1
@@ -89,18 +89,31 @@ class TestNaiveStructure:
         ds.query(1)  # two 1-coordinates
         assert len(memory.trace.segment("q")) == 2
 
-    def test_multi_limb_weights(self):
-        # delta for n=6 needs 11 bits; w=8 forces two limbs per weight
-        family = family_with_vectors(6, [(1, 1, 0, 0, 0, 0)])
-        memory = SimulatedMemory(MemoryConfig(w=8))
-        ds = NaiveArtificialStructure(family, family.params.modulus, memory)
-        assert ds.cells_per_weight == 2
-        ds.update(0, 1234)
-        ds.update(1, 55)
-        assert ds.query(0) == 1289
-        memory.begin_operation("u")
-        ds.update(0, 1)
-        assert len(memory.trace.segment("u")) == ds.declared_update_probes
+    def test_write_log(self):
+        ds, memory = naive_setup()
+        memory.begin_epoch(2)
+        memory.begin_operation("a")
+        ds.update(3, 8)
+        memory.begin_epoch(1)
+        memory.begin_operation("b")
+        ds.update(3, 9)
+        ds.update(0, 5)
+        assert list(memory.trace.rows()) == [
+            ("a", "write", 3, 2), ("b", "write", 3, 1), ("b", "write", 0, 1)
+        ]
+        assert memory.cells == {3: (9, 1), 0: (5, 1)}
+
+    @pytest.mark.parametrize(
+        "n, modulus, w",
+        [(4, 251, 7), (8, 3, 2)],
+        ids=["weight-wider-than-cell", "positions-beyond-addresses"],
+    )
+    def test_too_narrow_memory_rejected(self, n, modulus, w):
+        family = family_with_vectors(n, [(1,) * n])
+        delta = largest_prime_below(modulus + 1)
+        NaiveArtificialStructure(family, delta, SimulatedMemory(MemoryConfig(w=w + 1)))
+        with pytest.raises(ValueError):
+            NaiveArtificialStructure(family, delta, SimulatedMemory(MemoryConfig(w=w)))
 
 
 class TestPrefixSumStructure:
@@ -125,9 +138,40 @@ class TestPrefixSumStructure:
         with pytest.raises(OverflowError):
             ds.update((0, 0), 1)
 
-    @pytest.mark.parametrize("w", [16, 48])
+    @pytest.mark.parametrize(
+        "modulus, capacity, w",
+        [(4093, 4, 13), (2, 1, 5)],
+        ids=["counter-wider-than-cell", "counters-beyond-addresses"],
+    )
+    def test_too_narrow_memory_rejected(self, modulus, capacity, w):
+        # n = 8 has 64 counters; 4 weights below 4093 sum to 14 bits
+        delta = largest_prime_below(modulus + 1)
+        PrefixSumRangeStructure(8, delta, SimulatedMemory(MemoryConfig(w=w + 1)), capacity)
+        with pytest.raises(ValueError):
+            PrefixSumRangeStructure(8, delta, SimulatedMemory(MemoryConfig(w=w)), capacity)
+
+    def test_insert_log(self):
+        """Each counter in an insert's chain is read, then written, in
+        chain order, with the tag the read found."""
+        n = 8
+        memory = SimulatedMemory(MemoryConfig(w=16))
+        ds = PrefixSumRangeStructure(n, largest_prime_below(n**4), memory, capacity=n)
+        assert (ds.declared_update_probes, ds.declared_query_probes) == (2 * 4 * 4, 4 * 4)
+        memory.begin_epoch(2)
+        memory.begin_operation("a")
+        ds.update((2, 5), 4000)
+        memory.begin_epoch(1)
+        memory.begin_operation("b")
+        ds.update((3, 4), 200)
+        expected = []
+        for cell, tag in [(28, ""), (29, 2), (31, 2), (60, ""), (61, 2), (63, 2)]:
+            expected += [("b", "read", cell, tag), ("b", "write", cell, 1)]
+        assert [row for row in memory.trace.rows() if row[0] == "b"] == expected
+        assert len(memory.trace) == 12 + 12
+        assert [memory.cells[c] for c in (21, 28, 29)] == [(4000, 2), (200, 1), (4200, 1)]
+
+    @pytest.mark.parametrize("w", [48])
     def test_matches_reference_model(self, w):
-        # w=16 forces multi-limb counters, w=48 keeps one cell per counter
         n = 32
         delta = largest_prime_below(n**4)
         memory = SimulatedMemory(MemoryConfig(w=w))
@@ -185,71 +229,3 @@ class TestOracle:
         orc.insert(1, 1, 2)
         orc.insert(1, 1, 3)  # multiset: same point twice
         assert orc.answer((1, 1)) == 5
-
-
-class TestMultiLimbQueries:
-    """Queries over values split across several cells. Production runs
-    size w so that every value fits one cell, so only these tests reach
-    the limb reassembly; each pins one query's logged addresses."""
-
-    def test_naive_two_limbs_per_weight(self):
-        n = 8
-        rng = substream(6, "multi-limb-naive")
-        family = family_with_vectors(n, [[rng.randrange(2) for _ in range(n)] for _ in range(16)])
-        memory = SimulatedMemory(MemoryConfig(w=8))
-        ds = NaiveArtificialStructure(family, family.params.modulus, memory)
-        assert ds.cells_per_weight == 2
-        reference = ArtificialInstance(n=n)
-        for i in range(n):
-            weight = rng.randrange(ds.delta.value)
-            ds.update(i, weight)
-            reference.update(i, weight)
-        for j, v in enumerate(family.vectors):
-            assert ds.query(j) == reference.answer(v.coords)
-        memory.begin_operation("q")
-        ds.query(5)
-        assert list(memory.trace.segment("q")) == [2, 3, 6, 7, 12, 13, 14, 15]
-
-    def test_prefix_sum_two_cells_per_counter(self):
-        n = 8
-        delta = largest_prime_below(n**4)
-        memory = SimulatedMemory(MemoryConfig(w=8))
-        ds = PrefixSumRangeStructure(n, delta, memory, capacity=n)
-        assert ds.cells_per_counter == 2
-        reference = OrcInstance(n=n)
-        rng = substream(7, "multi-limb-prefix-sum")
-        for _ in range(n):
-            x, y, weight = rng.randrange(n), rng.randrange(n), rng.randrange(delta.value)
-            ds.update((x, y), weight)
-            reference.insert(x, y, weight)
-        for x in range(n):
-            for y in range(n):
-                assert ds.query((x, y)) == reference.answer((x, y))
-        memory.begin_operation("q")
-        ds.query((6, 5))
-        assert list(memory.trace.segment("q")) == [
-            106, 107, 102, 103, 90, 91, 86, 87, 58, 59, 54, 55
-        ]
-
-
-def test_prefix_sum_multi_limb_insert_log():
-    """One insert's log with two cells per counter: each counter in the
-    chain reads its limbs, then writes them, carrying across limbs."""
-    n = 8
-    memory = SimulatedMemory(MemoryConfig(w=8))
-    ds = PrefixSumRangeStructure(n, largest_prime_below(n**4), memory, capacity=n)
-    assert ds.cells_per_counter == 2
-    memory.begin_epoch(2)
-    memory.begin_operation("a")
-    ds.update((2, 5), 4000)
-    memory.begin_epoch(1)
-    memory.begin_operation("b")
-    ds.update((3, 4), 200)
-    expected = []
-    for base, tag in [(56, ""), (58, 2), (62, 2), (120, ""), (122, 2), (126, 2)]:
-        expected += [("b", "read", base, tag), ("b", "read", base + 1, tag)]
-        expected += [("b", "write", base, 1), ("b", "write", base + 1, 1)]
-    assert [row for row in memory.trace.rows() if row[0] == "b"] == expected
-    assert len(memory.trace) == 24 + 24
-    # 4000 + 200 = 16 * 256 + 104 carries into the high limb; 200 alone does not
-    assert [memory.cells[a] for a in (56, 57, 58, 59)] == [(200, 1), (0, 1), (104, 1), (16, 1)]
