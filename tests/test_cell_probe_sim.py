@@ -401,6 +401,7 @@ def test_add_many_matches_reads_and_writes(w, data):
         ([0, 256], 1, ValueError),
         ([0, 2**63], 1, OverflowError),
         ([4, 0, 4], 1, ValueError),
+        ([2, 3, 2], 1, ValueError),  # cell 2 holds 1, so adding twice would fit
         ([0, 2], 256, OverflowError),
         ([0, 2], 255, OverflowError),
         ([2, 0], -1, OverflowError),
@@ -410,6 +411,7 @@ def test_add_many_matches_reads_and_writes(w, data):
         "address-beyond-w-bits",
         "address-beyond-int64",
         "repeated-cell",
+        "repeated-written-cell",
         "addend-overflows",
         "only-second-value-overflows",
         "only-second-value-below-zero",
