@@ -93,9 +93,9 @@ def _oracle_trial(seed: int) -> tuple[int, int]:
         x, y = rng.randrange(n), rng.randrange(n)
         weight = rng.randrange(delta.value)
         memory.begin_operation(("ins", op))
-        before = len(memory.trace)
+        before = memory.probes
         structure.update((x, y), weight)
-        if len(memory.trace) - before > structure.declared_update_probes:
+        if memory.probes - before > structure.declared_update_probes:
             probe_violations += 1
         reference.insert(x, y, weight)
     queries = [(rng.randrange(n), rng.randrange(n)) for _ in range(500)]

@@ -1,6 +1,9 @@
-"""Simulated memory of addressable w-bit cells with a full probe log.
+"""Simulated memory of addressable w-bit cells, with a probe count and
+a probe log.
 
-Every read or write of a cell is a probe and lands in the trace. Each
+Every read or write of a cell is a probe. It adds one to the memory's
+probe count and lands in its trace, unless the memory keeps no log (the
+decoder's re-execution of the preceding epochs only counts). Each
 written cell carries the id of the last epoch that wrote it, which is
 what per-epoch probe accounting is built on. Cells that were never
 written read as zero: a decoder re-executing a prefix of the updates
@@ -13,8 +16,8 @@ import csv
 from array import array
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add, and_, itemgetter
-from typing import Hashable, Iterable, Iterator, Sequence
+from operator import add, and_
+from typing import Hashable, Iterable, Iterator, NoReturn, Sequence
 
 
 def ceil_lg(n: int) -> int:
@@ -33,7 +36,7 @@ class MemoryConfig:
 
 
 _KINDS = ("read", "write")
-UNWRITTEN = (0, -1)  # (contents, tag) of a cell never written, as in SimulatedMemory.cells
+_INT64_LIMIT = 1 << 63  # the log keeps addresses and tags as signed 64-bit integers
 
 
 class ProbeTrace:
@@ -88,6 +91,13 @@ class ProbeTrace:
 class SimulatedMemory:
     """w-bit cells addressed by integers below 2^w.
 
+    A cell's contents and its epoch tag live in two stores keyed by
+    address, `values` and `tags`, which always hold the same addresses.
+    Read them freely; change them only through `write`, `add_many` and
+    `load`. `probes` counts every probe made so far. `trace` is the
+    probe log; a memory whose `trace` is set to None counts its probes
+    and logs none of them, for a re-execution whose probes no one reads.
+
     A single instance is single-threaded mutable state; run independent
     instances for parallel trials. Epoch ids must strictly decrease
     over a run (epochs are numbered largest-first in time); writes
@@ -96,10 +106,14 @@ class SimulatedMemory:
 
     def __init__(self, config: MemoryConfig):
         self.config = config
-        self.cells: dict[int, tuple[int, int]] = {}  # address -> (contents, tag)
+        self.values: dict[int, int] = {}  # address -> contents
+        self.tags: dict[int, int] = {}  # address -> epoch of the last write
         self.current_epoch: int | None = None
-        self.trace = ProbeTrace()
+        self.trace: ProbeTrace | None = ProbeTrace()
+        self.probes = 0
         self._limit = 1 << config.w
+        # an address must also fit the log's signed 64-bit column, logged or not
+        self._address_limit = min(self._limit, _INT64_LIMIT)
 
     def begin_epoch(self, epoch_id: int) -> None:
         if epoch_id < 1:
@@ -111,25 +125,30 @@ class SimulatedMemory:
         self.current_epoch = epoch_id
 
     def begin_operation(self, op_id: Hashable) -> None:
-        self.trace.begin(op_id)
+        if self.trace is not None:
+            self.trace.begin(op_id)
 
-    # read_many, add_many and write are the hot path: they append
-    # probes to the log's columns, with no per-probe object
+    def _reject_addresses(self, addresses: Sequence[int]) -> NoReturn:
+        array("q", addresses)  # OverflowError past 2^63, whether the memory logs or not
+        bad = next(a for a in addresses if not 0 <= a < self._limit)
+        raise ValueError(f"address {bad} does not fit in {self.config.w} bits")
+
+    # read_many, add_many and write are the hot path: they count probes
+    # and append them to the log's columns, with no per-probe object
     def read_many(self, addresses: Sequence[int]) -> list[int]:
-        """Read the cells in order and log one read probe per address,
-        tagged with the cell's epoch (-1 if unwritten). Every address is
-        checked before the log changes, so a bad one raises and leaves it
-        as it was."""
-        batch = array("q", addresses)  # OverflowError at 2^63, as in write
-        if addresses and (min(addresses) < 0 or max(addresses) >= self._limit):
-            bad = next(a for a in addresses if not 0 <= a < self._limit)
-            raise ValueError(f"address {bad} does not fit in {self.config.w} bits")
-        found = list(map(self.cells.get, addresses, repeat(UNWRITTEN)))
+        """Read the cells in order: one read probe per address, counted
+        and logged with the cell's epoch tag (-1 if unwritten). Every
+        address is checked before the memory changes, so a bad one raises
+        and leaves it as it was."""
+        if addresses and (min(addresses) < 0 or max(addresses) >= self._address_limit):
+            self._reject_addresses(addresses)
+        self.probes += len(addresses)
         trace = self.trace
-        trace.addresses.extend(batch)
-        trace.kinds.extend(bytes(len(batch)))
-        trace.tags.extend(array("q", map(itemgetter(1), found)))
-        return list(map(itemgetter(0), found))
+        if trace is not None:
+            trace.addresses.extend(array("q", addresses))
+            trace.kinds.extend(bytes(len(addresses)))
+            trace.tags.extend(array("q", list(map(self.tags.get, addresses, repeat(-1)))))
+        return list(map(self.values.get, addresses, repeat(0)))
 
     def add_many(self, addresses: Sequence[int], addend: int) -> None:
         """Add `addend` to the value in each cell, in the order given. The
@@ -138,67 +157,73 @@ class SimulatedMemory:
         distinct, so one pass reads what the cells in turn would read.
         Every address and every new value is checked before any state
         changes, so a bad one raises and leaves the memory as it was."""
-        batch = array("q", addresses)  # OverflowError at 2^63, as in write
         limit = self._limit
-        if addresses and (min(addresses) < 0 or max(addresses) >= limit):
-            bad = next(a for a in addresses if not 0 <= a < limit)
-            raise ValueError(f"address {bad} does not fit in {self.config.w} bits")
+        if addresses and (min(addresses) < 0 or max(addresses) >= self._address_limit):
+            self._reject_addresses(addresses)
         if len(set(addresses)) != len(addresses):
             raise ValueError("a cell repeats; add to it once")
-        found = list(map(self.cells.get, addresses, repeat(UNWRITTEN)))
-        values = list(map(add, map(itemgetter(0), found), repeat(addend)))
+        values = list(map(add, map(self.values.get, addresses, repeat(0)), repeat(addend)))
         if values and (min(values) < 0 or max(values) >= limit):
             bad = next(v for v in values if not 0 <= v < limit)
             raise OverflowError(f"value {bad} does not fit in {self.config.w} bits")
 
         tag = self.current_epoch if self.current_epoch is not None else 0
-        logged = batch * 2  # per cell: read, then written
-        logged[::2] = logged[1::2] = batch
-        tags = array("q", [tag]) * len(logged)
-        tags[::2] = array("q", map(itemgetter(1), found))
+        self.probes += 2 * len(addresses)
         trace = self.trace
-        trace.addresses.extend(logged)
-        trace.kinds.extend(b"\0\1" * len(batch))
-        trace.tags.extend(tags)
+        if trace is not None:
+            batch = array("q", addresses)
+            logged = batch * 2  # per cell: read, then written
+            logged[::2] = logged[1::2] = batch
+            tags = array("q", [tag]) * len(logged)
+            tags[::2] = array("q", list(map(self.tags.get, addresses, repeat(-1))))
+            trace.addresses.extend(logged)
+            trace.kinds.extend(b"\0\1" * len(batch))
+            trace.tags.extend(tags)
         # masking stores right-sized ints; a sum keeps its addition's spare digit
-        values = map(and_, values, repeat(limit - 1))
-        self.cells.update(zip(addresses, zip(values, repeat(tag))))
+        self.values.update(zip(addresses, map(and_, values, repeat(limit - 1))))
+        self.tags.update(zip(addresses, repeat(tag)))
 
     def write(self, address: int, value: int) -> None:
         if not 0 <= address < self._limit:
             raise ValueError(f"address {address} does not fit in {self.config.w} bits")
         if not 0 <= value < self._limit:
             raise OverflowError(f"value {value} does not fit in {self.config.w} bits")
+        if address >= _INT64_LIMIT:
+            raise OverflowError(f"address {address} does not fit in a signed 64-bit log")
         tag = self.current_epoch if self.current_epoch is not None else 0
+        self.probes += 1
         trace = self.trace
-        trace.addresses.append(address)  # raises OverflowError at 2^63, before any change
-        trace.kinds.append(1)
-        trace.tags.append(tag)
-        self.cells[address] = (value, tag)
+        if trace is not None:
+            trace.addresses.append(address)
+            trace.kinds.append(1)
+            trace.tags.append(tag)
+        self.values[address] = value
+        self.tags[address] = tag
+
+    def load(self, cells: dict[int, int], epoch_id: int) -> None:
+        """Set each cell to its contents, tagged with the epoch, without
+        probing (bookkeeping access: no trace entry, no probe counted)."""
+        self.values.update(cells)
+        self.tags.update(zip(cells, repeat(epoch_id)))
 
     def epoch_of(self, address: int) -> int | None:
-        cell = self.cells.get(address)
-        return None if cell is None else cell[1]
+        return self.tags.get(address)
 
     def contents_of(self, address: int) -> int:
         """Contents without probing (bookkeeping access, not in the trace)."""
-        cell = self.cells.get(address)
-        return 0 if cell is None else cell[0]
+        return self.values.get(address, 0)
 
     def written_addresses(self) -> set[int]:
-        return set(self.cells)
+        return set(self.tags)
 
     def cells_of_epoch(self, epoch_id: int) -> set[tuple[int, int]]:
         """(address, contents) pairs whose last write was in the epoch."""
-        return {
-            (addr, contents)
-            for addr, (contents, tag) in self.cells.items()
-            if tag == epoch_id
-        }
+        values = self.values
+        return {(addr, values[addr]) for addr, tag in self.tags.items() if tag == epoch_id}
 
     def epoch_partition(self) -> dict[int, set[int]]:
         partition: dict[int, set[int]] = {}
-        for addr, (_, tag) in self.cells.items():
+        for addr, tag in self.tags.items():
             partition.setdefault(tag, set()).add(addr)
         return partition
 

@@ -16,7 +16,6 @@ import csv
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .cell_probe_sim import (
@@ -205,9 +204,9 @@ def execute_epochs(
         memory.begin_epoch(epoch.epoch)
         for j, (target, weight) in enumerate(zip(epoch.targets, epoch.weights)):
             memory.begin_operation(("upd", epoch.epoch, j))
-            before = len(memory.trace)
+            before = memory.probes
             structure.update(target, weight)
-            used = len(memory.trace) - before
+            used = memory.probes - before
             if used > structure.declared_update_probes:
                 raise AssertionError(
                     f"update ({epoch.epoch}, {j}) probed {used} cells, declared "
@@ -274,7 +273,7 @@ def run_hard_distribution(kind: str, n: int, beta: float, seed: int) -> RunRecor
     instance = factory(memory)
     execute_epochs(instance, memory, updates)
 
-    epoch_sizes = Counter(map(itemgetter(1), memory.cells.values()))
+    epoch_sizes = Counter(memory.tags.values())
     for epoch_id in run_sched.epoch_ids():
         bound = run_sched.size_of(epoch_id) * instance.declared_update_probes
         if epoch_sizes[epoch_id] > bound:
@@ -342,11 +341,12 @@ def replay_queries(
     logging their probes in `log` with op ids ("qry", index), and yield
     each query's answer and probed addresses as it finishes. Without a
     `log`, each query runs in a log of its own, dropped after its
-    addresses are yielded. The memory's own log is swapped back in
-    around every yield, so it is left as it was. A query that writes
-    raises AssertionError: a query must not mutate the run it reads."""
+    addresses are yielded. The memory's own log and probe count are
+    put back around every yield, so they are left as they were. A query
+    that writes raises AssertionError: a query must not mutate the run
+    it reads."""
     memory = structure.memory
-    saved = memory.trace
+    saved, probes = memory.trace, memory.probes
     for idx, q in enumerate(queries):
         scoped = ProbeTrace() if log is None else log
         scoped.begin(("qry", idx))
@@ -355,7 +355,7 @@ def replay_queries(
         try:
             answer = structure.query(q)
         finally:
-            memory.trace = saved
+            memory.trace, memory.probes = saved, probes
         write = scoped.kinds.find(1, start)
         if write >= 0:
             raise AssertionError(f"query {q!r} wrote cell {scoped.addresses[write]}")

@@ -86,21 +86,24 @@ def _checked(parser: argparse.ArgumentParser, flag: str, build: Callable[..., T]
         parser.error(f"{flag}: {exc}")
 
 
-def _at_least(low: int, convert: Callable[[str], T], what: str) -> Callable[[str], T]:
-    """argparse type of a finite number >= low."""
+def _finite(
+    convert: Callable[[str], T], what: str, accept: Callable[[T], bool]
+) -> Callable[[str], T]:
+    """argparse type of a finite number that `accept` takes; NaN is
+    refused, since every comparison with it is false."""
     def parse(text: str) -> T:
         try:
             value = convert(text)
         except ValueError:
             value = math.nan  # reported below, without naming this function
-        if not low <= value < math.inf:
+        if not (accept(value) and value < math.inf):
             raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
         return value
 
     return parse
 
 
-_positive_count = _at_least(1, int, "a positive count")
+_positive_count = _finite(int, "a positive count", lambda v: v >= 1)
 
 
 def _cmd_lattice(args, parser) -> int:
@@ -318,15 +321,18 @@ def _cmd_acceptance(args, parser) -> int:
 _OPTIONS = {
     "n": {"type": int},
     "m": {"type": int},
-    "beta": {"type": _at_least(2, float, "a finite number >= 2")},
+    "beta": {"type": _finite(float, "a finite number >= 2", lambda v: v >= 2)},
     "seed": {"type": int, "default": 0},
     "structure": {"choices": ["naive", "orc2d"]},
     "kind": {"choices": list(chronogram.KINDS)},
     "istar": {"type": int},
     "trials": {"type": _positive_count},
-    "c": {"type": float, "default": QueryFamilyParams.independence_constant},
+    "c": {
+        "type": _finite(float, "a finite number > 0", lambda v: v > 0),
+        "default": QueryFamilyParams.independence_constant,
+    },
     "cell-budget": {"type": _positive_count},
-    "probe-threshold": {"type": float},
+    "probe-threshold": {"type": _finite(float, "a finite number >= 0", lambda v: v >= 0)},
     "tries": {"type": _positive_count, "default": encoding_game.DEFAULT_MAX_TRIES},
     "only": {},
     "fault": {"choices": ["corrupt-message"]},

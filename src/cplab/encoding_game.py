@@ -592,6 +592,7 @@ def decode_epoch(
     qids = [reader.take(qbits) for _ in range(count)]
 
     prefix_memory = SimulatedMemory(MemoryConfig(w=w))
+    prefix_memory.trace = None  # the bound check reads the probe count; replay scopes its own log
     structure = structure_factory(prefix_memory)
     prefix_points = [pair for e in prefix_updates.epochs for pair in zip(e.targets, e.weights)]
     if message.kind == "orc":
@@ -631,10 +632,9 @@ def decode_epoch(
     # re-execute the preceding epochs, then write C and the smaller
     # epochs' cells over them, each with the tag of the epoch it stands for
     execute_epochs(structure, prefix_memory, prefix_updates)
-    cells = prefix_memory.cells
-    cells.update((addr, (contents, istar)) for addr, contents in c_cells.items())
+    prefix_memory.load(c_cells, istar)
     for epoch_id, epoch_cells in small_cells.items():
-        cells.update((addr, (contents, epoch_id)) for addr, contents in epoch_cells.items())
+        prefix_memory.load(epoch_cells, epoch_id)
     # the verify run's epoch-istar cells outside C, which replay must not probe
     forbidden = (
         set() if verify_run is None

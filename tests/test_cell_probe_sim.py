@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cplab.cell_probe_sim import (
-    UNWRITTEN,
     MemoryConfig,
     SimulatedMemory,
     ceil_lg,
@@ -22,12 +21,12 @@ class ReferenceMemory(SimulatedMemory):
     def read(self, address: int) -> int:
         if not 0 <= address < self._limit:
             raise ValueError(f"address {address} does not fit in {self.config.w} bits")
-        contents, tag = self.cells.get(address, UNWRITTEN)
         trace = self.trace
         trace.addresses.append(address)
         trace.kinds.append(0)
-        trace.tags.append(tag)
-        return contents
+        trace.tags.append(self.tags.get(address, -1))
+        self.probes += 1
+        return self.values.get(address, 0)
 
 
 def make_memory(w=16):
@@ -110,7 +109,7 @@ class TestProbes:
             mem.write(1 << 63, 1)
         with pytest.raises(OverflowError):
             mem.read(1 << 63)
-        assert len(mem.trace) == 0 and mem.cells == {}
+        assert len(mem.trace) == 0 and mem.values == mem.tags == {}
 
 
 class TestEpochSets:
@@ -229,7 +228,7 @@ def test_replay_determinism(ops):
         return mem
 
     a, b = run(), run()
-    assert a.cells == b.cells
+    assert (a.values, a.tags) == (b.values, b.tags)
     assert (a.trace.kinds, a.trace.addresses, a.trace.tags) == (
         b.trace.kinds, b.trace.addresses, b.trace.tags
     )
@@ -327,7 +326,7 @@ def test_read_many_matches_reads(actions):
     for op in [None] + ops:
         assert a.segment(op) == b.segment(op)
     assert list(a.rows()) == list(b.rows())
-    assert one.cells == many.cells
+    assert (one.values, one.tags) == (many.values, many.tags)
 
 
 @pytest.mark.parametrize(
@@ -344,12 +343,15 @@ def test_read_many_bad_address_changes_nothing(w, bad, error, position):
     with pytest.raises(error):
         mem.read(bad)  # the type a batch must raise too
     trace = mem.trace
-    before = (len(trace), trace.addresses[:], trace.kinds[:], trace.tags[:], dict(mem.cells))
+    before = (
+        len(trace), trace.addresses[:], trace.kinds[:], trace.tags[:],
+        dict(mem.values), dict(mem.tags),
+    )
     batch = [3, 1, 3, 0]
     batch.insert(position, bad)
     with pytest.raises(error):
         mem.read_many(batch)
-    assert (len(trace), trace.addresses, trace.kinds, trace.tags, mem.cells) == before
+    assert (len(trace), trace.addresses, trace.kinds, trace.tags, mem.values, mem.tags) == before
 
 
 @given(st.sampled_from([8, 64]), st.data())
@@ -391,7 +393,7 @@ def test_add_many_matches_reads_and_writes(w, data):
     for op in [None] + ops:
         assert a.segment(op) == b.segment(op)
     assert list(a.rows()) == list(b.rows())
-    assert one.cells == many.cells
+    assert (one.values, one.tags) == (many.values, many.tags)
 
 
 @pytest.mark.parametrize(
@@ -425,7 +427,61 @@ def test_add_many_bad_input_changes_nothing(addresses, addend, error):
     mem.begin_operation("u")
     mem.read(3)
     trace = mem.trace
-    before = (len(trace), trace.addresses[:], trace.kinds[:], trace.tags[:], dict(mem.cells))
+    before = (
+        len(trace), trace.addresses[:], trace.kinds[:], trace.tags[:],
+        dict(mem.values), dict(mem.tags),
+    )
     with pytest.raises(error):
         mem.add_many(addresses, addend)
-    assert (len(trace), trace.addresses, trace.kinds, trace.tags, mem.cells) == before
+    assert (len(trace), trace.addresses, trace.kinds, trace.tags, mem.values, mem.tags) == before
+
+
+def _memory_state(mem):
+    trace = mem.trace
+    log = None if trace is None else (bytes(trace.addresses), bytes(trace.kinds), bytes(trace.tags))
+    return dict(mem.values), dict(mem.tags), mem.probes, log
+
+
+@given(st.sampled_from([8, 64]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_log_free_memory_matches_logged(w, data):
+    """A memory with no log ends with the same cells and probe count as
+    one that logs, over any mix of writes, batch reads and batch adds,
+    bad ones included; a logged memory counts one probe per log entry,
+    and a rejected call changes neither memory."""
+    limit = 1 << w
+    address = st.sampled_from([*range(8), -1, limit, 2**63])
+    value = st.one_of(st.integers(0, 300), st.sampled_from([-1, limit - 1, limit]))
+    logged, bare = SimulatedMemory(MemoryConfig(w=w)), SimulatedMemory(MemoryConfig(w=w))
+    bare.trace = None
+    epoch = 9
+    actions = data.draw(st.lists(st.sampled_from(["epoch", "op", "write", "read", "add"])))
+    for index, action in enumerate(actions):
+        if action == "epoch":
+            if epoch > 1:
+                epoch -= 1
+                for mem in (logged, bare):
+                    mem.begin_epoch(epoch)
+            continue
+        if action == "op":
+            for mem in (logged, bare):
+                mem.begin_operation(index)
+            continue
+        if action == "write":
+            args = (data.draw(address), data.draw(value))
+        elif action == "read":
+            args = (data.draw(st.lists(address, max_size=6)),)
+        else:
+            args = (data.draw(st.lists(address, max_size=6)), data.draw(value))
+        outcomes = []
+        for mem in (logged, bare):
+            before = _memory_state(mem)
+            call = {"write": mem.write, "read": mem.read_many, "add": mem.add_many}[action]
+            try:
+                outcomes.append(call(*args))
+            except (ValueError, OverflowError) as exc:
+                outcomes.append(type(exc))
+                assert _memory_state(mem) == before
+        assert outcomes[0] == outcomes[1]
+    assert _memory_state(logged)[:3] == _memory_state(bare)[:3]
+    assert logged.probes == len(logged.trace)

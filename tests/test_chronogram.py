@@ -61,7 +61,7 @@ class TestHardDistributionRuns:
         a = run_hard_distribution("artificial", 16, 2, seed=11)
         b = run_hard_distribution("artificial", 16, 2, seed=11)
         assert a.updates == b.updates
-        assert a.memory.cells == b.memory.cells
+        assert (a.memory.values, a.memory.tags) == (b.memory.values, b.memory.tags)
         assert len(a.memory.trace) == len(b.memory.trace)
 
     def test_artificial_total_updates_equals_n(self):
@@ -263,14 +263,18 @@ class TestUpdateSequence:
             structure_factory("artificial", 16, delta)
 
     def test_declared_update_bound_enforced(self):
-        # a structure that lies about its update bound aborts the run
+        # a structure that lies about its update bound aborts the run,
+        # in a memory that logs its probes and in one that only counts them
         delta = largest_prime_below(16**4)
         factory = structure_factory("orc", 16, delta, capacity=4)
-        memory = SimulatedMemory(MemoryConfig(w=48))
-        structure = factory(memory)
-        structure.declared_update_probes = 1  # impossible bound
         updates = UpdateSequence(
             epochs=(EpochUpdates(epoch=1, targets=((3, 3),), weights=(5,)),),
         )
-        with pytest.raises(AssertionError):
-            execute_epochs(structure, memory, updates)
+        for logged in (True, False):
+            memory = SimulatedMemory(MemoryConfig(w=48))
+            if not logged:
+                memory.trace = None
+            structure = factory(memory)
+            structure.declared_update_probes = 1  # impossible bound
+            with pytest.raises(AssertionError):
+                execute_epochs(structure, memory, updates)

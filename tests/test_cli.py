@@ -318,13 +318,21 @@ class TestUsageErrors:
              "--istar must be in [1, 3]"),
             (("chronogram", "--n", "25", "--beta", "5", "--w", "32"), "unrecognized"),
             ((*ENCODE_25, "--w", "8"), "unrecognized"),
+            ((*ENCODE_25, "--probe-threshold", "nan"), "--probe-threshold: must be a finite"),
+            ((*ENCODE_25, "--probe-threshold", "-1"), "--probe-threshold: must be a finite"),
+            ((*ENCODE_25, "--probe-threshold", "inf"), "--probe-threshold: must be a finite"),
+            (("family", "--n", "16", "--c", "nan"), "--c: must be a finite number > 0"),
+            (("family", "--n", "16", "--c", "-1"), "--c: must be a finite number > 0"),
+            (("family", "--n", "16", "--c", "0"), "--c: must be a finite number > 0"),
         ],
         ids=[
             "grid-beta-1", "grid-beta-half", "chronogram-beta-nan", "chronogram-beta-inf",
             "chronogram-beta-1", "chronogram-beta-above-n-half", "encode-beta-1",
             "encode-beta-above-n-half", "encode-tries-0", "encode-cell-budget-negative",
             "grid-epoch-too-small", "encode-istar-99",
-            "chronogram-w", "encode-w",
+            "chronogram-w", "encode-w", "encode-probe-threshold-nan",
+            "encode-probe-threshold-negative", "encode-probe-threshold-inf", "family-c-nan",
+            "family-c-negative", "family-c-0",
         ],
     )
     def test_exits_2_with_its_usage_and_no_directory(self, tmp_path, capsys, argv, message):

@@ -8,6 +8,10 @@ name. A string counts only when it names a method in
 `acceptance.CRITERIA`, the one table that `getattr` dispatches on.
 Dunders are exempt.
 
+Every public module-level UPPER_CASE constant of src/cplab must be read
+the same way: somewhere in src/cplab outside its own assignment, or in
+perfbench/ or scripts/.
+
 Every defaulted parameter of those functions and methods (and of a
 public class's `__init__`) must be passed by some call in src/cplab,
 perfbench/ or scripts/: by keyword, by position, or through `*` or
@@ -63,7 +67,22 @@ def _public_defs(tree):
                         yield f"{node.name}.{member.name}", member
 
 
-def test_every_public_symbol_has_a_caller():
+def _public_constants(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id.isupper() and target.id[0] != "_":
+                yield target.id, node
+
+
+def _references():
+    """The parsed src/cplab modules, the names referenced across them,
+    and the names referenced in perfbench/ and scripts/."""
     modules = [
         (path.name, ast.parse(path.read_text()))
         for path in sorted((ROOT / "src" / "cplab").glob("*.py"))
@@ -73,7 +92,11 @@ def test_every_public_symbol_has_a_caller():
     for directory in ("perfbench", "scripts"):
         for path in sorted((ROOT / directory).glob("*.py")):
             outside += _names(ast.parse(path.read_text()))
+    return modules, in_src, outside
 
+
+def test_every_public_symbol_has_a_caller():
+    modules, in_src, outside = _references()
     unused = []
     for module, tree in modules:
         for qualname, node in _public_defs(tree):
@@ -82,6 +105,17 @@ def test_every_public_symbol_has_a_caller():
             if in_src[node.name] == _names(node)[node.name]:  # only its own body
                 unused.append(f"{module}: {qualname}")
     assert not unused, "no caller outside tests: " + ", ".join(unused)
+
+
+def test_every_public_constant_has_a_reader():
+    modules, in_src, outside = _references()
+    unread = []
+    for module, tree in modules:
+        for name, node in _public_constants(tree):
+            if outside[name] or in_src[name] > _names(node)[name]:  # more than its assignment
+                continue
+            unread.append(f"{module}: {name}")
+    assert not unread, "no reader outside tests: " + ", ".join(unread)
 
 
 def _signatures(tree):

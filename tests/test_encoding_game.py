@@ -359,7 +359,7 @@ class TestQueriesLeaveRunUnchanged:
         def snapshot():
             return (
                 len(trace), bytes(trace.addresses), bytes(trace.kinds), bytes(trace.tags),
-                list(trace.rows()), dict(run.memory.cells),
+                list(trace.rows()), dict(run.memory.values), dict(run.memory.tags),
             )
 
         before = snapshot()
@@ -381,6 +381,40 @@ class TestQueriesLeaveRunUnchanged:
         assert result.u_istar == run.updates.u(istar)
         assert run.memory.trace is trace
         assert snapshot() == before
+
+
+@pytest.mark.parametrize(
+    "kind, n, istar, overrides",
+    [
+        ("artificial", 25, 1, dict(cell_budget=4, probe_threshold=12, max_tries=8)),
+        ("orc", 440, 2, dict(probe_threshold=8, max_tries=8)),
+    ],
+)
+def test_decoder_prefix_memory_counts_without_a_log(kind, n, istar, overrides):
+    """The memory the decoder re-executes the preceding epochs in keeps
+    no probe log, and its probe count is what those updates probed in
+    the run."""
+    run = run_hard_distribution(kind, n, 5, seed=0)
+    resolved = find_resolved_set(run, istar, seed=0, **overrides)
+    message = encode_epoch(run, istar, resolved)
+    assert message.flag == 0
+    prefix = run.updates.prefix_above(istar)
+    handed = []
+
+    def capturing_factory(memory):
+        handed.append(memory)
+        return run.structure_factory(memory)
+
+    result = decode_epoch(message, prefix, capturing_factory, verify_run=run)
+    assert result.u_istar == run.updates.u(istar)
+    [memory] = handed
+    assert memory.trace is None
+    run_probes = sum(
+        len(run.memory.trace.segment(("upd", epoch.epoch, j)))
+        for epoch in prefix.epochs
+        for j in range(len(epoch.targets))
+    )
+    assert memory.probes == run_probes > 0
 
 
 class TestFlagOnePath:

@@ -101,7 +101,7 @@ class TestNaiveStructure:
         assert list(memory.trace.rows()) == [
             ("a", "write", 3, 2), ("b", "write", 3, 1), ("b", "write", 0, 1)
         ]
-        assert memory.cells == {3: (9, 1), 0: (5, 1)}
+        assert (memory.values, memory.tags) == ({3: 9, 0: 5}, {3: 1, 0: 1})
 
     @pytest.mark.parametrize(
         "n, modulus, w",
@@ -168,7 +168,9 @@ class TestPrefixSumStructure:
             expected += [("b", "read", cell, tag), ("b", "write", cell, 1)]
         assert [row for row in memory.trace.rows() if row[0] == "b"] == expected
         assert len(memory.trace) == 12 + 12
-        assert [memory.cells[c] for c in (21, 28, 29)] == [(4000, 2), (200, 1), (4200, 1)]
+        assert [(memory.values[c], memory.tags[c]) for c in (21, 28, 29)] == [
+            (4000, 2), (200, 1), (4200, 1)
+        ]
 
     @pytest.mark.parametrize("w", [48])
     def test_matches_reference_model(self, w):
