@@ -21,19 +21,19 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import compress
 from typing import Callable, Iterator, Sequence
 
 from .cell_probe_sim import MemoryConfig, SimulatedMemory
 from .chronogram import (
+    KINDS,
     EpochSchedule,
     RunRecord,
     UpdateSequence,
     epoch_schedule,
     executed_schedule,
     execute_epochs,
-    incidence_vector,
     replay_queries,
 )
 from .fibonacci_lattice import dominance_incidence
@@ -52,6 +52,7 @@ from .grid_analysis import (
     cross_out_extract,
     effective_epoch_index,
 )
+from .hard_queries import QueryFamily
 from .rng import substream
 
 
@@ -176,18 +177,8 @@ class EncodingMessage:
         raise KeyError(label)
 
     def to_bytes(self) -> bytes:
-        header = {
-            "version": self.version,
-            "kind": self.kind,
-            "n": self.n,
-            "beta": self.beta,
-            "istar": self.istar,
-            "delta": self.delta,
-            "seed": self.seed,
-            "w": self.w,
-            "flag": self.flag,
-            "query_count": self.query_count,
-        }
+        """A JSON header of every field but `sections`, then the sections."""
+        header = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "sections"}
         out = bytearray(json.dumps(header, sort_keys=True).encode() + b"\n")
         for s in self.sections:
             label = s.label.encode()
@@ -204,7 +195,7 @@ class EncodingMessage:
         """Parse `to_bytes` output; a field that runs past the buffer, a
         payload length that disagrees with its bit length, a repeated
         section label, or a version other than the integer 1 raises
-        ValueError."""
+        ValueError, and a header without one of the fields KeyError."""
         newline = data.index(b"\n")
         header = json.loads(data[:newline])
         if type(header["version"]) is not int or header["version"] != 1:
@@ -229,19 +220,8 @@ class EncodingMessage:
                 raise ValueError(f"section {label!r}: {nbytes} bytes for {bit_length} bits")
             payload = int.from_bytes(take(nbytes, f"{label!r} payload"), "big")
             sections.append(Section(label=label, bit_length=bit_length, payload=payload))
-        return cls(
-            kind=header["kind"],
-            n=header["n"],
-            beta=header["beta"],
-            istar=header["istar"],
-            delta=header["delta"],
-            seed=header["seed"],
-            w=header["w"],
-            flag=header["flag"],
-            sections=tuple(sections),
-            query_count=header.get("query_count"),
-            version=header["version"],
-        )
+        names = [f.name for f in fields(cls) if f.name != "sections"]
+        return cls(sections=tuple(sections), **{name: header[name] for name in names})
 
 
 @dataclass(frozen=True)
@@ -366,7 +346,21 @@ def find_resolved_set(
 
 
 # ---------------------------------------------------------------------------
-# encoding
+# message sections and query ids: one writer and one reader per format,
+# shared by the encoder and the decoder
+
+
+def _weights_section(label: str, weights: Sequence[int], delta: PrimeModulus) -> Section:
+    return Section(label, ceil_bits_for_weights(delta, len(weights)), pack_weights(weights, delta))
+
+
+def _parse_weights_section(section: Section, delta: PrimeModulus, count: int) -> tuple[int, ...]:
+    """The section's `count` weights; any bit length other than
+    ceil_bits_for_weights(delta, count) raises ValueError."""
+    bits = section.bit_length
+    if bits != ceil_bits_for_weights(delta, count):
+        raise ValueError(f"section {section.label!r}: {bits} bits for {count} weights")
+    return unpack_weights(section.payload, delta, count)
 
 
 def _cells_section(label: str, cells: Sequence[tuple[int, int]], w: int) -> Section:
@@ -388,12 +382,54 @@ def _query_id_bits(n: int) -> int:
     return (n * n - 1).bit_length()
 
 
+def _query_ids_section(qids: Sequence[int], n: int, w: int) -> Section:
+    qbits = _query_id_bits(n)
+    writer = _FieldWriter()
+    writer.put(len(qids), 2 * w)
+    for qid in qids:
+        writer.put(qid, qbits)
+    return writer.section("resolved_queries")
+
+
+def _parse_query_ids_section(section: Section, n: int, w: int) -> list[int]:
+    qbits = _query_id_bits(n)
+    reader = _FieldReader(section.payload, section.bit_length)
+    count = reader.take(2 * w)
+    return [reader.take(qbits) for _ in range(count)]
+
+
+def _query_view(
+    kind: str,
+    n: int,
+    delta: PrimeModulus,
+    run_sched: EpochSchedule,
+    istar: int,
+    epoch_points: dict[int, tuple[tuple[int, int], ...]] | None,
+    family: QueryFamily | None,
+) -> tuple[Callable, Callable, Callable, int, int]:
+    """How both parties read a query id: the id of a query, the query an
+    id names, the row of an id, the id limit, and the length of u. In a
+    dominance game an id is x * n + y and u is epoch istar's m weights;
+    in an index-weight game an id is a family index and u is the whole
+    suffix of epochs istar..1."""
+    if kind == "orc":
+        points = epoch_points[istar]
+        query_of = lambda qid: divmod(qid, n)
+        row_of = lambda qid: FieldVector(delta, dominance_incidence(points, query_of(qid)))
+        return lambda q: q[0] * n + q[1], query_of, row_of, n * n, run_sched.size_of(istar)
+    k_len = run_sched.suffix_length(istar)
+    same = lambda q: q
+    row_of = lambda qid: family.vectors[qid].last(k_len)
+    return same, same, row_of, min(n * n, len(family.vectors)), k_len
+
+
+# ---------------------------------------------------------------------------
+# encoding
+
+
 def _suffix_weight_vector(run: RunRecord, istar: int) -> tuple[int, ...]:
     """Weights of the last suffix_length(istar) updates, in time order."""
-    weights: list[int] = []
-    for epoch_id in range(istar, 0, -1):
-        weights.extend(run.updates.u(epoch_id))
-    return tuple(weights)
+    return tuple(wt for epoch_id in range(istar, 0, -1) for wt in run.updates.u(epoch_id))
 
 
 def _extract_independent_queries(run: RunRecord, istar: int, queries: Sequence) -> list:
@@ -428,84 +464,43 @@ def encode_epoch(
     available or when the run's measured average epoch cost exceeds
     twice the supplied expectation.
     """
-    sched = run.run_schedule
-    m = sched.size_of(istar)
     delta = run.delta
-    u_istar = run.updates.u(istar)
-
     flag1 = resolved is None or (
         expected_t is not None and resolved.sample_mean_t > 2 * expected_t
     )
     if flag1:
-        section = Section(
-            label="raw_weights",
-            bit_length=ceil_bits_for_weights(delta, m),
-            payload=pack_weights(u_istar, delta),
-        )
-        return EncodingMessage(
-            kind=run.kind,
-            n=run.n,
-            beta=run.beta,
-            istar=istar,
-            delta=delta.value,
-            seed=run.seed,
-            w=run.w,
-            flag=1,
-            sections=(section,),
-        )
-
-    w = run.w
-    sections: list[Section] = []
-    cell_pairs = sorted(
-        (addr, run.memory.contents_of(addr)) for addr in resolved.cell_addresses
-    )
-    sections.append(_cells_section("resolved_cells", cell_pairs, w))
-
-    if run.kind == "orc":
-        queries = _extract_independent_queries(run, istar, resolved.queries)
-        row_of = lambda q: incidence_vector(run, istar, q)
-        u_key = u_istar
+        qids = None
+        sections = [_weights_section("raw_weights", run.updates.u(istar), delta)]
     else:
-        queries = list(resolved.queries)
-        k_len = sched.suffix_length(istar)
-        row_of = lambda j: run.family.vectors[j].last(k_len)
-        u_key = _suffix_weight_vector(run, istar)
-
-    qbits = _query_id_bits(run.n)
-    writer = _FieldWriter()
-    writer.put(len(queries), 2 * w)
-    for q in queries:
-        qid = q if run.kind == "artificial" else q[0] * run.n + q[1]
-        writer.put(qid, qbits)
-    sections.append(writer.section("resolved_queries"))
-
-    # both parties keep the rows that enlarge the span, scanning in the
-    # transmitted query order, so they share its pivot columns P; the
-    # message carries u on the complement of P, which the rows leave open
-    _, pivots = independent_row_indices(map(row_of, queries))
-    pivot_set = set(pivots)
-    products = [u for j, u in enumerate(u_key) if j not in pivot_set]
-    sections.append(
-        Section(
-            label="completion_products",
-            bit_length=ceil_bits_for_weights(delta, len(products)),
-            payload=pack_weights(products, delta),
+        id_of, _, row_of, _, dim = _query_view(
+            run.kind, run.n, delta, run.run_schedule, istar, run.epoch_points, run.family
         )
-    )
-
-    for epoch_id in range(istar - 1, 0, -1):
-        pairs = sorted(run.cells_of_epoch(epoch_id))
-        sections.append(_cells_section(f"cells_epoch_{epoch_id}", pairs, w))
-    if run.kind == "orc":
-        for epoch_id in range(istar - 1, 0, -1):
-            u_j = run.updates.u(epoch_id)
-            sections.append(
-                Section(
-                    label=f"weights_epoch_{epoch_id}",
-                    bit_length=ceil_bits_for_weights(delta, len(u_j)),
-                    payload=pack_weights(u_j, delta),
-                )
-            )
+        queries = resolved.queries
+        if run.kind == "orc":
+            queries = _extract_independent_queries(run, istar, queries)
+        qids = [id_of(q) for q in queries]
+        # both parties keep the rows that enlarge the span, scanning in the
+        # transmitted query order, so they share its pivot columns P; the
+        # message carries u on the complement of P, which the rows leave open
+        _, pivots = independent_row_indices(map(row_of, qids))
+        pivot_set = set(pivots)
+        u = _suffix_weight_vector(run, istar)[:dim]
+        cell_pairs = sorted(
+            (addr, run.memory.contents_of(addr)) for addr in resolved.cell_addresses
+        )
+        sections = [
+            _cells_section("resolved_cells", cell_pairs, run.w),
+            _query_ids_section(qids, run.n, run.w),
+            _weights_section(
+                "completion_products", [x for j, x in enumerate(u) if j not in pivot_set], delta
+            ),
+        ]
+        smaller = range(istar - 1, 0, -1)
+        for j in smaller:
+            pairs = sorted(run.cells_of_epoch(j))
+            sections.append(_cells_section(f"cells_epoch_{j}", pairs, run.w))
+        for j in smaller if run.kind == "orc" else ():
+            sections.append(_weights_section(f"weights_epoch_{j}", run.updates.u(j), delta))
 
     return EncodingMessage(
         kind=run.kind,
@@ -515,9 +510,9 @@ def encode_epoch(
         delta=delta.value,
         seed=run.seed,
         w=run.w,
-        flag=0,
+        flag=int(flag1),
         sections=tuple(sections),
-        query_count=len(queries),
+        query_count=None if qids is None else len(qids),
     )
 
 
@@ -531,7 +526,6 @@ class DecodeResult:
     flag: int
     queries_replayed: int = 0
     independent_rows: int = 0
-    suffix_weights: tuple[int, ...] | None = None  # index-weight game only
 
 
 def decode_epoch(
@@ -543,9 +537,11 @@ def decode_epoch(
     """Recover the target epoch's weight vector from the message and the
     updates of the preceding epochs.
 
-    The flag-0 path builds each transmitted query's row from its id
-    alone (an id outside the family raises ValueError) and keeps the
-    rows that enlarge the span, as the encoder did. It re-executes the
+    A kind outside `chronogram.KINDS` raises ValueError, as does a weight
+    section whose bit length does not fit its weight count. The flag-0
+    path builds each transmitted query's row from its id alone (an id
+    outside the family raises ValueError) and keeps the rows that
+    enlarge the span, as the encoder did. It re-executes the
     prefix on a fresh structure, loads C and then the smaller epochs'
     cells into that memory (a smaller-epoch cell wins over C), replays
     only the kept queries on it through `replay_queries` and subtracts
@@ -556,18 +552,19 @@ def decode_epoch(
     an epoch-istar cell outside C is an integrity error.
     (`find_resolved_set`'s verify replay checks every transmitted query.)
     """
+    if message.kind not in KINDS:
+        raise ValueError(f"unknown kind {message.kind!r}, not one of {KINDS}")
     delta = PrimeModulus(message.delta)
     istar = message.istar
     n = message.n
     # a flag-1 message needs the epoch sizes but no lattice
-    run_sched, epoch_points = executed_schedule(
+    sched, epoch_points = executed_schedule(
         message.kind, epoch_schedule(n, message.beta), istar if message.flag == 0 else 0
     )
-    m = run_sched.size_of(istar)
+    m = sched.size_of(istar)
 
     if message.flag == 1:
-        section = message.section("raw_weights")
-        weights = unpack_weights(section.payload, delta, m)
+        weights = _parse_weights_section(message.section("raw_weights"), delta, m)
         return DecodeResult(u_istar=weights, flag=1)
 
     if any(e.epoch <= istar for e in prefix_updates.epochs):
@@ -575,32 +572,25 @@ def decode_epoch(
 
     w = message.w
     c_cells = _parse_cells_section(message.section("resolved_cells"), w)
-    small_cells: dict[int, dict[int, int]] = {}
-    small_weights: dict[int, tuple[int, ...]] = {}
-    for epoch_id in range(istar - 1, 0, -1):
-        section = message.section(f"cells_epoch_{epoch_id}")
-        small_cells[epoch_id] = _parse_cells_section(section, w)
-        if message.kind == "orc":
-            section = message.section(f"weights_epoch_{epoch_id}")
-            size = run_sched.size_of(epoch_id)
-            small_weights[epoch_id] = unpack_weights(section.payload, delta, size)
-
-    qsection = message.section("resolved_queries")
-    reader = _FieldReader(qsection.payload, qsection.bit_length)
-    count = reader.take(2 * w)
-    qbits = _query_id_bits(n)
-    qids = [reader.take(qbits) for _ in range(count)]
+    smaller = range(istar - 1, 0, -1)
+    small_cells = {j: _parse_cells_section(message.section(f"cells_epoch_{j}"), w) for j in smaller}
+    small_weights = {
+        j: _parse_weights_section(message.section(f"weights_epoch_{j}"), delta, sched.size_of(j))
+        for j in (smaller if message.kind == "orc" else ())
+    }
+    qids = _parse_query_ids_section(message.section("resolved_queries"), n, w)
 
     prefix_memory = SimulatedMemory(MemoryConfig(w=w))
     prefix_memory.trace = None  # the bound check reads the probe count; replay scopes its own log
     structure = structure_factory(prefix_memory)
+    family = getattr(structure, "family", None)
+    _, query_of, row_of, id_limit, dim = _query_view(
+        message.kind, n, delta, sched, istar, epoch_points, family
+    )
+    if any(qid >= id_limit for qid in qids):
+        raise ValueError(f"query id {max(qids)} outside [0, {id_limit})")
     prefix_points = [pair for e in prefix_updates.epochs for pair in zip(e.targets, e.weights)]
     if message.kind == "orc":
-        id_limit = n * n
-        query_of = lambda qid: divmod(qid, n)
-        row_of = lambda qid: FieldVector(
-            delta, dominance_incidence(epoch_points[istar], query_of(qid))
-        )
 
         def known_of(qid: int) -> int:
             q = query_of(qid)
@@ -609,19 +599,10 @@ def decode_epoch(
                 known += sum(compress(weights, dominance_incidence(epoch_points[epoch_id], q)))
             return known
 
-        dim = m
     else:
-        family = getattr(structure, "family")
-        id_limit = min(n * n, len(family.vectors))
-        k_len = run_sched.suffix_length(istar)
         prefix_weight_at = dict(prefix_points)
-        prefix_weights = [prefix_weight_at[pos] for pos in range(n - k_len)]
-        query_of = lambda qid: qid
-        row_of = lambda qid: family.vectors[qid].last(k_len)
+        prefix_weights = [prefix_weight_at[pos] for pos in range(n - dim)]
         known_of = lambda qid: sum(compress(prefix_weights, family.vectors[qid].coords))
-        dim = k_len
-    if any(qid >= id_limit for qid in qids):
-        raise ValueError(f"query id {max(qids)} outside [0, {id_limit})")
 
     # the rows depend on the ids alone, so only the queries whose rows
     # enlarge the span (the encoder's own selection) are replayed
@@ -635,25 +616,24 @@ def decode_epoch(
     prefix_memory.load(c_cells, istar)
     for epoch_id, epoch_cells in small_cells.items():
         prefix_memory.load(epoch_cells, epoch_id)
-    # the verify run's epoch-istar cells outside C, which replay must not probe
-    forbidden = (
-        set() if verify_run is None
-        else {addr for addr, _ in verify_run.cells_of_epoch(istar)} - c_cells.keys()
-    )
     z_values = []
     replies = replay_queries(structure, map(query_of, kept_ids))
     for qid, (answer, addresses) in zip(kept_ids, replies):
-        if not forbidden.isdisjoint(addresses):
-            address = next(a for a in addresses if a in forbidden)
-            raise DecodingIntegrityError(f"replay probed epoch-{istar} cell {address} outside C")
+        if verify_run is not None:
+            # no replay may probe an epoch-istar cell of the verify run outside C
+            for a in addresses:
+                if verify_run.memory.epoch_of(a) == istar and a not in c_cells:
+                    raise DecodingIntegrityError(f"replay probed epoch-{istar} cell {a} outside C")
         z_values.append((answer - known_of(qid)) % delta.value)
 
     # u off the pivot columns comes in the message, u on them from the solve
     pivot_set = set(pivots)
     open_columns = [j for j in range(dim) if j not in pivot_set]
-    psection = message.section("completion_products")
+    products = _parse_weights_section(
+        message.section("completion_products"), delta, len(open_columns)
+    )
     u = [0] * dim
-    for j, value in zip(open_columns, unpack_weights(psection.payload, delta, len(open_columns))):
+    for j, value in zip(open_columns, products):
         u[j] = value
     if kept_rows:  # with no rows, all of u is in the message
         known = FieldVector(delta, tuple(u))
@@ -671,7 +651,6 @@ def decode_epoch(
         flag=0,
         queries_replayed=len(kept_ids),
         independent_rows=len(kept_rows),
-        suffix_weights=None if message.kind == "orc" else tuple(u),
     )
 
 
@@ -682,7 +661,6 @@ def decode_epoch(
 @dataclass(frozen=True)
 class EntropyAccount:
     h_bits: float  # epoch entropy: size(istar) * lg Delta
-    message_bits: int
     slack: float
 
 
@@ -698,6 +676,5 @@ def entropy_account(
     h_bits = schedule.size_of(istar) * math.log2(delta.value)
     return EntropyAccount(
         h_bits=h_bits,
-        message_bits=message.total_bits,
         slack=message.total_bits - h_bits,
     )

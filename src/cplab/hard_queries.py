@@ -146,15 +146,13 @@ def build_query_family(params: QueryFamilyParams) -> QueryFamily:
 class IndependenceReport:
     trials: int
     violations: int
-    witness: tuple[int, ...] | None
 
 
 def check_suffix_independence(
     family: QueryFamily, k: int, subset_size: int, trials: int, seed: int
 ) -> IndependenceReport:
     """Audit `trials` random subsets of the given size for full rank on
-    the last k coordinates. Reports the violation count and the first
-    offending subset, if any.
+    the last k coordinates. Reports the violation count.
     """
     n = family.params.n
     if not _k_range(n).start <= k <= n:
@@ -168,15 +166,12 @@ def check_suffix_independence(
         raise ValueError("subset size exceeds family size")
     rng = substream(seed, "independence-check")
     violations = 0
-    witness: tuple[int, ...] | None = None
     for _ in range(trials):
         idxs = rng.sample(range(len(family.vectors)), subset_size)
         rows = tuple(family.vectors[i].last(k) for i in idxs)
         if ff_rank(FieldMatrix(family.params.modulus, rows)) < subset_size:
             violations += 1
-            if witness is None:
-                witness = tuple(sorted(idxs))
-    return IndependenceReport(trials=trials, violations=violations, witness=witness)
+    return IndependenceReport(trials=trials, violations=violations)
 
 
 def write_family(family: QueryFamily, fh: TextIO) -> None:

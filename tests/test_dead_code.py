@@ -12,6 +12,11 @@ Every public module-level UPPER_CASE constant of src/cplab must be read
 the same way: somewhere in src/cplab outside its own assignment, or in
 perfbench/ or scripts/.
 
+Every public field of a public dataclass in src/cplab must be read as
+an attribute (`x.field`) somewhere in src/cplab, perfbench/ or scripts/,
+unless the class reads all its fields itself through
+`dataclasses.fields` (as a serializer does).
+
 Every defaulted parameter of those functions and methods (and of a
 public class's `__init__`) must be passed by some call in src/cplab,
 perfbench/ or scripts/: by keyword, by position, or through `*` or
@@ -32,6 +37,12 @@ DISPATCHED = {method for method, _ in CRITERIA}
 ALLOWED = {
     # the only reader of `cplab family`'s family.txt; it validates that file
     "read_family",
+}
+
+ALLOWED_FIELDS = {
+    # the resolve search's raw probe count: the phase metrics of every run
+    # (ROADMAP open item 4) will report it
+    "ResolvedSet.query_probes",
 }
 
 ALLOWED_DEFAULTS = {
@@ -116,6 +127,37 @@ def test_every_public_constant_has_a_reader():
                 continue
             unread.append(f"{module}: {name}")
     assert not unread, "no reader outside tests: " + ", ".join(unread)
+
+
+def _dataclass_fields(tree):
+    """(Class.field, field) of each public field of a public dataclass."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        decorators = (getattr(d, "func", d) for d in node.decorator_list)
+        if not any(getattr(d, "id", None) == "dataclass" for d in decorators):
+            continue
+        if _names(node)["fields"]:  # it reads every field by iterating them
+            continue
+        for member in node.body:
+            target = getattr(member, "target", None)
+            if isinstance(member, ast.AnnAssign) and not target.id.startswith("_"):
+                yield f"{node.name}.{target.id}", target.id
+
+
+def test_every_public_dataclass_field_is_read():
+    read = Counter()
+    for directory in ("src/cplab", "perfbench", "scripts"):
+        for path in sorted((ROOT / directory).glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read[node.attr] += 1
+    unread = []
+    for path in sorted((ROOT / "src" / "cplab").glob("*.py")):
+        for qualname, name in _dataclass_fields(ast.parse(path.read_text())):
+            if not read[name] and qualname not in ALLOWED_FIELDS:
+                unread.append(f"{path.stem}.{qualname}")
+    assert not unread, "dataclass fields no code outside tests reads: " + ", ".join(unread)
 
 
 def _signatures(tree):

@@ -479,12 +479,9 @@ class TestAccountingIdentities:
 
 
 def _decode_query_ids(message):
-    from cplab.encoding_game import _FieldReader, _query_id_bits
+    from cplab.encoding_game import _parse_query_ids_section
 
-    section = message.section("resolved_queries")
-    reader = _FieldReader(section.payload, section.bit_length)
-    count = reader.take(2 * message.w)
-    return [reader.take(_query_id_bits(message.n)) for _ in range(count)]
+    return _parse_query_ids_section(message.section("resolved_queries"), message.n, message.w)
 
 
 class TestArtificialRoundTrip:
@@ -500,9 +497,6 @@ class TestArtificialRoundTrip:
             message, run.updates.prefix_above(2), run.structure_factory, verify_run=run
         )
         assert result.u_istar == run.updates.u(2)
-        assert result.suffix_weights is not None
-        # the full suffix (epochs 2 then 1) comes out of the same solve
-        assert result.suffix_weights == run.updates.u(2) + run.updates.u(1)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_flag0_non_top_epoch_uses_prefix(self, seed):
@@ -697,15 +691,11 @@ class TestIntegrityChecks:
 
 def _with_query_ids(message, qids):
     """The message with its resolved_queries section rewritten to `qids`."""
-    from cplab.encoding_game import _FieldWriter, _query_id_bits
+    from cplab.encoding_game import _query_ids_section
 
-    writer = _FieldWriter()
-    writer.put(len(qids), 2 * message.w)
-    for qid in qids:
-        writer.put(qid, _query_id_bits(message.n))
+    section = _query_ids_section(qids, message.n, message.w)
     sections = tuple(
-        writer.section(s.label) if s.label == "resolved_queries" else s
-        for s in message.sections
+        section if s.label == "resolved_queries" else s for s in message.sections
     )
     forged = dataclasses.replace(message, sections=sections, query_count=len(qids))
     return EncodingMessage.from_bytes(forged.to_bytes())
@@ -756,13 +746,88 @@ class TestQueryIdRange:
             )
 
 
+class TestSectionFormats:
+    """Each section format has one writer and one reader, which the
+    encoder and the decoder share; every writer's output reads back."""
+
+    @given(st.integers(2, 60), st.sampled_from([8, 16, 24]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_query_ids_round_trip(self, n, w, data):
+        from cplab.encoding_game import _parse_query_ids_section, _query_ids_section
+
+        ids = st.sampled_from([0, n * n - 1]) | st.integers(0, n * n - 1)
+        qids = data.draw(st.lists(ids, max_size=30))
+        section = _query_ids_section(qids, n, w)
+        assert section.bit_length == 2 * w + len(qids) * (n * n - 1).bit_length()
+        assert _parse_query_ids_section(section, n, w) == qids
+
+    @given(st.sampled_from([8, 16, 24]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_cells_round_trip(self, w, data):
+        from cplab.encoding_game import _cells_section, _parse_cells_section
+
+        field = st.sampled_from([0, (1 << w) - 1]) | st.integers(0, (1 << w) - 1)
+        cells = data.draw(st.dictionaries(field, field, max_size=30))
+        section = _cells_section("c", sorted(cells.items()), w)
+        assert section.bit_length == 2 * w * (1 + len(cells))
+        assert _parse_cells_section(section, w) == cells
+
+    @given(st.integers(2, 40), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_weights_round_trip(self, n, data):
+        from cplab.encoding_game import _parse_weights_section, _weights_section
+        from cplab.finite_field import field_modulus
+
+        delta = field_modulus(n)
+        weight = st.sampled_from([0, delta.value - 1]) | st.integers(0, delta.value - 1)
+        weights = tuple(data.draw(st.lists(weight, max_size=30)))
+        section = _weights_section("u", weights, delta)
+        assert section.bit_length == ceil_bits_for_weights(delta, len(weights))
+        assert _parse_weights_section(section, delta, len(weights)) == weights
+        for count in (len(weights) + 1, len(weights) - 1):
+            if count >= 0:
+                with pytest.raises(ValueError, match="'u': .* bits for"):
+                    _parse_weights_section(section, delta, count)
+
+
+class TestForgedHeaders:
+    @pytest.mark.parametrize("flag", [0, 1])
+    @pytest.mark.parametrize(
+        "kind, n, istar, overrides",
+        [
+            ("artificial", 25, 2, dict(cell_budget=16, probe_threshold=12, max_tries=8)),
+            ("orc", 440, 2, dict(probe_threshold=8, max_tries=8)),
+        ],
+    )
+    def test_unknown_kind_rejected(self, kind, n, istar, overrides, flag):
+        run = run_hard_distribution(kind, n, 5, seed=0)
+        resolved = find_resolved_set(run, istar, seed=0, **overrides) if flag == 0 else None
+        message = encode_epoch(run, istar, resolved)
+        assert message.flag == flag
+        forged = EncodingMessage.from_bytes(dataclasses.replace(message, kind="orb").to_bytes())
+        with pytest.raises(ValueError, match="unknown kind 'orb'"):
+            decode_epoch(
+                forged, run.updates.prefix_above(istar), run.structure_factory, verify_run=run
+            )
+
+    def test_weights_of_the_wrong_count_rejected(self):
+        # as an index-weight message, the snapped 21-weight epoch would be
+        # read as its unsnapped 25 weights
+        run = run_hard_distribution("orc", 440, 5, seed=0)
+        message = encode_epoch(run, 2, None)
+        assert run.run_schedule.size_of(2) == 21 and run.schedule.size_of(2) == 25
+        forged = dataclasses.replace(message, kind="artificial")
+        with pytest.raises(ValueError, match="'raw_weights': .* bits for 25 weights"):
+            decode_epoch(forged, run.updates.prefix_above(2), run.structure_factory)
+
+
 class TestEntropyAccount:
     def test_h_uses_epoch_size(self):
         run = run_hard_distribution("artificial", 25, 5, seed=0)
         message = encode_epoch(run, 2, None)
         account = entropy_account(run.run_schedule, 2, run.delta, message)
         assert account.h_bits == pytest.approx(20 * math.log2(run.delta.value))
-        assert account.slack == pytest.approx(account.message_bits - account.h_bits)
+        assert account.slack == pytest.approx(message.total_bits - account.h_bits)
 
     def test_h_formula_five_weights(self):
         from cplab.chronogram import EpochSchedule
