@@ -24,15 +24,7 @@ from itertools import repeat
 from typing import Callable
 
 from . import chronogram, encoding_game, fibonacci_lattice, grid_analysis
-from .finite_field import (
-    FieldVector,
-    ff_rank,
-    ff_solve,
-    field_modulus,
-    largest_prime_below,
-    mat_vec,
-    matrix_from_lists,
-)
+from .finite_field import ff_rank, ff_solve, field_modulus, largest_prime_below, mat_vec
 from .hard_queries import (
     QueryFamilyParams,
     build_query_family,
@@ -92,7 +84,6 @@ def _oracle_trial(seed: int) -> tuple[int, int]:
     for op in range(500):
         x, y = rng.randrange(n), rng.randrange(n)
         weight = rng.randrange(delta.value)
-        memory.begin_operation(("ins", op))
         before = memory.probes
         structure.update((x, y), weight)
         if memory.probes - before > structure.declared_update_probes:
@@ -176,7 +167,7 @@ def _decomposition_trial(seed: int) -> tuple[int, int]:
         q = (rng.randrange(run.n), rng.randrange(run.n))
         total = 0
         for i in run.run_schedule.epoch_ids():
-            inc = chronogram.incidence_vector(run, i, q).coords
+            inc = fibonacci_lattice.dominance_incidence(run.epoch_points[i], q)
             total += sum(w for b, w in zip(inc, run.updates.u(i)) if b)
         checked += 1
         if total != reference.answer(q):
@@ -264,14 +255,11 @@ class AcceptanceSuite:
         for _ in range(1000):
             dim = rng.randint(1, 12)
             while True:
-                rows = [
-                    [rng.randrange(delta.value) for _ in range(dim)] for _ in range(dim)
-                ]
-                A = matrix_from_lists(delta, rows)
-                if ff_rank(A) == dim:
+                A = [[rng.randrange(delta.value) for _ in range(dim)] for _ in range(dim)]
+                if ff_rank(delta, A) == dim:
                     break
-            y = FieldVector(delta, tuple(rng.randrange(delta.value) for _ in range(dim)))
-            if ff_solve(A, mat_vec(A, y)) != y:
+            y = tuple(rng.randrange(delta.value) for _ in range(dim))
+            if ff_solve(delta, A, mat_vec(delta, A, y)) != y:
                 failures += 1
         return CriterionResult(
             3,

@@ -27,11 +27,10 @@ from .cell_probe_sim import (
 )
 from .fibonacci_lattice import (
     LatticeSpec,
-    dominance_incidence,
     largest_fibonacci_at_most,
     scaled_lattice,
 )
-from .finite_field import FieldVector, PrimeModulus, field_modulus
+from .finite_field import PrimeModulus, field_modulus
 from .hard_queries import QueryFamily, QueryFamilyParams, build_query_family
 from .rng import substream, substream_seed
 from .structures import (
@@ -379,21 +378,13 @@ def epoch_probe_profile(run: RunRecord, queries: Sequence) -> ProbeProfile:
     )
 
 
-def incidence_vector(run: RunRecord, epoch: int, q: tuple[int, int]) -> FieldVector:
-    """0/1 vector over the epoch's inserted points, marking dominance by q."""
-    if run.kind != "orc" or run.epoch_points is None:
-        raise ValueError("incidence vectors are defined for dominance runs")
-    return FieldVector(run.delta, dominance_incidence(run.epoch_points[epoch], q))
-
-
 def analytic_epoch_counts(run: RunRecord, j: int) -> dict[int, int]:
     """Exact probe profile of the naive structure for query j: per
     epoch, the number of 1-coordinates whose position that epoch owns."""
     if run.kind != "artificial" or run.family is None:
         raise ValueError("the analytic profile is for artificial runs")
-    coords = run.family.vectors[j].coords
     result = {i: 0 for i in run.run_schedule.epoch_ids()}
-    for position, bit in enumerate(coords):
+    for position, bit in enumerate(run.family.vectors[j]):
         if bit:
             result[run.epoch_of_position(position)] += 1
     return result

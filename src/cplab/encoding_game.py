@@ -38,13 +38,11 @@ from .chronogram import (
 )
 from .fibonacci_lattice import dominance_incidence
 from .finite_field import (
-    FieldVector,
     PrimeModulus,
     SingularMatrixError,
     ff_dot,
     ff_solve,
     independent_row_indices,
-    matrix_from_lists,
 )
 from .grid_analysis import (
     build_grid_family,
@@ -171,10 +169,11 @@ class EncodingMessage:
         return 1 + sum(s.bit_length for s in self.sections)
 
     def section(self, label: str) -> Section:
+        """The section with this label; ValueError when there is none."""
         for s in self.sections:
             if s.label == label:
                 return s
-        raise KeyError(label)
+        raise ValueError(f"message has no section {label!r}")
 
     def to_bytes(self) -> bytes:
         """A JSON header of every field but `sections`, then the sections."""
@@ -372,9 +371,19 @@ def _cells_section(label: str, cells: Sequence[tuple[int, int]], w: int) -> Sect
     return writer.section(label)
 
 
+def _check_fields_left(reader: _FieldReader, section: Section, count: int, width: int) -> None:
+    """After a section's count field, exactly `count` fields of `width`
+    bits must remain; anything else raises ValueError."""
+    if reader.remaining != count * width:
+        raise ValueError(
+            f"section {section.label!r}: {reader.remaining} bits for {count} fields of {width}"
+        )
+
+
 def _parse_cells_section(section: Section, w: int) -> dict[int, int]:
     reader = _FieldReader(section.payload, section.bit_length)
     count = reader.take(2 * w)
+    _check_fields_left(reader, section, count, 2 * w)
     return {reader.take(w): reader.take(w) for _ in range(count)}
 
 
@@ -395,13 +404,13 @@ def _parse_query_ids_section(section: Section, n: int, w: int) -> list[int]:
     qbits = _query_id_bits(n)
     reader = _FieldReader(section.payload, section.bit_length)
     count = reader.take(2 * w)
+    _check_fields_left(reader, section, count, qbits)
     return [reader.take(qbits) for _ in range(count)]
 
 
 def _query_view(
     kind: str,
     n: int,
-    delta: PrimeModulus,
     run_sched: EpochSchedule,
     istar: int,
     epoch_points: dict[int, tuple[tuple[int, int], ...]] | None,
@@ -415,11 +424,11 @@ def _query_view(
     if kind == "orc":
         points = epoch_points[istar]
         query_of = lambda qid: divmod(qid, n)
-        row_of = lambda qid: FieldVector(delta, dominance_incidence(points, query_of(qid)))
+        row_of = lambda qid: dominance_incidence(points, query_of(qid))
         return lambda q: q[0] * n + q[1], query_of, row_of, n * n, run_sched.size_of(istar)
     k_len = run_sched.suffix_length(istar)
     same = lambda q: q
-    row_of = lambda qid: family.vectors[qid].last(k_len)
+    row_of = lambda qid: family.vectors[qid][-k_len:]
     return same, same, row_of, min(n * n, len(family.vectors)), k_len
 
 
@@ -473,7 +482,7 @@ def encode_epoch(
         sections = [_weights_section("raw_weights", run.updates.u(istar), delta)]
     else:
         id_of, _, row_of, _, dim = _query_view(
-            run.kind, run.n, delta, run.run_schedule, istar, run.epoch_points, run.family
+            run.kind, run.n, run.run_schedule, istar, run.epoch_points, run.family
         )
         queries = resolved.queries
         if run.kind == "orc":
@@ -482,7 +491,7 @@ def encode_epoch(
         # both parties keep the rows that enlarge the span, scanning in the
         # transmitted query order, so they share its pivot columns P; the
         # message carries u on the complement of P, which the rows leave open
-        _, pivots = independent_row_indices(map(row_of, qids))
+        _, pivots = independent_row_indices(delta, map(row_of, qids))
         pivot_set = set(pivots)
         u = _suffix_weight_vector(run, istar)[:dim]
         cell_pairs = sorted(
@@ -537,8 +546,10 @@ def decode_epoch(
     """Recover the target epoch's weight vector from the message and the
     updates of the preceding epochs.
 
-    A kind outside `chronogram.KINDS` raises ValueError, as does a weight
-    section whose bit length does not fit its weight count. The flag-0
+    A kind outside `chronogram.KINDS` raises ValueError, as do a kind
+    that does not fit the structure (an index-weight message needs a
+    structure with a family, a dominance message one without), a missing
+    section, and a section whose bit length does not fit its count. The flag-0
     path builds each transmitted query's row from its id alone (an id
     outside the family raises ValueError) and keeps the rows that
     enlarge the span, as the encoder did. It re-executes the
@@ -574,18 +585,19 @@ def decode_epoch(
     c_cells = _parse_cells_section(message.section("resolved_cells"), w)
     smaller = range(istar - 1, 0, -1)
     small_cells = {j: _parse_cells_section(message.section(f"cells_epoch_{j}"), w) for j in smaller}
-    small_weights = {
-        j: _parse_weights_section(message.section(f"weights_epoch_{j}"), delta, sched.size_of(j))
-        for j in (smaller if message.kind == "orc" else ())
-    }
     qids = _parse_query_ids_section(message.section("resolved_queries"), n, w)
-
     prefix_memory = SimulatedMemory(MemoryConfig(w=w))
     prefix_memory.trace = None  # the bound check reads the probe count; replay scopes its own log
     structure = structure_factory(prefix_memory)
     family = getattr(structure, "family", None)
+    if (family is None) != (message.kind == "orc"):
+        raise ValueError(f"a {message.kind!r} message does not fit a {type(structure).__name__}")
+    small_weights = {
+        j: _parse_weights_section(message.section(f"weights_epoch_{j}"), delta, sched.size_of(j))
+        for j in (smaller if message.kind == "orc" else ())
+    }
     _, query_of, row_of, id_limit, dim = _query_view(
-        message.kind, n, delta, sched, istar, epoch_points, family
+        message.kind, n, sched, istar, epoch_points, family
     )
     if any(qid >= id_limit for qid in qids):
         raise ValueError(f"query id {max(qids)} outside [0, {id_limit})")
@@ -602,11 +614,11 @@ def decode_epoch(
     else:
         prefix_weight_at = dict(prefix_points)
         prefix_weights = [prefix_weight_at[pos] for pos in range(n - dim)]
-        known_of = lambda qid: sum(compress(prefix_weights, family.vectors[qid].coords))
+        known_of = lambda qid: sum(compress(prefix_weights, family.vectors[qid]))
 
     # the rows depend on the ids alone, so only the queries whose rows
     # enlarge the span (the encoder's own selection) are replayed
-    kept, pivots = independent_row_indices(map(row_of, qids))
+    kept, pivots = independent_row_indices(delta, map(row_of, qids))
     kept_ids = [qids[i] for i in kept]
     kept_rows = [row_of(qid) for qid in kept_ids]
 
@@ -635,16 +647,14 @@ def decode_epoch(
     u = [0] * dim
     for j, value in zip(open_columns, products):
         u[j] = value
-    if kept_rows:  # with no rows, all of u is in the message
-        known = FieldVector(delta, tuple(u))
-        matrix = matrix_from_lists(delta, ([row.coords[j] for j in pivots] for row in kept_rows))
-        rhs = tuple(z - ff_dot(row, known) for row, z in zip(kept_rows, z_values))
-        try:
-            solution = ff_solve(matrix, FieldVector(delta, rhs))
-        except SingularMatrixError as exc:
-            raise DecodingIntegrityError(f"pivot system is singular: {exc}") from exc
-        for j, value in zip(pivots, solution.coords):
-            u[j] = value
+    matrix = [[row[j] for j in pivots] for row in kept_rows]
+    rhs = [z - ff_dot(delta, row, u) for row, z in zip(kept_rows, z_values)]
+    try:
+        solution = ff_solve(delta, matrix, rhs)
+    except SingularMatrixError as exc:
+        raise DecodingIntegrityError(f"pivot system is singular: {exc}") from exc
+    for j, value in zip(pivots, solution):
+        u[j] = value
 
     return DecodeResult(
         u_istar=tuple(u[:m]),  # the whole of u in a dominance game

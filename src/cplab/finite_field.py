@@ -1,8 +1,9 @@
 """Exact linear algebra over the prime field Z_p.
 
 Everything here is integer arithmetic; no floating point enters any
-code path. Vectors and matrices are immutable values, operations are
-pure functions, so results can move freely between threads.
+code path. A vector is a sequence of ints and a matrix a sequence of
+rows; each function takes the modulus once, accepts any ints and
+returns values reduced into [0, p).
 """
 
 from __future__ import annotations
@@ -73,124 +74,57 @@ def field_modulus(n: int) -> PrimeModulus:
     return largest_prime_below(n**4)
 
 
-@dataclass(frozen=True)
-class FieldVector:
-    """A vector over Z_p; coordinates are normalised into [0, p)."""
-
-    modulus: PrimeModulus
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        p = self.modulus.value
-        coords = tuple(c % p for c in self.coords)
-        if not coords:
-            raise ValueError("vectors must have positive dimension")
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.coords)
-
-    def last(self, k: int) -> "FieldVector":
-        """Restriction onto the last k coordinates."""
-        if not 1 <= k <= self.dimension:
-            raise ValueError(f"cannot restrict dimension {self.dimension} to last {k}")
-        return FieldVector(self.modulus, self.coords[-k:])
-
-
-@dataclass(frozen=True)
-class FieldMatrix:
-    """A rectangular matrix over Z_p, stored as a tuple of row vectors."""
-
-    modulus: PrimeModulus
-    rows: tuple[FieldVector, ...]
-
-    def __post_init__(self) -> None:
-        rows = tuple(self.rows)
-        object.__setattr__(self, "rows", rows)
-        if not rows:
-            raise ValueError("matrices must have at least one row")
-        dim = rows[0].dimension
-        for r in rows:
-            if r.modulus != self.modulus:
-                raise ValueError("row modulus mismatch")
-            if r.dimension != dim:
-                raise ValueError("ragged rows")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), self.rows[0].dimension)
-
-
-def matrix_from_lists(modulus: PrimeModulus, rows: Iterable[Sequence[int]]) -> FieldMatrix:
-    return FieldMatrix(modulus, tuple(FieldVector(modulus, tuple(r)) for r in rows))
-
-
-def ff_dot(a: FieldVector, b: FieldVector) -> int:
+def ff_dot(modulus: PrimeModulus, a: Sequence[int], b: Sequence[int]) -> int:
     """Inner product mod p."""
-    if a.modulus != b.modulus or a.dimension != b.dimension:
-        raise ValueError("dimension or modulus mismatch")
-    p = a.modulus.value
-    return sum(x * y for x, y in zip(a.coords, b.coords)) % p
-
-
-def mat_vec(A: FieldMatrix, y: FieldVector) -> FieldVector:
-    """Matrix-vector product mod p."""
-    if y.dimension != A.shape[1]:
+    if len(a) != len(b):
         raise ValueError("dimension mismatch")
-    return FieldVector(A.modulus, tuple(ff_dot(row, y) for row in A.rows))
+    return sum(x * y for x, y in zip(a, b)) % modulus.value
+
+
+def mat_vec(
+    modulus: PrimeModulus, rows: Iterable[Sequence[int]], y: Sequence[int]
+) -> tuple[int, ...]:
+    """Matrix-vector product mod p."""
+    return tuple(ff_dot(modulus, row, y) for row in rows)
 
 
 class _Echelon:
     """Incremental row-echelon form keyed by pivot column.
 
-    Stored rows have pivot coefficient 1 and are reduced against all
-    earlier pivots, which makes membership and rank queries cheap.
+    A stored row has pivot coefficient 1 and zeros before its pivot,
+    which makes membership and rank queries cheap.
     """
 
-    def __init__(self, p: int, dim: int):
+    def __init__(self, p: int):
         self.p = p
-        self.dim = dim
         self.pivots: dict[int, list[int]] = {}
 
-    def reduce(self, coords: Sequence[int]) -> list[int]:
+    def insert(self, coords: Sequence[int]) -> bool:
+        """Add a row; returns False when it is already in the span."""
         p = self.p
         row = [c % p for c in coords]
-        for col in range(self.dim):
-            c = row[col]
+        for col, c in enumerate(row):
             if c == 0:
                 continue
             pivot_row = self.pivots.get(col)
             if pivot_row is None:
-                continue
-            for j in range(col, self.dim):
-                row[j] = (row[j] - c * pivot_row[j]) % p
-        return row
-
-    def insert(self, coords: Sequence[int]) -> bool:
-        """Add a row; returns False when it is already in the span."""
-        row = self.reduce(coords)
-        for col in range(self.dim):
-            if row[col]:
-                inv = pow(row[col], -1, self.p)
-                self.pivots[col] = [(inv * v) % self.p for v in row]
+                inv = pow(c, -1, p)
+                self.pivots[col] = [(inv * v) % p for v in row]
                 return True
+            for j in range(col, len(row)):
+                row[j] = (row[j] - c * pivot_row[j]) % p
         return False
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+
+def ff_rank(modulus: PrimeModulus, rows: Iterable[Sequence[int]]) -> int:
+    """Dimension of the row span over Z_p; 0 for no rows."""
+    ech = _Echelon(modulus.value)
+    return sum(ech.insert(row) for row in rows)
 
 
-def ff_rank(A: FieldMatrix) -> int:
-    """Dimension of the row span over Z_p."""
-    ech = _Echelon(A.modulus.value, A.shape[1])
-    for row in A.rows:
-        ech.insert(row.coords)
-    return ech.rank
-
-
-def independent_row_indices(rows: Iterable[FieldVector]) -> tuple[list[int], list[int]]:
+def independent_row_indices(
+    modulus: PrimeModulus, rows: Iterable[Sequence[int]]
+) -> tuple[list[int], list[int]]:
     """Greedy scan keeping each row that enlarges the span.
 
     Returns the kept indices and the pivot columns P of their span: the
@@ -204,39 +138,35 @@ def independent_row_indices(rows: Iterable[FieldVector]) -> tuple[list[int], lis
     the scan stops once the span is full: no later row could enlarge it.
     """
     kept: list[int] = []
-    ech = None
+    ech = _Echelon(modulus.value)
+    dim = 0
     for idx, row in enumerate(rows):
-        if ech is None:
-            ech = _Echelon(row.modulus.value, row.dimension)
+        dim = len(row)
         # reversed, the echelon's leading columns are the last nonzeros
-        if ech.insert(row.coords[::-1]):
+        if ech.insert(row[::-1]):
             kept.append(idx)
-            if ech.rank == ech.dim:
+            if len(ech.pivots) == dim:
                 break
-    if ech is None:
-        return kept, []
-    return kept, sorted(ech.dim - 1 - col for col in ech.pivots)
+    return kept, sorted(dim - 1 - col for col in ech.pivots)
 
 
-def ff_solve(A: FieldMatrix, z: FieldVector) -> FieldVector:
-    """Unique y with A y = z (mod p) for square full-rank A.
+def ff_solve(
+    modulus: PrimeModulus, rows: Sequence[Sequence[int]], z: Sequence[int]
+) -> tuple[int, ...]:
+    """Unique y with A y = z (mod p) for square full-rank A, given by rows.
 
     Gaussian elimination with pivoting on the first nonzero entry;
     magnitude pivoting is pointless over a field.
     """
-    m, ncols = A.shape
-    if m != ncols:
+    m = len(rows)
+    if any(len(row) != m for row in rows):
         raise ValueError("matrix must be square")
-    if z.dimension != m or z.modulus != A.modulus:
-        raise ValueError("dimension or modulus mismatch")
-    p = A.modulus.value
-    aug = [list(row.coords) + [zc] for row, zc in zip(A.rows, z.coords)]
-    for col in range(ncols):
-        pivot = None
-        for r in range(col, m):
-            if aug[r][col] % p != 0:
-                pivot = r
-                break
+    if len(z) != m:
+        raise ValueError("dimension mismatch")
+    p = modulus.value
+    aug = [[a % p for a in row] + [zc % p] for row, zc in zip(rows, z)]
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if aug[r][col]), None)
         if pivot is None:
             raise SingularMatrixError(f"matrix is singular at column {col}")
         aug[col], aug[pivot] = aug[pivot], aug[col]
@@ -246,4 +176,4 @@ def ff_solve(A: FieldMatrix, z: FieldVector) -> FieldVector:
             if r != col and aug[r][col]:
                 f = aug[r][col]
                 aug[r] = [(a - f * b) % p for a, b in zip(aug[r], aug[col])]
-    return FieldVector(A.modulus, tuple(aug[r][ncols] for r in range(m)))
+    return tuple(row[m] for row in aug)

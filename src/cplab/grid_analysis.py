@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .fibonacci_lattice import dominance_incidence
-from .finite_field import FieldMatrix, FieldVector, PrimeModulus, ff_rank
+from .finite_field import PrimeModulus, ff_rank
 from .rng import substream
 
 Query = tuple[int, int]
@@ -220,10 +220,7 @@ def survivor_rank(
 ) -> int:
     """Rank over Z_delta of the survivors' dominance incidence vectors
     over the points; 0 when nothing survived."""
-    if not survivors:
-        return 0
-    rows = tuple(FieldVector(delta, dominance_incidence(points, q)) for q in survivors)
-    return ff_rank(FieldMatrix(delta, rows))
+    return ff_rank(delta, (dominance_incidence(points, q) for q in survivors))
 
 
 @dataclass(frozen=True)

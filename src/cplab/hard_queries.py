@@ -15,11 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
 from typing import TextIO
 
-from .finite_field import FieldMatrix, FieldVector, PrimeModulus
-from .finite_field import ff_rank
+from .finite_field import PrimeModulus, ff_rank
 from .rng import substream
 
 
@@ -56,10 +54,10 @@ class QueryFamily:
     """Query vectors indexed by position; built families hold n^2 vectors."""
 
     params: QueryFamilyParams
-    vectors: tuple[FieldVector, ...]
+    vectors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not set(chain.from_iterable(map(attrgetter("coords"), self.vectors))) <= {0, 1}:
+        if not set(chain.from_iterable(self.vectors)) <= {0, 1}:
             raise ValueError("family vectors must be 0/1 valued")
 
 
@@ -100,7 +98,7 @@ def build_query_family(params: QueryFamilyParams) -> QueryFamily:
     k_pair = next((k for k in ks if subset_bound(k, c) >= 2), None)
     ks_multi = [k for k in ks if subset_bound(k, c) >= 2]
 
-    accepted: list[FieldVector] = []
+    accepted: list[tuple[int, ...]] = []
     pair_suffixes: set[tuple[int, ...]] = set()
     rejects_in_a_row = 0
     last_k: int | None = None
@@ -120,9 +118,9 @@ def build_query_family(params: QueryFamilyParams) -> QueryFamily:
                     continue
                 size = rng.randint(2, top)
                 others = rng.sample(range(len(accepted)), size - 1)
-                rows = [accepted[i].last(k) for i in others]
-                rows.append(FieldVector(params.modulus, coords[-k:]))
-                if ff_rank(FieldMatrix(params.modulus, tuple(rows))) < size:
+                rows = [accepted[i][-k:] for i in others]
+                rows.append(coords[-k:])
+                if ff_rank(params.modulus, rows) < size:
                     ok, last_k = False, k
                     break
 
@@ -135,7 +133,7 @@ def build_query_family(params: QueryFamilyParams) -> QueryFamily:
                 )
             continue
         rejects_in_a_row = 0
-        accepted.append(FieldVector(params.modulus, coords))
+        accepted.append(coords)
         if k_pair is not None:
             pair_suffixes.add(coords[-k_pair:])
 
@@ -168,8 +166,8 @@ def check_suffix_independence(
     violations = 0
     for _ in range(trials):
         idxs = rng.sample(range(len(family.vectors)), subset_size)
-        rows = tuple(family.vectors[i].last(k) for i in idxs)
-        if ff_rank(FieldMatrix(family.params.modulus, rows)) < subset_size:
+        rows = [family.vectors[i][-k:] for i in idxs]
+        if ff_rank(family.params.modulus, rows) < subset_size:
             violations += 1
     return IndependenceReport(trials=trials, violations=violations)
 
@@ -179,7 +177,7 @@ def write_family(family: QueryFamily, fh: TextIO) -> None:
     p = family.params
     fh.write(f"{p.n} {p.modulus.value} {p.independence_constant} {p.seed}\n")
     for v in family.vectors:
-        fh.write("".join(str(c) for c in v.coords) + "\n")
+        fh.write("".join(str(c) for c in v) + "\n")
 
 
 def read_family(fh: TextIO) -> QueryFamily:
@@ -197,5 +195,5 @@ def read_family(fh: TextIO) -> QueryFamily:
             continue
         if len(line) != n or set(line) - {"0", "1"}:
             raise ValueError(f"malformed family line: {line!r}")
-        vectors.append(FieldVector(params.modulus, tuple(int(ch) for ch in line)))
+        vectors.append(tuple(int(ch) for ch in line))
     return QueryFamily(params=params, vectors=tuple(vectors))

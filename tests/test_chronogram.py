@@ -9,12 +9,11 @@ from cplab.chronogram import (
     epoch_probe_profile,
     epoch_schedule,
     execute_epochs,
-    incidence_vector,
     replay_queries,
     run_hard_distribution,
     structure_factory,
 )
-from cplab.fibonacci_lattice import LatticeSpec, scaled_lattice
+from cplab.fibonacci_lattice import LatticeSpec, dominance_incidence, scaled_lattice
 from cplab.finite_field import largest_prime_below
 from cplab.rng import substream
 from cplab.structures import NaiveArtificialStructure, OrcInstance
@@ -120,17 +119,10 @@ class TestProbeProfiles:
 
     def test_query_probing_nothing_gives_zero_row(self):
         # hand-built run whose family contains the zero vector
-        from cplab.finite_field import FieldVector
         from cplab.hard_queries import QueryFamily, QueryFamilyParams
 
         params = QueryFamilyParams(n=4, modulus=largest_prime_below(4**4), seed=0)
-        family = QueryFamily(
-            params=params,
-            vectors=(
-                FieldVector(params.modulus, (0, 0, 0, 0)),
-                FieldVector(params.modulus, (1, 1, 1, 1)),
-            ),
-        )
+        family = QueryFamily(params=params, vectors=((0, 0, 0, 0), (1, 1, 1, 1)))
         memory = SimulatedMemory(MemoryConfig(w=8))
         structure = NaiveArtificialStructure(family, params.modulus, memory)
         updates = UpdateSequence(
@@ -203,14 +195,10 @@ class TestIncidenceVectors:
     def test_examples(self):
         run = run_hard_distribution("orc", 25, 5, seed=1)
         # epoch 1 inserts the 5-point lattice scaled to 25
-        assert incidence_vector(run, 1, (24, 24)).coords == (1, 1, 1, 1, 1)
-        assert incidence_vector(run, 1, (12, 16)).coords == (1, 1, 1, 0, 0)
-        assert incidence_vector(run, 1, (0, 0)).coords == (1, 0, 0, 0, 0)
-
-    def test_artificial_runs_have_no_incidence(self):
-        run = run_hard_distribution("artificial", 16, 2, seed=0)
-        with pytest.raises(ValueError):
-            incidence_vector(run, 1, (0, 0))
+        points = run.epoch_points[1]
+        assert dominance_incidence(points, (24, 24)) == (1, 1, 1, 1, 1)
+        assert dominance_incidence(points, (12, 16)) == (1, 1, 1, 0, 0)
+        assert dominance_incidence(points, (0, 0)) == (1, 0, 0, 0, 0)
 
     def test_answer_decomposition_small(self):
         run = run_hard_distribution("orc", 55, 5, seed=4)
@@ -224,7 +212,9 @@ class TestIncidenceVectors:
             total = sum(
                 sum(
                     w
-                    for bit, w in zip(incidence_vector(run, i, q).coords, run.updates.u(i))
+                    for bit, w in zip(
+                        dominance_incidence(run.epoch_points[i], q), run.updates.u(i)
+                    )
                     if bit
                 )
                 for i in run.run_schedule.epoch_ids()

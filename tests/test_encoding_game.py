@@ -20,7 +20,7 @@ from cplab.encoding_game import (
     pack_weights,
     unpack_weights,
 )
-from cplab.finite_field import FieldMatrix, ff_rank, largest_prime_below
+from cplab.finite_field import ff_rank, largest_prime_below
 from cplab.rng import substream
 
 
@@ -34,7 +34,6 @@ def _run_with_family_rows(rows, beta=2):
         epoch_schedule,
         execute_epochs,
     )
-    from cplab.finite_field import FieldVector
     from cplab.hard_queries import QueryFamily, QueryFamilyParams
     from cplab.structures import NaiveArtificialStructure
 
@@ -42,7 +41,7 @@ def _run_with_family_rows(rows, beta=2):
     params = QueryFamilyParams(n=n, modulus=largest_prime_below(n**4), seed=0)
     family = QueryFamily(
         params=params,
-        vectors=tuple(FieldVector(params.modulus, tuple(r)) for r in rows),
+        vectors=tuple(tuple(r) for r in rows),
     )
     sched = epoch_schedule(n, beta)
     rng = substream(0, "hand-run")
@@ -125,6 +124,12 @@ class TestSections:
         )
         assert raw.endswith(framed(b"a", 3, b"\x05") + framed(b"b", 9, b"\x01\x00"))
         assert EncodingMessage.from_bytes(raw).sections == message.sections
+
+    def test_missing_section_is_a_value_error(self):
+        run = run_hard_distribution("artificial", 16, 2, seed=1)
+        message = encode_epoch(run, 2, None)
+        with pytest.raises(ValueError, match="no section 'resolved_cells'"):
+            message.section("resolved_cells")
 
 
 class TestStrictParsing:
@@ -466,8 +471,8 @@ class TestAccountingIdentities:
         run, message = self._flag0_message()
         # recompute the independent count with the rank oracle
         k_len = run.run_schedule.suffix_length(2)
-        rows = tuple(run.family.vectors[j].last(k_len) for j in _decode_query_ids(message))
-        k = ff_rank(FieldMatrix(run.delta, rows))
+        rows = [run.family.vectors[j][-k_len:] for j in _decode_query_ids(message)]
+        k = ff_rank(run.delta, rows)
         expected = ceil_bits_for_weights(run.delta, k_len - k)
         assert message.section("completion_products").bit_length == expected
 
@@ -546,7 +551,7 @@ def test_decode_from_the_products_alone():
     run = run_hard_distribution("artificial", 25, 5, seed=0)
     k_len = run.run_schedule.suffix_length(1)
     zero_ids = tuple(
-        j for j, v in enumerate(run.family.vectors) if not any(v.last(k_len).coords)
+        j for j, v in enumerate(run.family.vectors) if not any(v[-k_len:])
     )
     assert zero_ids
     resolved = ResolvedSet(
@@ -600,7 +605,7 @@ class TestIntegrityChecks:
         victim = next(
             j
             for j, v in enumerate(run.family.vectors)
-            if any(v.coords[p] for p in epoch2_positions)
+            if any(v[p] for p in epoch2_positions)
         )
         bogus = ResolvedSet(
             istar=2,
@@ -625,7 +630,7 @@ class TestIntegrityChecks:
         run = run_hard_distribution("artificial", 25, 5, seed=3)
         epoch2 = {addr for addr, _ in run.cells_of_epoch(2)}
         vectors = run.family.vectors
-        first = next(j for j, v in enumerate(vectors) if any(v.coords[:20]))
+        first = next(j for j, v in enumerate(vectors) if any(v[:20]))
         ((_, addresses),) = replay_queries(run.structure, [first])
         c_cells = epoch2.intersection(addresses)
         # a second query, independent of the first, reading an epoch-2
@@ -633,7 +638,7 @@ class TestIntegrityChecks:
         second = next(
             j
             for j, v in enumerate(vectors)
-            if any(b and not a for a, b in zip(vectors[first].coords[:20], v.coords[:20]))
+            if any(b and not a for a, b in zip(vectors[first][:20], v[:20]))
         )
 
         def decode(queries):
@@ -790,15 +795,38 @@ class TestSectionFormats:
                     _parse_weights_section(section, delta, count)
 
 
+_FLAG0_GAMES = [
+    ("artificial", 25, 2, dict(cell_budget=16, probe_threshold=12, max_tries=8)),
+    ("orc", 440, 2, dict(probe_threshold=8, max_tries=8)),
+]
+
+
+class TestTrailingBits:
+    @pytest.mark.parametrize("fill", [0, (1 << 40) - 1])
+    @pytest.mark.parametrize("label", ["resolved_cells", "resolved_queries"])
+    @pytest.mark.parametrize("kind, n, istar, overrides", _FLAG0_GAMES)
+    def test_bits_after_the_last_field_rejected(self, kind, n, istar, overrides, label, fill):
+        run = run_hard_distribution(kind, n, 5, seed=0)
+        message = encode_epoch(run, istar, find_resolved_set(run, istar, seed=0, **overrides))
+        assert message.flag == 0
+        sections = tuple(
+            Section(s.label, s.bit_length + 40, s.payload | fill << s.bit_length)
+            if s.label == label
+            else s
+            for s in message.sections
+        )
+        forged = EncodingMessage.from_bytes(
+            dataclasses.replace(message, sections=sections).to_bytes()
+        )
+        with pytest.raises(ValueError, match=rf"'{label}': .* bits for .* fields"):
+            decode_epoch(
+                forged, run.updates.prefix_above(istar), run.structure_factory, verify_run=run
+            )
+
+
 class TestForgedHeaders:
     @pytest.mark.parametrize("flag", [0, 1])
-    @pytest.mark.parametrize(
-        "kind, n, istar, overrides",
-        [
-            ("artificial", 25, 2, dict(cell_budget=16, probe_threshold=12, max_tries=8)),
-            ("orc", 440, 2, dict(probe_threshold=8, max_tries=8)),
-        ],
-    )
+    @pytest.mark.parametrize("kind, n, istar, overrides", _FLAG0_GAMES)
     def test_unknown_kind_rejected(self, kind, n, istar, overrides, flag):
         run = run_hard_distribution(kind, n, 5, seed=0)
         resolved = find_resolved_set(run, istar, seed=0, **overrides) if flag == 0 else None
@@ -806,6 +834,18 @@ class TestForgedHeaders:
         assert message.flag == flag
         forged = EncodingMessage.from_bytes(dataclasses.replace(message, kind="orb").to_bytes())
         with pytest.raises(ValueError, match="unknown kind 'orb'"):
+            decode_epoch(
+                forged, run.updates.prefix_above(istar), run.structure_factory, verify_run=run
+            )
+
+    @pytest.mark.parametrize("kind, n, istar, overrides", _FLAG0_GAMES)
+    def test_kind_of_the_other_game_rejected(self, kind, n, istar, overrides):
+        run = run_hard_distribution(kind, n, 5, seed=0)
+        message = encode_epoch(run, istar, find_resolved_set(run, istar, seed=0, **overrides))
+        assert message.flag == 0
+        other = "orc" if kind == "artificial" else "artificial"
+        forged = EncodingMessage.from_bytes(dataclasses.replace(message, kind=other).to_bytes())
+        with pytest.raises(ValueError, match=rf"'{other}' message does not fit"):
             decode_epoch(
                 forged, run.updates.prefix_above(istar), run.structure_factory, verify_run=run
             )

@@ -5,10 +5,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cplab.finite_field import (
-    FieldMatrix,
-    FieldVector,
     PrimeModulus,
     SingularMatrixError,
+    ff_dot,
     ff_rank,
     ff_solve,
     field_modulus,
@@ -16,7 +15,6 @@ from cplab.finite_field import (
     is_prime,
     largest_prime_below,
     mat_vec,
-    matrix_from_lists,
 )
 from cplab.rng import substream
 
@@ -24,33 +22,31 @@ P5 = PrimeModulus(5)
 P7 = PrimeModulus(7)
 
 
-def unit_vector(index, dim, modulus):
+def unit_vector(index, dim):
     coords = [0] * dim
     coords[index] = 1
-    return FieldVector(modulus, tuple(coords))
+    return tuple(coords)
 
 
-def complete_basis(X, dim, modulus=None):
+def complete_basis(X, dim, modulus):
     """Reference: extend an independent set X to a basis of Z_p^dim with
     unit vectors, scanned in increasing coordinate order and skipped when
-    already spanned. Returns only the added vectors, in scan order.
-    `modulus` is needed only when X is empty."""
+    already spanned. Returns only the added vectors, in scan order."""
     X = list(X)
-    modulus = X[0].modulus if X else modulus
-    if X and ff_rank(FieldMatrix(modulus, tuple(X))) < len(X):
+    if ff_rank(modulus, X) < len(X):
         raise ValueError("input vectors are linearly dependent")
     added = []
     for idx in range(dim):
         if len(X) + len(added) == dim:
             break
-        e = unit_vector(idx, dim, modulus)
-        if ff_rank(FieldMatrix(modulus, tuple(X + added + [e]))) > len(X) + len(added):
+        e = unit_vector(idx, dim)
+        if ff_rank(modulus, X + added + [e]) > len(X) + len(added):
             added.append(e)
     return added
 
 
-def identity(dim, modulus):
-    return FieldMatrix(modulus, tuple(unit_vector(i, dim, modulus) for i in range(dim)))
+def identity(dim):
+    return tuple(unit_vector(i, dim) for i in range(dim))
 
 
 # psi_12 and psi_13: the smallest composites that are strong probable
@@ -195,38 +191,24 @@ class TestPrimeModulus:
         with pytest.raises(ValueError):
             PrimeModulus(9)
 
-    def test_vector_coordinates_normalised(self):
-        v = FieldVector(P5, (7, -1, 5))
-        assert v.coords == (2, 4, 0)
-
-    def test_empty_vector_rejected(self):
-        with pytest.raises(ValueError):
-            FieldVector(P5, ())
-
-    def test_ragged_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            FieldMatrix(P5, (FieldVector(P5, (1, 2)), FieldVector(P5, (1,))))
-
 
 class TestRank:
     def test_identity(self):
-        assert ff_rank(identity(3, P5)) == 3
+        assert ff_rank(P5, identity(3)) == 3
 
     def test_dependent_rows(self):
-        assert ff_rank(matrix_from_lists(P5, [(1, 2), (2, 4)])) == 1
+        assert ff_rank(P5, [(1, 2), (2, 4)]) == 1
 
     def test_all_zero(self):
-        assert ff_rank(matrix_from_lists(P5, [(0, 0), (0, 0)])) == 0
+        assert ff_rank(P5, [(0, 0), (0, 0)]) == 0
 
     def test_rank_bounded_by_shape(self):
         rng = substream(0, "rank-shape")
         for _ in range(50):
             rows = rng.randint(1, 6)
             dim = rng.randint(1, 6)
-            A = matrix_from_lists(
-                P7, [[rng.randrange(7) for _ in range(dim)] for _ in range(rows)]
-            )
-            assert ff_rank(A) <= min(rows, dim)
+            A = [[rng.randrange(7) for _ in range(dim)] for _ in range(rows)]
+            assert ff_rank(P7, A) <= min(rows, dim)
 
 
 class TestInSpan:
@@ -234,53 +216,48 @@ class TestInSpan:
     rows it kept before it."""
 
     def test_scalar_multiple(self):
-        rows = [FieldVector(P5, (1, 0)), FieldVector(P5, (3, 0))]
-        assert independent_row_indices(rows)[0] == [0]
+        assert independent_row_indices(P5, [(1, 0), (3, 0)])[0] == [0]
 
     def test_independent(self):
-        rows = [FieldVector(P5, (1, 0)), FieldVector(P5, (0, 1))]
-        assert independent_row_indices(rows)[0] == [0, 1]
+        assert independent_row_indices(P5, [(1, 0), (0, 1)])[0] == [0, 1]
 
     def test_empty_set_spans_zero(self):
-        assert independent_row_indices([FieldVector(P7, (0, 0))]) == ([], [])
-        assert independent_row_indices([FieldVector(P7, (0, 1))]) == ([0], [1])
+        assert independent_row_indices(P7, [(0, 0)]) == ([], [])
+        assert independent_row_indices(P7, [(0, 1)]) == ([0], [1])
 
     def test_agrees_with_rank_identity(self):
         rng = substream(1, "span-rank")
         for _ in range(100):
             dim = rng.randint(1, 5)
             count = rng.randint(1, 4)
-            X = [
-                FieldVector(P7, tuple(rng.randrange(7) for _ in range(dim)))
-                for _ in range(count)
-            ]
-            x = FieldVector(P7, tuple(rng.randrange(7) for _ in range(dim)))
-            base = ff_rank(FieldMatrix(P7, tuple(X)))
-            extended = ff_rank(FieldMatrix(P7, tuple(X) + (x,)))
-            in_span = count not in independent_row_indices(X + [x])[0]
+            X = [tuple(rng.randrange(7) for _ in range(dim)) for _ in range(count)]
+            x = tuple(rng.randrange(7) for _ in range(dim))
+            base = ff_rank(P7, X)
+            extended = ff_rank(P7, X + [x])
+            in_span = count not in independent_row_indices(P7, X + [x])[0]
             assert in_span == (base == extended)
 
 
 class TestCompleteBasis:
     def test_adds_first_unit_vector(self):
-        added = complete_basis([FieldVector(P5, (1, 1))], 2)
-        assert [v.coords for v in added] == [(1, 0)]
+        added = complete_basis([(1, 1)], 2, P5)
+        assert added == [(1, 0)]
 
     def test_full_basis_adds_nothing(self):
-        basis = [unit_vector(i, 3, P5) for i in range(3)]
-        assert complete_basis(basis, 3) == []
+        basis = [unit_vector(i, 3) for i in range(3)]
+        assert complete_basis(basis, 3, P5) == []
 
     def test_empty_set(self):
         added = complete_basis([], 2, P5)
-        assert [v.coords for v in added] == [(1, 0), (0, 1)]
+        assert added == [(1, 0), (0, 1)]
 
     def test_dependent_input_rejected(self):
         with pytest.raises(ValueError):
-            complete_basis([FieldVector(P5, (1, 2)), FieldVector(P5, (2, 4))], 2)
+            complete_basis([(1, 2), (2, 4)], 2, P5)
 
     def test_deterministic(self):
-        X = [FieldVector(P7, (1, 2, 3)), FieldVector(P7, (0, 1, 5))]
-        assert complete_basis(X, 3) == complete_basis(X, 3)
+        X = [(1, 2, 3), (0, 1, 5)]
+        assert complete_basis(X, 3, P7) == complete_basis(X, 3, P7)
 
     def test_completion_spans(self):
         rng = substream(2, "basis-completion")
@@ -288,11 +265,11 @@ class TestCompleteBasis:
             dim = rng.randint(1, 6)
             X = []
             for _ in range(rng.randint(0, dim)):
-                candidate = FieldVector(P7, tuple(rng.randrange(7) for _ in range(dim)))
-                if ff_rank(FieldMatrix(P7, tuple(X + [candidate]))) > len(X):
+                candidate = tuple(rng.randrange(7) for _ in range(dim))
+                if ff_rank(P7, X + [candidate]) > len(X):
                     X.append(candidate)
             added = complete_basis(X, dim, P7)
-            assert ff_rank(FieldMatrix(P7, tuple(X + added))) == dim
+            assert ff_rank(P7, X + added) == dim
 
 
 _rows_with_dim = st.integers(1, 5).flatmap(
@@ -317,39 +294,39 @@ def test_pivot_complement_is_the_greedy_completion(case):
     the kept rows' pivot columns, and the rows restricted to the pivot
     columns form an invertible k x k matrix."""
     dim, coords = case
-    rows = [FieldVector(P7, tuple(c)) for c in coords]
-    kept, pivots = independent_row_indices(rows)
+    rows = [tuple(c) for c in coords]
+    kept, pivots = independent_row_indices(P7, rows)
     X = [rows[i] for i in kept]
     added = complete_basis(X, dim, P7)
-    assert [v.coords.index(1) for v in added] == [j for j in range(dim) if j not in pivots]
+    assert [v.index(1) for v in added] == [j for j in range(dim) if j not in pivots]
     assert pivots == sorted(set(pivots)) and len(pivots) == len(kept)
     if kept:
-        restricted = matrix_from_lists(P7, ([row.coords[j] for j in pivots] for row in X))
-        assert ff_rank(restricted) == len(kept)
+        restricted = [[row[j] for j in pivots] for row in X]
+        assert ff_rank(P7, restricted) == len(kept)
 
 
 class TestSolve:
     def test_identity(self):
-        z = FieldVector(P7, (3, 5))
-        assert ff_solve(identity(2, P7), z) == z
+        z = (3, 5)
+        assert ff_solve(P7, identity(2), z) == z
 
     def test_back_substitution(self):
-        A = matrix_from_lists(P7, [(1, 1), (0, 1)])
-        assert ff_solve(A, FieldVector(P7, (3, 5))).coords == (5, 5)
+        A = [(1, 1), (0, 1)]
+        assert ff_solve(P7, A, (3, 5)) == (5, 5)
 
     def test_singular(self):
-        A = matrix_from_lists(P5, [(1, 2), (2, 4)])
+        A = [(1, 2), (2, 4)]
         with pytest.raises(SingularMatrixError):
-            ff_solve(A, FieldVector(P5, (1, 1)))
+            ff_solve(P5, A, (1, 1))
 
     def test_non_square(self):
-        A = matrix_from_lists(P5, [(1, 2, 3), (0, 1, 1)])
+        A = [(1, 2, 3), (0, 1, 1)]
         with pytest.raises(ValueError):
-            ff_solve(A, FieldVector(P5, (1, 1)))
+            ff_solve(P5, A, (1, 1))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            ff_solve(identity(2, P5), FieldVector(P5, (1, 1, 1)))
+            ff_solve(P5, identity(2), (1, 1, 1))
 
     def test_round_trip_random_systems(self):
         delta = largest_prime_below(10_000)
@@ -357,14 +334,11 @@ class TestSolve:
         for _ in range(200):
             dim = rng.randint(1, 10)
             while True:
-                A = matrix_from_lists(
-                    delta,
-                    [[rng.randrange(delta.value) for _ in range(dim)] for _ in range(dim)],
-                )
-                if ff_rank(A) == dim:
+                A = [[rng.randrange(delta.value) for _ in range(dim)] for _ in range(dim)]
+                if ff_rank(delta, A) == dim:
                     break
-            y = FieldVector(delta, tuple(rng.randrange(delta.value) for _ in range(dim)))
-            assert ff_solve(A, mat_vec(A, y)) == y
+            y = tuple(rng.randrange(delta.value) for _ in range(dim))
+            assert ff_solve(delta, A, mat_vec(delta, A, y)) == y
 
 
 class TestIndependentRows:
@@ -373,21 +347,19 @@ class TestIndependentRows:
         for _ in range(50):
             dim = rng.randint(1, 5)
             rows = [
-                FieldVector(P7, tuple(rng.randrange(7) for _ in range(dim)))
-                for _ in range(rng.randint(1, 8))
+                tuple(rng.randrange(7) for _ in range(dim)) for _ in range(rng.randint(1, 8))
             ]
-            kept, _ = independent_row_indices(rows)
+            kept, _ = independent_row_indices(P7, rows)
             if kept:
-                sub = FieldMatrix(P7, tuple(rows[i] for i in kept))
-                assert ff_rank(sub) == len(kept)
-            assert ff_rank(FieldMatrix(P7, tuple(rows))) == len(kept)
+                assert ff_rank(P7, [rows[i] for i in kept]) == len(kept)
+            assert ff_rank(P7, rows) == len(kept)
 
 
 def _full_scan_independent_rows(rows):
     """Reference: every row is tested, none is skipped once the span is full."""
     kept = []
     for idx, row in enumerate(rows):
-        if ff_rank(FieldMatrix(P7, tuple(rows[i] for i in kept) + (row,))) > len(kept):
+        if ff_rank(P7, [rows[i] for i in kept] + [row]) > len(kept):
             kept.append(idx)
     return kept
 
@@ -401,10 +373,10 @@ def _full_scan_independent_rows(rows):
 )
 @settings(max_examples=150, deadline=None)
 def test_independent_rows_stop_once_the_span_is_full(coords):
-    rows = [FieldVector(P7, tuple(c)) for c in coords]
+    rows = [tuple(c) for c in coords]
     expected = _full_scan_independent_rows(rows)
     # the index of the row that completes the span, if any row does
-    last_needed = expected[-1] if len(expected) == rows[0].dimension else len(rows)
+    last_needed = expected[-1] if len(expected) == len(rows[0]) else len(rows)
 
     def pulled():
         for idx, row in enumerate(rows):
@@ -412,18 +384,46 @@ def test_independent_rows_stop_once_the_span_is_full(coords):
                 raise AssertionError(f"row {idx} pulled after the span was full")
             yield row
 
-    assert independent_row_indices(pulled())[0] == expected
-    assert independent_row_indices(rows)[0] == expected
+    assert independent_row_indices(P7, pulled())[0] == expected
+    assert independent_row_indices(P7, rows)[0] == expected
 
 
 def test_independent_rows_of_nothing():
-    assert independent_row_indices([]) == ([], [])
-    assert independent_row_indices(iter(())) == ([], [])
+    assert independent_row_indices(P7, []) == ([], [])
+    assert independent_row_indices(P7, iter(())) == ([], [])
+    assert ff_rank(P7, []) == 0
 
 
-@given(st.lists(st.integers(-50, 50), min_size=1, max_size=8))
-@settings(max_examples=60, deadline=None)
-def test_vector_normalisation_property(coords):
-    v = FieldVector(P7, tuple(coords))
-    assert all(0 <= c < 7 for c in v.coords)
-    assert [c % 7 for c in coords] == list(v.coords)
+_any_ints = st.integers(-(10**6), 10**6)
+
+
+@given(
+    st.sampled_from([P5, P7, largest_prime_below(10_000)]),
+    st.integers(1, 5).flatmap(
+        lambda dim: st.tuples(
+            st.lists(st.lists(_any_ints, min_size=dim, max_size=dim), min_size=dim, max_size=dim),
+            st.lists(_any_ints, min_size=dim, max_size=dim),
+        )
+    ),
+)
+@example(P7, ([[-1, 8], [15, -20]], [-7, 50]))
+@settings(max_examples=200, deadline=None)
+def test_field_functions_reduce_any_ints(modulus, case):
+    """On any ints, negative or at least p, the field functions return
+    values in [0, p) equal to their results on the inputs reduced mod p,
+    and a full-rank solve inverts the product."""
+    A, y = case
+    p = modulus.value
+    A_mod = [[a % p for a in row] for row in A]
+    y_mod = [c % p for c in y]
+    in_field = lambda values: all(0 <= v < p for v in values)
+
+    dot = ff_dot(modulus, A[0], y)
+    assert in_field([dot]) and dot == ff_dot(modulus, A_mod[0], y_mod)
+    product = mat_vec(modulus, A, y)
+    assert in_field(product) and product == mat_vec(modulus, A_mod, y_mod)
+    assert ff_rank(modulus, A) == ff_rank(modulus, A_mod)
+    if ff_rank(modulus, A) == len(A):
+        solution = ff_solve(modulus, A, y)
+        assert in_field(solution) and solution == ff_solve(modulus, A_mod, y_mod)
+        assert ff_solve(modulus, A, mat_vec(modulus, A, y)) == tuple(y_mod)

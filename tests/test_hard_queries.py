@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cplab.finite_field import FieldVector, PrimeModulus, largest_prime_below
+from cplab.finite_field import PrimeModulus, largest_prime_below
 from cplab.hard_queries import (
     QueryFamily,
     QueryFamilyParams,
@@ -36,14 +36,13 @@ class TestParams:
     def test_non_binary_vectors_rejected(self):
         p = params_for(4)
         with pytest.raises(ValueError):
-            QueryFamily(params=p, vectors=(FieldVector(p.modulus, (2, 0, 0, 0)),))
+            QueryFamily(params=p, vectors=((2, 0, 0, 0),))
 
     @pytest.mark.parametrize("bad", [2, -1])
     def test_non_binary_coordinate_in_last_vector_rejected(self, bad):
-        # -1 is normalised to p - 1 by FieldVector, so it is rejected too
         p = params_for(4)
-        vectors = [FieldVector(p.modulus, (1, 0, 1, 1)) for _ in range(5)]
-        vectors.append(FieldVector(p.modulus, (0, 1, 0, bad)))
+        vectors = [(1, 0, 1, 1) for _ in range(5)]
+        vectors.append((0, 1, 0, bad))
         with pytest.raises(ValueError):
             QueryFamily(params=p, vectors=tuple(vectors))
 
@@ -68,8 +67,8 @@ class TestBuild:
     def test_small_family_shape(self):
         family = build_query_family(params_for(4, c=2.0, seed=1))
         assert len(family.vectors) == 16
-        assert all(v.dimension == 4 for v in family.vectors)
-        assert all(set(v.coords) <= {0, 1} for v in family.vectors)
+        assert all(len(v) == 4 for v in family.vectors)
+        assert all(set(v) <= {0, 1} for v in family.vectors)
 
     def test_deterministic(self):
         a = build_query_family(params_for(8, seed=3))
@@ -93,7 +92,7 @@ class TestCheck:
         p = QueryFamilyParams(
             n=n, modulus=largest_prime_below(n**4), independence_constant=1.0, seed=0
         )
-        vectors = tuple(unit_vector(i, n, p.modulus) for i in range(n))
+        vectors = tuple(unit_vector(i, n) for i in range(n))
         family = QueryFamily(params=p, vectors=vectors)
         report = check_suffix_independence(family, k=16, subset_size=4, trials=200, seed=0)
         assert report.violations == 0
@@ -103,7 +102,7 @@ class TestCheck:
         p = QueryFamilyParams(
             n=n, modulus=largest_prime_below(n**4), independence_constant=1.0, seed=0
         )
-        dup = FieldVector(p.modulus, (1, 0) * 8)
+        dup = (1, 0) * 8
         family = QueryFamily(params=p, vectors=(dup, dup))
         report = check_suffix_independence(family, k=16, subset_size=2, trials=50, seed=0)
         assert report.violations == 50

@@ -4,7 +4,7 @@ from typing import Sequence
 import pytest
 
 from cplab.cell_probe_sim import MemoryConfig, SimulatedMemory
-from cplab.finite_field import FieldVector, largest_prime_below
+from cplab.finite_field import largest_prime_below
 from cplab.hard_queries import QueryFamily, QueryFamilyParams
 from cplab.structures import (
     NaiveArtificialStructure,
@@ -34,7 +34,7 @@ class ArtificialInstance:
 
 def family_with_vectors(n, rows):
     params = QueryFamilyParams(n=n, modulus=largest_prime_below(n**4), seed=0)
-    vectors = tuple(FieldVector(params.modulus, tuple(r)) for r in rows)
+    vectors = tuple(tuple(r) for r in rows)
     return QueryFamily(params=params, vectors=vectors)
 
 
