@@ -16,6 +16,7 @@ import csv
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .cell_probe_sim import (
@@ -47,7 +48,6 @@ class EpochSchedule:
     """Epoch sizes in time order: epoch `count` first, epoch 1 last."""
 
     n: int
-    beta: float
     sizes: tuple[int, ...]
 
     @property
@@ -73,9 +73,7 @@ class EpochSchedule:
 
     def snap_to_fibonacci(self) -> "EpochSchedule":
         return EpochSchedule(
-            n=self.n,
-            beta=self.beta,
-            sizes=tuple(largest_fibonacci_at_most(s) for s in self.sizes),
+            n=self.n, sizes=tuple(largest_fibonacci_at_most(s) for s in self.sizes)
         )
 
 
@@ -96,7 +94,7 @@ def epoch_schedule(n: int, beta: float) -> EpochSchedule:
     sizes = tuple([top] + smaller[::-1])
     if any(s < 1 for s in sizes):
         raise ValueError(f"degenerate epoch sizes {sizes} for n={n}, beta={beta}")
-    return EpochSchedule(n=n, beta=float(beta), sizes=sizes)
+    return EpochSchedule(n=n, sizes=sizes)
 
 
 @dataclass(frozen=True)
@@ -117,15 +115,12 @@ class EpochUpdates:
 class UpdateSequence:
     epochs: tuple[EpochUpdates, ...]  # time order, largest epoch first
 
-    def epoch(self, epoch_id: int) -> EpochUpdates:
-        for e in self.epochs:
-            if e.epoch == epoch_id:
-                return e
-        raise KeyError(epoch_id)
-
     def u(self, epoch_id: int) -> tuple[int, ...]:
         """The epoch's weight vector (targets are fixed, weights vary)."""
-        return self.epoch(epoch_id).weights
+        for e in self.epochs:
+            if e.epoch == epoch_id:
+                return e.weights
+        raise KeyError(epoch_id)
 
     def prefix_above(self, istar: int) -> "UpdateSequence":
         """Updates of the epochs preceding istar in time (ids > istar)."""
@@ -152,16 +147,6 @@ class RunRecord:
     def cells_of_epoch(self, epoch_id: int) -> set[tuple[int, int]]:
         return self.memory.cells_of_epoch(epoch_id)
 
-    def epoch_of_position(self, position: int) -> int:
-        """Epoch id owning the update at the given sequence position."""
-        sched = self.run_schedule
-        offset = 0
-        for epoch_id in sched.epoch_ids():
-            offset += sched.size_of(epoch_id)
-            if position < offset:
-                return epoch_id
-        raise ValueError(f"position {position} beyond {sched.total} updates")
-
 
 def default_run_cell_width(kind: str, n: int, delta: PrimeModulus, capacity: int) -> int:
     """The cell width of every run: the smallest multiple of 8 wide
@@ -170,27 +155,9 @@ def default_run_cell_width(kind: str, n: int, delta: PrimeModulus, capacity: int
     if kind == "artificial":
         need = max(ceil_lg(n), weight_bits)
     else:
-        counter_bits = max(1, (capacity * (delta.value - 1)).bit_length())
-        need = max(ceil_lg(n), ceil_lg(n * n), counter_bits)
+        counter_bits = (capacity * (delta.value - 1)).bit_length()
+        need = max(ceil_lg(n * n), counter_bits)
     return -(-need // 8) * 8
-
-
-def structure_factory(
-    kind: str,
-    n: int,
-    delta: PrimeModulus,
-    family: QueryFamily | None = None,
-    capacity: int | None = None,
-) -> Callable[[SimulatedMemory], DynamicStructure]:
-    if kind == "artificial":
-        if family is None:
-            raise ValueError("artificial structures need a query family")
-        return lambda memory: NaiveArtificialStructure(family, delta, memory)
-    if kind == "orc":
-        if capacity is None:
-            raise ValueError("dominance structures need a capacity")
-        return lambda memory: PrefixSumRangeStructure(n, delta, memory, capacity=capacity)
-    raise ValueError(f"unknown kind {kind!r}")
 
 
 def execute_epochs(
@@ -244,31 +211,34 @@ def run_hard_distribution(kind: str, n: int, beta: float, seed: int) -> RunRecor
     schedule = epoch_schedule(n, beta)
     run_sched, epoch_points = executed_schedule(kind, schedule)
 
-    family = None
     if kind == "artificial":
         family = build_query_family(
             QueryFamilyParams(n=n, modulus=delta, seed=substream_seed(seed, "family"))
         )
+        positions = iter(range(n))  # each epoch updates the next block of positions
+        targets = {
+            i: tuple(islice(positions, run_sched.size_of(i))) for i in run_sched.epoch_ids()
+        }
+        factory = lambda memory: NaiveArtificialStructure(family, delta, memory)
+    else:
+        family, targets = None, epoch_points
+        capacity = run_sched.total
+        factory = lambda memory: PrefixSumRangeStructure(n, delta, memory, capacity=capacity)
 
     weights_rng = substream(seed, "weights")
-    epochs = []
-    position = 0
-    for epoch_id in run_sched.epoch_ids():
-        size = run_sched.size_of(epoch_id)
-        if kind == "artificial":
-            targets: tuple = tuple(range(position, position + size))
-            position += size
-        else:
-            targets = epoch_points[epoch_id]
-        weights = tuple(weights_rng.randrange(delta.value) for _ in range(size))
-        epochs.append(EpochUpdates(epoch=epoch_id, targets=targets, weights=weights))
-    updates = UpdateSequence(epochs=tuple(epochs))
+    updates = UpdateSequence(
+        epochs=tuple(
+            EpochUpdates(
+                epoch=i,
+                targets=targets[i],
+                weights=tuple(weights_rng.randrange(delta.value) for _ in targets[i]),
+            )
+            for i in run_sched.epoch_ids()
+        )
+    )
 
     w = default_run_cell_width(kind, n, delta, run_sched.total)
     memory = SimulatedMemory(MemoryConfig(w=w))
-    factory = structure_factory(
-        kind, n, delta, family=family, capacity=run_sched.total if kind == "orc" else None
-    )
     instance = factory(memory)
     execute_epochs(instance, memory, updates)
 
@@ -380,11 +350,9 @@ def epoch_probe_profile(run: RunRecord, queries: Sequence) -> ProbeProfile:
 
 def analytic_epoch_counts(run: RunRecord, j: int) -> dict[int, int]:
     """Exact probe profile of the naive structure for query j: per
-    epoch, the number of 1-coordinates whose position that epoch owns."""
+    epoch, the number of 1-coordinates whose position that epoch owns
+    (an index-weight epoch's targets are its positions)."""
     if run.kind != "artificial" or run.family is None:
         raise ValueError("the analytic profile is for artificial runs")
-    result = {i: 0 for i in run.run_schedule.epoch_ids()}
-    for position, bit in enumerate(run.family.vectors[j]):
-        if bit:
-            result[run.epoch_of_position(position)] += 1
-    return result
+    vector = run.family.vectors[j]
+    return {e.epoch: sum(vector[p] for p in e.targets) for e in run.updates.epochs}

@@ -142,13 +142,12 @@ def _cmd_family(args, parser) -> int:
     family_path = outdir / "family.txt"
     with open(family_path, "w") as fh:
         write_family(family, fh)
-    violations = 0
-    checked = 0
+    violations = checked = 0
     if subset_bound(n, c) >= 1:
-        report = check_suffix_independence(
+        violations = check_suffix_independence(
             family, k=n, subset_size=subset_bound(n, c), trials=trials, seed=seed
         )
-        violations, checked = report.violations, report.trials
+        checked = trials
     config = {"n": n, "c": c, "seed": seed, "delta": delta.value, "trials": trials}
     _write_manifest(
         outdir, "family", config, [family_path.name],
@@ -282,7 +281,7 @@ def _cmd_grid(args, parser) -> int:
         reps = grid_analysis.cell_representatives(sample, grid)
         survivors = grid_analysis.cross_out_extract(reps, grid).survivors
         rank = grid_analysis.survivor_rank(points, survivors, delta)
-        separated, _ = grid_analysis.well_separated_subset(sample, threshold)
+        separated = grid_analysis.well_separated_subset(sample, threshold)
         rows.append((t, len(survivors), rank, len(separated) / len(sample)))
     trials_path = outdir / "grid_trials.csv"
     grid_analysis.export_trials_csv(str(trials_path), rows)
@@ -386,10 +385,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _parse(parser, [argv[0], *tokens, *argv[1:]])
     try:
         return args.fn(args, args.parser)
-    except InvariantFailure as exc:
-        print(f"invariant failure: {exc}", file=sys.stderr)
-        return 1
-    except (AssertionError, encoding_game.DecodingIntegrityError) as exc:
+    except (InvariantFailure, AssertionError, encoding_game.DecodingIntegrityError) as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 1
 

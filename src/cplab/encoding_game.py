@@ -31,6 +31,7 @@ from .chronogram import (
     EpochSchedule,
     RunRecord,
     UpdateSequence,
+    default_run_cell_width,
     epoch_schedule,
     executed_schedule,
     execute_epochs,
@@ -41,6 +42,7 @@ from .finite_field import (
     PrimeModulus,
     SingularMatrixError,
     ff_dot,
+    field_modulus,
     ff_solve,
     independent_row_indices,
 )
@@ -147,6 +149,10 @@ class Section:
             raise ValueError("payload exceeds the declared bit length")
 
 
+# the JSON types a header field may hold, by the field's annotation
+_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "int | None": (int, type(None))}
+
+
 @dataclass
 class EncodingMessage:
     """Bit-exact encoder output with a per-section length breakdown."""
@@ -191,14 +197,27 @@ class EncodingMessage:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EncodingMessage":
-        """Parse `to_bytes` output; a field that runs past the buffer, a
-        payload length that disagrees with its bit length, a repeated
-        section label, or a version other than the integer 1 raises
-        ValueError, and a header without one of the fields KeyError."""
+        """Parse `to_bytes` output. Raises ValueError on a version other
+        than the integer 1; on a header that is not a JSON object of
+        exactly the message's fields, each of its JSON type (an int field
+        takes no bool or float), with a flag of 0 or 1; on a field that
+        runs past the buffer, a payload length that disagrees with its
+        bit length, and a repeated section label."""
         newline = data.index(b"\n")
         header = json.loads(data[:newline])
-        if type(header["version"]) is not int or header["version"] != 1:
-            raise ValueError(f"unknown message version {header['version']!r}")
+        if not isinstance(header, dict):
+            raise ValueError("message header is not a JSON object")
+        version = header.get("version")
+        if type(version) is not int or version != 1:
+            raise ValueError(f"unknown message version {version!r}")
+        types = {f.name: _JSON_TYPES[f.type] for f in fields(cls) if f.name != "sections"}
+        if header.keys() != types.keys():
+            raise ValueError(f"message header fields {sorted(header)} are not {sorted(types)}")
+        for name, allowed in types.items():
+            if type(header[name]) not in allowed:
+                raise ValueError(f"header field {name!r} holds {header[name]!r}")
+        if header["flag"] not in (0, 1):
+            raise ValueError(f"flag {header['flag']} is neither 0 nor 1")
         pos = newline + 1
 
         def take(size: int, what: str) -> bytes:
@@ -219,8 +238,7 @@ class EncodingMessage:
                 raise ValueError(f"section {label!r}: {nbytes} bytes for {bit_length} bits")
             payload = int.from_bytes(take(nbytes, f"{label!r} payload"), "big")
             sections.append(Section(label=label, bit_length=bit_length, payload=payload))
-        names = [f.name for f in fields(cls) if f.name != "sections"]
-        return cls(sections=tuple(sections), **{name: header[name] for name in names})
+        return cls(sections=tuple(sections), **header)
 
 
 @dataclass(frozen=True)
@@ -228,7 +246,6 @@ class ResolvedSet:
     """A cell subset C of the target epoch and the sampled queries whose
     probes into that epoch all land inside C (verified by replay)."""
 
-    istar: int
     cell_addresses: tuple[int, ...]
     queries: tuple
     sample_mean_t: float
@@ -334,7 +351,6 @@ def find_resolved_set(
             raise AssertionError(f"replay of {q} probed epoch {istar} outside C")
 
     return ResolvedSet(
-        istar=istar,
         cell_addresses=best_cells,
         queries=tuple(sorted(best)),
         sample_mean_t=mean_t,
@@ -532,7 +548,6 @@ def encode_epoch(
 @dataclass
 class DecodeResult:
     u_istar: tuple[int, ...]
-    flag: int
     queries_replayed: int = 0
     independent_rows: int = 0
 
@@ -546,9 +561,11 @@ def decode_epoch(
     """Recover the target epoch's weight vector from the message and the
     updates of the preceding epochs.
 
-    A kind outside `chronogram.KINDS` raises ValueError, as do a kind
-    that does not fit the structure (an index-weight message needs a
-    structure with a family, a dominance message one without), a missing
+    A kind outside `chronogram.KINDS` raises ValueError, as do a delta
+    other than `field_modulus(n)`, a kind that does not fit the structure
+    (an index-weight message needs a structure with a family, a dominance
+    message one without), a w other than the run's cell width, a query
+    count other than the number of ids sent (None for flag 1), a missing
     section, and a section whose bit length does not fit its count. The flag-0
     path builds each transmitted query's row from its id alone (an id
     outside the family raises ValueError) and keeps the rows that
@@ -565,9 +582,11 @@ def decode_epoch(
     """
     if message.kind not in KINDS:
         raise ValueError(f"unknown kind {message.kind!r}, not one of {KINDS}")
-    delta = PrimeModulus(message.delta)
-    istar = message.istar
     n = message.n
+    delta = field_modulus(n)
+    if message.delta != delta.value:
+        raise ValueError(f"delta {message.delta} is not the field modulus {delta.value} of n={n}")
+    istar = message.istar
     # a flag-1 message needs the epoch sizes but no lattice
     sched, epoch_points = executed_schedule(
         message.kind, epoch_schedule(n, message.beta), istar if message.flag == 0 else 0
@@ -575,8 +594,10 @@ def decode_epoch(
     m = sched.size_of(istar)
 
     if message.flag == 1:
+        if message.query_count is not None:
+            raise ValueError(f"a flag-1 message carries query count {message.query_count}")
         weights = _parse_weights_section(message.section("raw_weights"), delta, m)
-        return DecodeResult(u_istar=weights, flag=1)
+        return DecodeResult(u_istar=weights)
 
     if any(e.epoch <= istar for e in prefix_updates.epochs):
         raise ValueError("prefix updates must cover only epochs above istar")
@@ -586,12 +607,16 @@ def decode_epoch(
     smaller = range(istar - 1, 0, -1)
     small_cells = {j: _parse_cells_section(message.section(f"cells_epoch_{j}"), w) for j in smaller}
     qids = _parse_query_ids_section(message.section("resolved_queries"), n, w)
+    if message.query_count != len(qids):
+        raise ValueError(f"query count {message.query_count} but {len(qids)} query ids")
     prefix_memory = SimulatedMemory(MemoryConfig(w=w))
     prefix_memory.trace = None  # the bound check reads the probe count; replay scopes its own log
     structure = structure_factory(prefix_memory)
     family = getattr(structure, "family", None)
     if (family is None) != (message.kind == "orc"):
         raise ValueError(f"a {message.kind!r} message does not fit a {type(structure).__name__}")
+    if w != default_run_cell_width(message.kind, n, delta, sched.total):
+        raise ValueError(f"cell width {w} is not the width of a {message.kind!r} run at n={n}")
     small_weights = {
         j: _parse_weights_section(message.section(f"weights_epoch_{j}"), delta, sched.size_of(j))
         for j in (smaller if message.kind == "orc" else ())
@@ -658,7 +683,6 @@ def decode_epoch(
 
     return DecodeResult(
         u_istar=tuple(u[:m]),  # the whole of u in a dominance game
-        flag=0,
         queries_replayed=len(kept_ids),
         independent_rows=len(kept_rows),
     )

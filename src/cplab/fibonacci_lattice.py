@@ -19,17 +19,16 @@ A1 = Fraction(19, 10)
 A2 = Fraction(9, 20)
 
 
-def fibonacci_pair_for(m: int) -> tuple[int, int]:
-    """Return (k, f_{k-1}) with f_k = m; m = 1 resolves to k = 2."""
+def fibonacci_predecessor(m: int) -> int:
+    """f_{k-1} for the Fibonacci number m = f_k; m = 1 resolves to k = 2."""
     if m < 1:
         raise ValueError("lattice size must be >= 1")
-    prev, cur, k = 1, 1, 2
+    prev, cur = 1, 1
     while cur < m:
         prev, cur = cur, prev + cur
-        k += 1
     if cur != m:
         raise ValueError(f"{m} is not a Fibonacci number")
-    return k, prev
+    return prev
 
 
 def largest_fibonacci_at_most(x: int) -> int:
@@ -53,8 +52,7 @@ class LatticeSpec:
     def create(cls, m: int, n: int) -> "LatticeSpec":
         if not 1 <= m <= n:
             raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-        _, multiplier = fibonacci_pair_for(m)
-        return cls(m=m, multiplier=multiplier, n=n)
+        return cls(m=m, multiplier=fibonacci_predecessor(m), n=n)
 
 
 def scaled_lattice(spec: LatticeSpec) -> tuple[tuple[int, int], ...]:

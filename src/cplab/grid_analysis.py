@@ -119,12 +119,9 @@ def cell_representatives(queries: Iterable[Query], grid: Grid) -> list[Query]:
     return sorted(min(qs) for qs in hit_cells(queries, grid).values())
 
 
-def well_separated_subset(
-    queries: Sequence[Query], area_threshold: float
-) -> tuple[list[Query], bool]:
+def well_separated_subset(queries: Sequence[Query], area_threshold: float) -> list[Query]:
     """Queries whose minimal enclosing rectangle with every other query
-    has area |dx|*|dy| >= threshold; a degenerate side makes the area 0.
-    The flag reports whether at least half the input qualifies."""
+    has area |dx|*|dy| >= threshold; a degenerate side makes the area 0."""
     kept = []
     for idx, (x, y) in enumerate(queries):
         ok = True
@@ -136,7 +133,7 @@ def well_separated_subset(
                 break
         if ok:
             kept.append((x, y))
-    return kept, len(kept) * 2 >= len(queries)
+    return kept
 
 
 def separation_area_threshold(n: int, beta: float, epoch_size: int) -> float:
@@ -254,12 +251,12 @@ def well_separated_frequency(
     n: int, beta: float, epoch_size: int, trials: int, seed_base: int = 0
 ) -> float:
     """Fraction of seeded slab samples that are well-separated at the
-    configuration's area threshold."""
+    configuration's area threshold: at least half of a sample qualifies."""
     threshold = separation_area_threshold(n, beta, epoch_size)
     hits = 0
     for s in range(trials):
         sample = sample_slab_queries(n, beta, seed_base + s, epoch_size)
-        if well_separated_subset(sample, threshold)[1]:
+        if 2 * len(well_separated_subset(sample, threshold)) >= len(sample):
             hits += 1
     return hits / trials
 

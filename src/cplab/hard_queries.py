@@ -140,17 +140,11 @@ def build_query_family(params: QueryFamilyParams) -> QueryFamily:
     return QueryFamily(params=params, vectors=tuple(accepted))
 
 
-@dataclass(frozen=True)
-class IndependenceReport:
-    trials: int
-    violations: int
-
-
 def check_suffix_independence(
     family: QueryFamily, k: int, subset_size: int, trials: int, seed: int
-) -> IndependenceReport:
+) -> int:
     """Audit `trials` random subsets of the given size for full rank on
-    the last k coordinates. Reports the violation count.
+    the last k coordinates; return how many fall short of it.
     """
     n = family.params.n
     if not _k_range(n).start <= k <= n:
@@ -169,7 +163,7 @@ def check_suffix_independence(
         rows = [family.vectors[i][-k:] for i in idxs]
         if ff_rank(family.params.modulus, rows) < subset_size:
             violations += 1
-    return IndependenceReport(trials=trials, violations=violations)
+    return violations
 
 
 def write_family(family: QueryFamily, fh: TextIO) -> None:

@@ -133,7 +133,6 @@ class PrefixSumRangeStructure(DynamicStructure):
 class OrcInstance:
     """Reference model of weighted dominance counting: a point multiset."""
 
-    n: int
     points: list[tuple[int, int, int]] = field(default_factory=list)
 
     def insert(self, x: int, y: int, weight: int) -> None:

@@ -11,12 +11,11 @@ from cplab.chronogram import (
     execute_epochs,
     replay_queries,
     run_hard_distribution,
-    structure_factory,
 )
 from cplab.fibonacci_lattice import LatticeSpec, dominance_incidence, scaled_lattice
 from cplab.finite_field import largest_prime_below
 from cplab.rng import substream
-from cplab.structures import NaiveArtificialStructure, OrcInstance
+from cplab.structures import NaiveArtificialStructure, OrcInstance, PrefixSumRangeStructure
 
 
 class TestEpochSchedule:
@@ -73,7 +72,8 @@ class TestHardDistributionRuns:
             expected = scaled_lattice(
                 LatticeSpec.create(run.run_schedule.size_of(epoch_id), run.n)
             )
-            assert run.updates.epoch(epoch_id).targets == expected
+            targets = {e.epoch: e.targets for e in run.updates.epochs}
+            assert targets[epoch_id] == expected
 
     def test_orc_total_is_snapped_sum(self):
         run = run_hard_distribution("orc", 440, 5, seed=0)
@@ -91,14 +91,19 @@ class TestHardDistributionRuns:
         with pytest.raises(ValueError):
             run_hard_distribution("nope", 16, 2, seed=0)
 
-    def test_epoch_of_position(self):
-        run = run_hard_distribution("artificial", 16, 2, seed=0)
-        # schedule (2, 8, 4, 2): epochs 4, 3, 2, 1
-        assert run.run_schedule.sizes == (2, 8, 4, 2)
-        assert run.epoch_of_position(0) == 4
-        assert run.epoch_of_position(2) == 3
-        assert run.epoch_of_position(10) == 2
-        assert run.epoch_of_position(15) == 1
+    @pytest.mark.parametrize(
+        "kind, n", [("artificial", 25), ("artificial", 49), ("orc", 55), ("orc", 440)]
+    )
+    def test_re_execution_reproduces_the_run(self, kind, n):
+        # the run's own structure factory, on a fresh memory of the run's
+        # width, rebuilds the run cell for cell and probe for probe
+        run = run_hard_distribution(kind, n, 5, seed=0)
+        memory = SimulatedMemory(MemoryConfig(w=run.w))
+        execute_epochs(run.structure_factory(memory), memory, run.updates)
+        assert memory.values == run.memory.values
+        assert memory.tags == run.memory.tags
+        assert memory.probes == run.memory.probes
+        assert list(memory.trace.rows()) == list(run.memory.trace.rows())
 
 
 class TestProbeProfiles:
@@ -202,7 +207,7 @@ class TestIncidenceVectors:
 
     def test_answer_decomposition_small(self):
         run = run_hard_distribution("orc", 55, 5, seed=4)
-        reference = OrcInstance(n=run.n)
+        reference = OrcInstance()
         for e in run.updates.epochs:
             for (x, y), weight in zip(e.targets, e.weights):
                 reference.insert(x, y, weight)
@@ -245,18 +250,10 @@ class TestUpdateSequence:
         sizes = [len(e.weights) for e in prefix.epochs]
         assert sizes == [run.run_schedule.size_of(4), run.run_schedule.size_of(3)]
 
-    def test_factory_needs_the_input_of_its_kind(self):
-        delta = largest_prime_below(16**4)
-        with pytest.raises(ValueError, match="capacity"):
-            structure_factory("orc", 16, delta)
-        with pytest.raises(ValueError, match="query family"):
-            structure_factory("artificial", 16, delta)
-
     def test_declared_update_bound_enforced(self):
         # a structure that lies about its update bound aborts the run,
         # in a memory that logs its probes and in one that only counts them
         delta = largest_prime_below(16**4)
-        factory = structure_factory("orc", 16, delta, capacity=4)
         updates = UpdateSequence(
             epochs=(EpochUpdates(epoch=1, targets=((3, 3),), weights=(5,)),),
         )
@@ -264,7 +261,7 @@ class TestUpdateSequence:
             memory = SimulatedMemory(MemoryConfig(w=48))
             if not logged:
                 memory.trace = None
-            structure = factory(memory)
+            structure = PrefixSumRangeStructure(16, delta, memory, capacity=4)
             structure.declared_update_probes = 1  # impossible bound
             with pytest.raises(AssertionError):
                 execute_epochs(structure, memory, updates)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import pytest
@@ -181,6 +182,34 @@ class TestStrictParsing:
         forged = data.replace(b'"version": 1,', b'"version": true,', 1)
         assert forged != data
         with pytest.raises(ValueError, match="version True"):
+            EncodingMessage.from_bytes(forged)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: [h],
+            lambda h: "header",
+            lambda h: {k: v for k, v in h.items() if k != "seed"},
+            lambda h: {**h, "extra": 0},
+            lambda h: {**h, "n": True},
+            lambda h: {**h, "w": 40.0},
+            lambda h: {**h, "beta": "5"},
+            lambda h: {**h, "kind": 1},
+            lambda h: {**h, "query_count": "3"},
+            lambda h: {**h, "flag": 2},
+        ],
+        ids=[
+            "list", "string", "missing-field", "extra-field", "bool-int", "float-int",
+            "string-beta", "int-kind", "string-query-count", "flag-2",
+        ],
+    )
+    def test_malformed_header_rejected(self, edit):
+        _, message = self._message()
+        data = message.to_bytes()
+        newline = data.index(b"\n")
+        header = json.loads(data[:newline])
+        forged = json.dumps(edit(header)).encode() + data[newline:]
+        with pytest.raises(ValueError):
             EncodingMessage.from_bytes(forged)
 
     @pytest.mark.parametrize("nbytes", [0, 2])
@@ -436,7 +465,7 @@ class TestFlagOnePath:
         run = run_hard_distribution("artificial", 25, 5, seed=1)
         message = encode_epoch(run, 1, None)
         result = decode_epoch(message, run.updates.prefix_above(1), run.structure_factory)
-        assert result.flag == 1
+        assert message.flag == 1
         assert result.u_istar == run.updates.u(1)
 
     def test_average_cost_test_forces_flag_one(self):
@@ -555,7 +584,7 @@ def test_decode_from_the_products_alone():
     )
     assert zero_ids
     resolved = ResolvedSet(
-        istar=1, cell_addresses=(), queries=zero_ids, sample_mean_t=0.0,
+        cell_addresses=(), queries=zero_ids, sample_mean_t=0.0,
         sample_size=len(zero_ids), tries_used=1, query_probes=0,
     )
     message = EncodingMessage.from_bytes(encode_epoch(run, 1, resolved).to_bytes())
@@ -608,7 +637,6 @@ class TestIntegrityChecks:
             if any(v[p] for p in epoch2_positions)
         )
         bogus = ResolvedSet(
-            istar=2,
             cell_addresses=(),
             queries=(victim,),
             sample_mean_t=1.0,
@@ -643,7 +671,6 @@ class TestIntegrityChecks:
 
         def decode(queries):
             resolved = ResolvedSet(
-                istar=2,
                 cell_addresses=tuple(sorted(c_cells)),
                 queries=queries,
                 sample_mean_t=1.0,
@@ -703,6 +730,28 @@ def _with_query_ids(message, qids):
         section if s.label == "resolved_queries" else s for s in message.sections
     )
     forged = dataclasses.replace(message, sections=sections, query_count=len(qids))
+    return EncodingMessage.from_bytes(forged.to_bytes())
+
+
+def _reframed(message, w):
+    """The message at cell width `w`, each section of w-bit fields
+    rewritten at that width."""
+    from cplab.encoding_game import (
+        _cells_section,
+        _parse_cells_section,
+        _parse_query_ids_section,
+        _query_ids_section,
+    )
+
+    def rewrite(s):
+        if s.label == "resolved_queries":
+            qids = _parse_query_ids_section(s, message.n, message.w)
+            return _query_ids_section(qids, message.n, w)
+        if s.label == "resolved_cells" or s.label.startswith("cells_epoch_"):
+            return _cells_section(s.label, sorted(_parse_cells_section(s, message.w).items()), w)
+        return s
+
+    forged = dataclasses.replace(message, w=w, sections=tuple(map(rewrite, message.sections)))
     return EncodingMessage.from_bytes(forged.to_bytes())
 
 
@@ -850,6 +899,44 @@ class TestForgedHeaders:
                 forged, run.updates.prefix_above(istar), run.structure_factory, verify_run=run
             )
 
+    @pytest.mark.parametrize("flag", [0, 1])
+    def test_delta_other_than_the_field_modulus_rejected(self, flag):
+        # the next prime below Delta is a field the decoder can compute in, not the run's
+        run = run_hard_distribution("artificial", 25, 5, seed=0)
+        overrides = dict(cell_budget=16, probe_threshold=12, max_tries=8)
+        resolved = find_resolved_set(run, 2, seed=0, **overrides) if flag == 0 else None
+        message = encode_epoch(run, 2, resolved)
+        assert message.flag == flag
+        smaller = largest_prime_below(run.delta.value).value
+        forged = EncodingMessage.from_bytes(dataclasses.replace(message, delta=smaller).to_bytes())
+        with pytest.raises(ValueError, match=rf"delta {smaller} is not the field modulus"):
+            decode_epoch(forged, run.updates.prefix_above(2), run.structure_factory)
+
+    @pytest.mark.parametrize("kind, n, istar, overrides", _FLAG0_GAMES)
+    def test_cell_width_other_than_the_run_width_rejected(self, kind, n, istar, overrides):
+        run = run_hard_distribution(kind, n, 5, seed=0)
+        message = encode_epoch(run, istar, find_resolved_set(run, istar, seed=0, **overrides))
+        assert message.flag == 0
+        forged = _reframed(message, run.w + 8)
+        with pytest.raises(ValueError, match=rf"cell width {run.w + 8} is not the width"):
+            decode_epoch(
+                forged, run.updates.prefix_above(istar), run.structure_factory, verify_run=run
+            )
+
+    @pytest.mark.parametrize("flag", [0, 1])
+    def test_query_count_other_than_the_ids_sent_rejected(self, flag):
+        run = run_hard_distribution("artificial", 25, 5, seed=0)
+        overrides = dict(cell_budget=16, probe_threshold=12, max_tries=8)
+        resolved = find_resolved_set(run, 2, seed=0, **overrides) if flag == 0 else None
+        message = encode_epoch(run, 2, resolved)
+        assert message.flag == flag
+        count = 1 if flag else message.query_count + 1
+        forged = EncodingMessage.from_bytes(
+            dataclasses.replace(message, query_count=count).to_bytes()
+        )
+        with pytest.raises(ValueError, match=rf"query count {count}"):
+            decode_epoch(forged, run.updates.prefix_above(2), run.structure_factory)
+
     def test_weights_of_the_wrong_count_rejected(self):
         # as an index-weight message, the snapped 21-weight epoch would be
         # read as its unsnapped 25 weights
@@ -875,6 +962,6 @@ class TestEntropyAccount:
 
         run = run_hard_distribution("artificial", 25, 5, seed=0)
         message = encode_epoch(run, 1, None)
-        schedule = EpochSchedule(n=10, beta=2.0, sizes=(5, 3, 2))
+        schedule = EpochSchedule(n=10, sizes=(5, 3, 2))
         account = entropy_account(schedule, 3, PrimeModulus(9973), message)
         assert account.h_bits == pytest.approx(5 * math.log2(9973))

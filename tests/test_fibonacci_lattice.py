@@ -17,7 +17,7 @@ from cplab.fibonacci_lattice import (
     RectangleSweep,
     check_all_lattice_rectangles,
     dominance_incidence,
-    fibonacci_pair_for,
+    fibonacci_predecessor,
     largest_fibonacci_at_most,
     scaled_lattice,
 )
@@ -91,21 +91,21 @@ def check_area_bounds(
 
 class TestFibonacci:
     def test_base_case(self):
-        assert fibonacci_pair_for(1) == (2, 1)
-        assert fibonacci_pair_for(2) == (3, 1)
+        assert fibonacci_predecessor(1) == 1
+        assert fibonacci_predecessor(2) == 1
 
     def test_recurrence_values(self):
-        assert fibonacci_pair_for(5) == (5, 3)
-        assert fibonacci_pair_for(55) == (10, 34)
+        assert fibonacci_predecessor(5) == 3
+        assert fibonacci_predecessor(55) == 34
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            fibonacci_pair_for(0)
+            fibonacci_predecessor(0)
 
     def test_is_fibonacci(self):
         def accepted(m):
             try:
-                fibonacci_pair_for(m)
+                fibonacci_predecessor(m)
             except ValueError:
                 return False
             return True

@@ -112,20 +112,16 @@ class TestHittingNumber:
 
 class TestWellSeparated:
     def test_single_query(self):
-        kept, flag = well_separated_subset([(3, 3)], 1000)
-        assert kept == [(3, 3)] and flag
+        assert well_separated_subset([(3, 3)], 1000) == [(3, 3)]
 
     def test_close_pair_excluded(self):
-        kept, flag = well_separated_subset([(0, 0), (1, 1)], 4)
-        assert kept == [] and not flag
+        assert well_separated_subset([(0, 0), (1, 1)], 4) == []
 
     def test_far_pair_included(self):
-        kept, flag = well_separated_subset([(0, 0), (10, 10)], 4)
-        assert kept == [(0, 0), (10, 10)] and flag
+        assert well_separated_subset([(0, 0), (10, 10)], 4) == [(0, 0), (10, 10)]
 
     def test_degenerate_side_is_area_zero(self):
-        kept, _ = well_separated_subset([(0, 0), (0, 10)], 1)
-        assert kept == []
+        assert well_separated_subset([(0, 0), (0, 10)], 1) == []
 
     def test_threshold_value(self):
         thr = separation_area_threshold(440, 5, 55)

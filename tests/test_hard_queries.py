@@ -82,8 +82,8 @@ class TestBuild:
 
     def test_built_family_survives_audit(self):
         family = build_query_family(params_for(16, c=2.0, seed=1))
-        report = check_suffix_independence(family, k=16, subset_size=2, trials=1000, seed=1)
-        assert report.violations == 0
+        violations = check_suffix_independence(family, k=16, subset_size=2, trials=1000, seed=1)
+        assert violations == 0
 
 
 class TestCheck:
@@ -94,8 +94,8 @@ class TestCheck:
         )
         vectors = tuple(unit_vector(i, n) for i in range(n))
         family = QueryFamily(params=p, vectors=vectors)
-        report = check_suffix_independence(family, k=16, subset_size=4, trials=200, seed=0)
-        assert report.violations == 0
+        violations = check_suffix_independence(family, k=16, subset_size=4, trials=200, seed=0)
+        assert violations == 0
 
     def test_duplicate_vector_detected_with_witness(self):
         n = 16
@@ -104,8 +104,8 @@ class TestCheck:
         )
         dup = (1, 0) * 8
         family = QueryFamily(params=p, vectors=(dup, dup))
-        report = check_suffix_independence(family, k=16, subset_size=2, trials=50, seed=0)
-        assert report.violations == 50
+        violations = check_suffix_independence(family, k=16, subset_size=2, trials=50, seed=0)
+        assert violations == 50
 
     def test_oversized_subset_rejected(self):
         family = build_query_family(params_for(16, seed=2))

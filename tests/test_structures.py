@@ -178,7 +178,7 @@ class TestPrefixSumStructure:
         delta = largest_prime_below(n**4)
         memory = SimulatedMemory(MemoryConfig(w=w))
         ds = PrefixSumRangeStructure(n, delta, memory, capacity=200)
-        reference = OrcInstance(n=n)
+        reference = OrcInstance()
         rng = substream(4, f"bit-workload-{w}")
         for _ in range(200):
             x, y, weight = rng.randrange(n), rng.randrange(n), rng.randrange(delta.value)
@@ -207,7 +207,7 @@ class TestPrefixSumStructure:
 class TestOracle:
     def test_empty_log(self):
         assert ArtificialInstance(n=3).answer((1, 1, 1)) == 0
-        assert OrcInstance(n=8).answer((5, 5)) == 0
+        assert OrcInstance().answer((5, 5)) == 0
 
     def test_artificial_matches_definition(self):
         inst = ArtificialInstance(n=3)
@@ -217,7 +217,7 @@ class TestOracle:
         assert inst.answer((0, 1, 0)) == 0
 
     def test_orc_matches_dominance_scan(self):
-        orc = OrcInstance(n=5)
+        orc = OrcInstance()
         orc.insert(0, 0, 1)
         orc.insert(4, 4, 10)
         assert orc.answer((3, 3)) == 1
@@ -227,7 +227,7 @@ class TestOracle:
         inst = ArtificialInstance(n=3)
         inst.update(1, 4)
         assert inst.answer((1, 1, 0)) == 4
-        orc = OrcInstance(n=4)
+        orc = OrcInstance()
         orc.insert(1, 1, 2)
         orc.insert(1, 1, 3)  # multiset: same point twice
         assert orc.answer((1, 1)) == 5
