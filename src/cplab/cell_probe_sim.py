@@ -3,11 +3,12 @@ a probe log.
 
 Every read or write of a cell is a probe. It adds one to the memory's
 probe count and lands in its trace, unless the memory keeps no log (the
-decoder's re-execution of the preceding epochs only counts). Each
+decoder's re-execution of the preceding epochs only counts) or a query
+is replayed (its reads are recorded apart; it may not write). Each
 written cell carries the id of the last epoch that wrote it, which is
-what per-epoch probe accounting is built on. Cells that were never
-written read as zero: a decoder re-executing a prefix of the updates
-must see exactly the same blanks the original execution saw.
+what per-epoch probe accounting is built on. Cells never written read
+as zero: a decoder re-executing a prefix of the updates must see
+exactly the same blanks the original execution saw.
 """
 
 from __future__ import annotations
@@ -62,11 +63,11 @@ class ProbeTrace:
         self._op_index[op_id] = len(self._op_starts)
         self._op_starts.append(len(self.addresses))
 
-    def segment(self, op_id: Hashable) -> array:
-        """Addresses the operation probed, in probe order."""
-        k = self._op_index[op_id]
-        end = self._op_starts[k + 1] if k + 1 < len(self._op_starts) else len(self.addresses)
-        return self.addresses[self._op_starts[k] : end]
+    def log_reads(self, addresses: Sequence[int], tags: dict[int, int]) -> None:
+        """Append one read per address, tagged from `tags` (-1 if absent)."""
+        self.addresses.extend(array("q", addresses))
+        self.kinds.extend(bytes(len(addresses)))
+        self.tags.extend(array("q", list(map(tags.get, addresses, repeat(-1)))))
 
     def __len__(self) -> int:
         return len(self.addresses)
@@ -98,6 +99,11 @@ class SimulatedMemory:
     probe log; a memory whose `trace` is set to None counts its probes
     and logs none of them, for a re-execution whose probes no one reads.
 
+    `replay_reads` is None except while `chronogram.replay_queries` asks
+    a query: then it is a list, `read_many` appends a tuple of its
+    addresses to it and logs nothing, `begin_operation` does nothing,
+    and `write` and `add_many` raise AssertionError before any change.
+
     A single instance is single-threaded mutable state; run independent
     instances for parallel trials. Epoch ids must strictly decrease
     over a run (epochs are numbered largest-first in time); writes
@@ -110,6 +116,7 @@ class SimulatedMemory:
         self.tags: dict[int, int] = {}  # address -> epoch of the last write
         self.current_epoch: int | None = None
         self.trace: ProbeTrace | None = ProbeTrace()
+        self.replay_reads: list[tuple[int, ...]] | None = None
         self.probes = 0
         self._limit = 1 << config.w
         # an address must also fit the log's signed 64-bit column, logged or not
@@ -125,7 +132,7 @@ class SimulatedMemory:
         self.current_epoch = epoch_id
 
     def begin_operation(self, op_id: Hashable) -> None:
-        if self.trace is not None:
+        if self.trace is not None and self.replay_reads is None:
             self.trace.begin(op_id)
 
     def _reject_addresses(self, addresses: Sequence[int]) -> NoReturn:
@@ -137,17 +144,17 @@ class SimulatedMemory:
     # and append them to the log's columns, with no per-probe object
     def read_many(self, addresses: Sequence[int]) -> list[int]:
         """Read the cells in order: one read probe per address, counted
-        and logged with the cell's epoch tag (-1 if unwritten). Every
-        address is checked before the memory changes, so a bad one raises
-        and leaves it as it was."""
+        and logged with the cell's epoch tag (-1 if unwritten), or, in a
+        replay, recorded in `replay_reads`. Every address is checked
+        before the memory changes, so a bad one raises and leaves it as
+        it was."""
         if addresses and (min(addresses) < 0 or max(addresses) >= self._address_limit):
             self._reject_addresses(addresses)
         self.probes += len(addresses)
-        trace = self.trace
-        if trace is not None:
-            trace.addresses.extend(array("q", addresses))
-            trace.kinds.extend(bytes(len(addresses)))
-            trace.tags.extend(array("q", list(map(self.tags.get, addresses, repeat(-1)))))
+        if self.replay_reads is not None:
+            self.replay_reads.append(tuple(addresses))
+        elif self.trace is not None:
+            self.trace.log_reads(addresses, self.tags)
         return list(map(self.values.get, addresses, repeat(0)))
 
     def add_many(self, addresses: Sequence[int], addend: int) -> None:
@@ -157,6 +164,8 @@ class SimulatedMemory:
         distinct, so one pass reads what the cells in turn would read.
         Every address and every new value is checked before any state
         changes, so a bad one raises and leaves the memory as it was."""
+        if self.replay_reads is not None and addresses:
+            raise AssertionError(f"a replayed query wrote cell {addresses[0]}")
         limit = self._limit
         if addresses and (min(addresses) < 0 or max(addresses) >= self._address_limit):
             self._reject_addresses(addresses)
@@ -184,6 +193,8 @@ class SimulatedMemory:
         self.tags.update(zip(addresses, repeat(tag)))
 
     def write(self, address: int, value: int) -> None:
+        if self.replay_reads is not None:
+            raise AssertionError(f"a replayed query wrote cell {address}")
         if not 0 <= address < self._limit:
             raise ValueError(f"address {address} does not fit in {self.config.w} bits")
         if not 0 <= value < self._limit:

@@ -13,10 +13,9 @@ a single run.
 from __future__ import annotations
 
 import csv
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .cell_probe_sim import (
@@ -305,30 +304,27 @@ class ProbeProfile:
 
 def replay_queries(
     structure: DynamicStructure, queries: Iterable, log: ProbeTrace | None = None
-) -> Iterator[tuple[int, array]]:
-    """Ask the structure the queries one at a time after its updates,
-    logging their probes in `log` with op ids ("qry", index), and yield
-    each query's answer and probed addresses as it finishes. Without a
-    `log`, each query runs in a log of its own, dropped after its
-    addresses are yielded. The memory's own log and probe count are
-    put back around every yield, so they are left as they were. A query
-    that writes raises AssertionError: a query must not mutate the run
-    it reads."""
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Ask the structure the queries one at a time after its updates and
+    yield each query's answer and probed addresses, a tuple in probe
+    order. The memory records a query's reads in `replay_reads` and
+    refuses its writes before they land (a query must not mutate the
+    run it reads); its own log and probe count are left as they were.
+    A `log` gets each query's addresses as reads, op id ("qry", index),
+    tagged with the memory's current tags: a replayed query cannot write."""
     memory = structure.memory
-    saved, probes = memory.trace, memory.probes
+    probes = memory.probes
     for idx, q in enumerate(queries):
-        scoped = ProbeTrace() if log is None else log
-        scoped.begin(("qry", idx))
-        start = len(scoped)
-        memory.trace = scoped
+        reads = memory.replay_reads = []
         try:
             answer = structure.query(q)
         finally:
-            memory.trace, memory.probes = saved, probes
-        write = scoped.kinds.find(1, start)
-        if write >= 0:
-            raise AssertionError(f"query {q!r} wrote cell {scoped.addresses[write]}")
-        yield answer, scoped.segment(("qry", idx))
+            memory.replay_reads, memory.probes = None, probes
+        addresses = reads[0] if len(reads) == 1 else tuple(chain.from_iterable(reads))
+        if log is not None:
+            log.begin(("qry", idx))
+            log.log_reads(addresses, memory.tags)
+        yield answer, addresses
 
 
 def epoch_probe_profile(run: RunRecord, queries: Sequence) -> ProbeProfile:

@@ -610,7 +610,7 @@ def decode_epoch(
     if message.query_count != len(qids):
         raise ValueError(f"query count {message.query_count} but {len(qids)} query ids")
     prefix_memory = SimulatedMemory(MemoryConfig(w=w))
-    prefix_memory.trace = None  # the bound check reads the probe count; replay scopes its own log
+    prefix_memory.trace = None  # the bound check reads the probe count; replay records its reads
     structure = structure_factory(prefix_memory)
     family = getattr(structure, "family", None)
     if (family is None) != (message.kind == "orc"):

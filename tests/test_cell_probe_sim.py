@@ -5,6 +5,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from probe_log import segment
 
 from cplab.cell_probe_sim import (
     MemoryConfig,
@@ -154,7 +155,7 @@ class TestProbeCounts:
         mem.begin_operation("q")
         for a in (0, 1, 2):
             mem.read(a)
-        assert probe_counts_by_epoch(mem.trace.segment("q"), mem) == {2: 3}
+        assert probe_counts_by_epoch(segment(mem.trace, "q"), mem) == {2: 3}
 
     def test_repeat_probe_counts_once(self):
         mem = make_memory()
@@ -163,13 +164,13 @@ class TestProbeCounts:
         mem.begin_operation("q")
         mem.read(0)
         mem.read(0)
-        assert probe_counts_by_epoch(mem.trace.segment("q"), mem) == {2: 1}
+        assert probe_counts_by_epoch(segment(mem.trace, "q"), mem) == {2: 1}
 
     def test_unwritten_cells_belong_to_no_epoch(self):
         mem = make_memory()
         mem.begin_operation("q")
         mem.read(9)
-        assert probe_counts_by_epoch(mem.trace.segment("q"), mem) == {}
+        assert probe_counts_by_epoch(segment(mem.trace, "q"), mem) == {}
 
 
 class TestTrace:
@@ -180,8 +181,8 @@ class TestTrace:
         mem.begin_operation("b")
         mem.read(1)
         mem.read(2)
-        assert list(mem.trace.segment("a")) == [0]
-        assert list(mem.trace.segment("b")) == [1, 2]
+        assert segment(mem.trace, "a") == [0]
+        assert segment(mem.trace, "b") == [1, 2]
 
     def test_csv_export(self, tmp_path):
         mem = make_memory()
@@ -206,7 +207,7 @@ class TestTrace:
         mem.begin_operation("b")
         with pytest.raises(ValueError):
             mem.begin_operation("a")
-        assert list(mem.trace.segment("a")) == [0]
+        assert segment(mem.trace, "a") == [0]
 
 
 @given(
@@ -277,7 +278,7 @@ def test_columns_match_list_model(actions):
     assert len(trace) == len(model)
     assert list(trace.rows()) == model
     for o in [None] + ops:  # every op is closed except the last one begun
-        assert list(trace.segment(o)) == [a for m_op, _, a, _ in model if m_op == o]
+        assert segment(trace, o) == [a for m_op, _, a, _ in model if m_op == o]
     assert list(trace.tags) == [-1 if t == "" else t for _, _, _, t in model]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.csv")
@@ -324,7 +325,7 @@ def test_read_many_matches_reads(actions):
     a, b = one.trace, many.trace
     assert (a.addresses, a.kinds, a.tags) == (b.addresses, b.kinds, b.tags)
     for op in [None] + ops:
-        assert a.segment(op) == b.segment(op)
+        assert segment(a, op) == segment(b, op)
     assert list(a.rows()) == list(b.rows())
     assert (one.values, one.tags) == (many.values, many.tags)
 
@@ -391,7 +392,7 @@ def test_add_many_matches_reads_and_writes(w, data):
     a, b = one.trace, many.trace
     assert (a.addresses, a.kinds, a.tags) == (b.addresses, b.kinds, b.tags)
     for op in [None] + ops:
-        assert a.segment(op) == b.segment(op)
+        assert segment(a, op) == segment(b, op)
     assert list(a.rows()) == list(b.rows())
     assert (one.values, one.tags) == (many.values, many.tags)
 

@@ -1,4 +1,10 @@
+import functools
+from itertools import compress
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from probe_log import segment
 
 from cplab.cell_probe_sim import MemoryConfig, ProbeTrace, SimulatedMemory
 from cplab.chronogram import (
@@ -141,7 +147,7 @@ class TestProbeProfiles:
         assert structure.query(0) == 0
         from cplab.cell_probe_sim import probe_counts_by_epoch
 
-        assert probe_counts_by_epoch(memory.trace.segment(("qry", 0)), memory) == {}
+        assert probe_counts_by_epoch(segment(memory.trace, ("qry", 0)), memory) == {}
 
     def test_profile_csv_schema(self, tmp_path):
         run = run_hard_distribution("artificial", 16, 2, seed=3)
@@ -165,10 +171,10 @@ class TestReplayQueries:
         trace = run.memory.trace
         before = (len(trace), bytes(trace.addresses), bytes(trace.kinds), bytes(trace.tags))
         log = ProbeTrace()
-        logged = [bytes(a) for _, a in replay_queries(run.structure, queries, log)]
-        unlogged = [bytes(a) for _, a in replay_queries(run.structure, queries)]
+        logged = [tuple(a) for _, a in replay_queries(run.structure, queries, log)]
+        unlogged = [tuple(a) for _, a in replay_queries(run.structure, queries)]
         assert unlogged == logged
-        assert sum(map(len, unlogged)) == len(log) * log.addresses.itemsize
+        assert sum(map(len, unlogged)) == len(log)
         assert run.memory.trace is trace
         assert (len(trace), bytes(trace.addresses), bytes(trace.kinds), bytes(trace.tags)) == before
 
@@ -194,6 +200,127 @@ class TestReplayQueries:
             epoch_probe_profile(run, [0])
         with pytest.raises(AssertionError, match="wrote cell 0"):
             decode_epoch(message, run.updates.prefix_above(2), factory)
+
+    @pytest.mark.parametrize("kind, n", [("artificial", 25), ("orc", 55)])
+    def test_write_is_refused_before_it_lands(self, kind, n):
+        class WritingNaive(NaiveArtificialStructure):
+            def query(self, q):
+                self.memory.write(0, 7)
+                return super().query(q)
+
+        class AddingPrefixSum(PrefixSumRangeStructure):
+            def query(self, q):
+                self.memory.add_many([0, 1], 1)
+                return super().query(q)
+
+        run = run_hard_distribution(kind, n, 5, seed=0)
+        memory, trace = run.memory, run.memory.trace
+        if kind == "artificial":
+            structure, query = WritingNaive(run.family, run.delta, memory), 0
+        else:
+            structure = AddingPrefixSum(n, run.delta, memory, capacity=run.run_schedule.total)
+            query = (n - 1, n - 1)
+        before = (dict(memory.values), dict(memory.tags), memory.probes, len(trace))
+        for log in (None, ProbeTrace()):
+            with pytest.raises(AssertionError, match="wrote cell 0"):
+                list(replay_queries(structure, [query], log))
+            assert (dict(memory.values), dict(memory.tags), memory.probes, len(trace)) == before
+            assert memory.replay_reads is None
+
+    def test_query_does_not_begin_an_operation_in_the_run_log(self):
+        class BeginningQueries(NaiveArtificialStructure):
+            def query(self, q):
+                self.memory.begin_operation("sneak")
+                return super().query(q)
+
+        run = run_hard_distribution("artificial", 25, 5, seed=0)
+        rows = list(run.memory.trace.rows())
+        structure = BeginningQueries(run.family, run.delta, run.memory)
+        ((got, addresses),) = replay_queries(structure, [3])
+        ((want, expected),) = replay_queries(run.structure, [3])
+        assert (got, addresses) == (want, expected)
+        assert list(run.memory.trace.rows()) == rows
+        run.memory.begin_operation("sneak")  # the id was never used in the run's log
+
+    def test_several_reads_yield_one_sequence_in_probe_order(self):
+        class TwoReadQueries(NaiveArtificialStructure):
+            def query(self, j):
+                cells = list(compress(range(self.n), self.family.vectors[j]))
+                k = len(cells) // 2
+                return sum(self.memory.read_many(cells[k:])) + sum(
+                    self.memory.read_many(cells[:k])
+                )
+
+        run = run_hard_distribution("artificial", 25, 5, seed=0)
+        structure = TwoReadQueries(run.family, run.delta, run.memory)
+        queries = list(range(12))
+        plain = list(replay_queries(run.structure, queries))
+        log = ProbeTrace()
+        for with_log in (None, log):
+            replies = replay_queries(structure, queries, with_log)
+            for (answer, addresses), (want, cells) in zip(replies, plain):
+                k = len(cells) // 2
+                assert answer == want
+                assert tuple(addresses) == tuple(cells[k:]) + tuple(cells[:k])
+        for idx, (_, cells) in enumerate(plain):
+            k = len(cells) // 2
+            assert segment(log, ("qry", idx)) == list(cells[k:]) + list(cells[:k])
+
+    def test_failed_query_restores_the_memory(self):
+        class StrayQueries(NaiveArtificialStructure):
+            def query(self, j):
+                self.memory.read_many([0])
+                return sum(self.memory.read_many([1 << self.memory.config.w]))
+
+        run = run_hard_distribution("artificial", 25, 5, seed=0)
+        memory = run.memory
+        probes, logged = memory.probes, len(memory.trace)
+        with pytest.raises(ValueError):
+            list(replay_queries(StrayQueries(run.family, run.delta, memory), [0]))
+        assert memory.probes == probes
+        assert memory.replay_reads is None
+        ((answer, addresses),) = replay_queries(run.structure, [0])
+        cells = list(compress(range(25), run.family.vectors[0]))
+        assert tuple(addresses) == tuple(cells)
+        assert answer == sum(memory.contents_of(a) for a in cells)
+        run.structure.update(0, 5)
+        assert memory.contents_of(0) == 5
+        assert (memory.probes, len(memory.trace)) == (probes + 1, logged + 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _replay_run(kind: str, n: int):
+    return run_hard_distribution(kind, n, 5, seed=0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind_n=st.sampled_from([("artificial", 25), ("orc", 55)]),
+    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=12),
+)
+def test_replay_with_and_without_a_log_agree(kind_n, picks):
+    """The same answers and addresses either way; the log holds one read
+    per address with the cell's tag; the run is left as it was."""
+    kind, n = kind_n
+    run = _replay_run(kind, n)
+    memory, trace = run.memory, run.memory.trace
+    if kind == "artificial":
+        queries = [p % len(run.family.vectors) for p in picks]
+    else:
+        queries = [divmod(p % (n * n), n) for p in picks]
+    rows = list(trace.rows())
+    before = (dict(memory.values), dict(memory.tags), memory.probes, rows)
+    log = ProbeTrace()
+    logged = [(a, tuple(x)) for a, x in replay_queries(run.structure, queries, log)]
+    unlogged = [(a, tuple(x)) for a, x in replay_queries(run.structure, queries)]
+    assert logged == unlogged
+    tag = lambda a: "" if memory.epoch_of(a) is None else memory.epoch_of(a)
+    assert list(log.rows()) == [
+        (("qry", idx), "read", a, tag(a))
+        for idx, (_, addresses) in enumerate(unlogged)
+        for a in addresses
+    ]
+    assert (dict(memory.values), dict(memory.tags), memory.probes, list(trace.rows())) == before
 
 
 class TestIncidenceVectors:

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from probe_log import segment
 
 from cplab.chronogram import replay_queries, run_hard_distribution
 from cplab.encoding_game import (
@@ -444,7 +445,7 @@ def test_decoder_prefix_memory_counts_without_a_log(kind, n, istar, overrides):
     [memory] = handed
     assert memory.trace is None
     run_probes = sum(
-        len(run.memory.trace.segment(("upd", epoch.epoch, j)))
+        len(segment(run.memory.trace, ("upd", epoch.epoch, j)))
         for epoch in prefix.epochs
         for j in range(len(epoch.targets))
     )

@@ -2,6 +2,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import pytest
+from probe_log import segment
 
 from cplab.cell_probe_sim import MemoryConfig, SimulatedMemory
 from cplab.finite_field import largest_prime_below
@@ -84,10 +85,10 @@ class TestNaiveStructure:
         assert (ds.declared_update_probes, ds.declared_query_probes) == (1, 4)
         memory.begin_operation("u")
         ds.update(0, 3)
-        assert len(memory.trace.segment("u")) == 1
+        assert len(segment(memory.trace, "u")) == 1
         memory.begin_operation("q")
         ds.query(1)  # two 1-coordinates
-        assert len(memory.trace.segment("q")) == 2
+        assert len(segment(memory.trace, "q")) == 2
 
     def test_write_log(self):
         ds, memory = naive_setup()
@@ -197,11 +198,11 @@ class TestPrefixSumStructure:
         for op in range(100):
             memory.begin_operation(("i", op))
             ds.update((rng.randrange(n), rng.randrange(n)), rng.randrange(delta.value))
-            assert len(memory.trace.segment(("i", op))) <= ds.declared_update_probes
+            assert len(segment(memory.trace, ("i", op))) <= ds.declared_update_probes
         for op in range(100):
             memory.begin_operation(("q", op))
             ds.query((rng.randrange(n), rng.randrange(n)))
-            assert len(memory.trace.segment(("q", op))) <= ds.declared_query_probes
+            assert len(segment(memory.trace, ("q", op))) <= ds.declared_query_probes
 
 
 class TestOracle:
