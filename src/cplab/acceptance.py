@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable
 
 from . import chronogram, encoding_game, fibonacci_lattice, grid_analysis
@@ -97,10 +96,8 @@ def _oracle_trial(seed: int) -> tuple[int, int]:
     return mismatches, probe_violations
 
 
-def _artificial_game_trial(
-    seed: int, fault: str | None
-) -> tuple[bool, int, bool, encoding_game.EncodingMessage, float]:
-    """Criterion 6, one game: (recovered, flag, fell back, message, H)."""
+def _artificial_game_trial(seed: int) -> tuple[bool, int, bool, int, float]:
+    """Criterion 6, one game: (recovered, flag, fell back, message bits, H)."""
     istar = 2
     run = chronogram.run_hard_distribution("artificial", 25, 5, seed=seed)
     fallback = False
@@ -114,12 +111,6 @@ def _artificial_game_trial(
     # odd seeds force the raw path through the average-cost test
     expected_t = 1e-9 if seed % 2 else None
     message = encoding_game.encode_epoch(run, istar, resolved, expected_t=expected_t)
-    if fault == "corrupt-message" and seed == 0:
-        section = message.sections[0]
-        corrupted = encoding_game.Section(
-            section.label, section.bit_length, section.payload ^ 1
-        )
-        message.sections = (corrupted,) + message.sections[1:]
     recovered = False
     try:
         result = encoding_game.decode_epoch(
@@ -130,7 +121,7 @@ def _artificial_game_trial(
     except (encoding_game.DecodingIntegrityError, ValueError, KeyError):
         pass  # counted as a failed recovery
     account = encoding_game.entropy_account(run.run_schedule, istar, run.delta, message)
-    return recovered, message.flag, fallback, message, account.h_bits
+    return recovered, message.flag, fallback, message.total_bits, account.h_bits
 
 
 def _orc_game_trial(seed: int) -> tuple[bool, bool]:
@@ -191,8 +182,7 @@ class AcceptanceSuite:
     its workers joined by `concurrent.futures` itself.
     """
 
-    def __init__(self, fault: str | None = None):
-        self.fault = fault
+    def __init__(self):
         self._artificial_game: dict | None = None
         self._pool = None
 
@@ -305,19 +295,19 @@ class AcceptanceSuite:
             f"over 5 seeds x 100 queries (n=25, beta=5)",
         )
 
-    # -- criteria 6 and 8 share the generated messages ----------------
+    # -- criteria 6 and 8 share the games ----------------------------
     def _run_artificial_game(self) -> dict:
         if self._artificial_game is not None:
             return self._artificial_game
         trials = 100
-        outcomes = self._map(_artificial_game_trial, range(trials), repeat(self.fault))
-        recovered, flags, fallbacks, messages, h_bits = zip(*outcomes)
+        outcomes = self._map(_artificial_game_trial, range(trials))
+        recovered, flags, fallbacks, bits, h_bits = zip(*outcomes)
         self._artificial_game = {
             "recovered": sum(recovered),
             "trials": trials,
             "flags": {flag: flags.count(flag) for flag in (0, 1)},
             "fallbacks": sum(fallbacks),
-            "messages": list(messages),
+            "bits": list(zip(flags, bits)),  # (flag, message bits) per game
             "h_bits": h_bits[-1],
         }
         return self._artificial_game
@@ -354,10 +344,8 @@ class AcceptanceSuite:
     def information_floor(self) -> CriterionResult:
         game = self._run_artificial_game()
         h = game["h_bits"]
-        mean_bits = sum(m.total_bits for m in game["messages"]) / len(game["messages"])
-        flag1_ok = all(
-            m.total_bits >= h for m in game["messages"] if m.flag == 1
-        )
+        mean_bits = sum(bits for _, bits in game["bits"]) / len(game["bits"])
+        flag1_ok = all(bits >= h for flag, bits in game["bits"] if flag == 1)
         ok = mean_bits >= 0.95 * h and flag1_ok
         return CriterionResult(
             8,
@@ -438,11 +426,9 @@ CRITERIA: tuple[tuple[str, str], ...] = (
 )
 
 
-def run_acceptance(
-    only: str | None = None, fault: str | None = None
-) -> list[CriterionResult]:
+def run_acceptance(only: str | None = None) -> list[CriterionResult]:
     results = []
-    with AcceptanceSuite(fault=fault) as suite:
+    with AcceptanceSuite() as suite:
         for method, group in CRITERIA:
             if only is not None and only not in (group, method):
                 continue

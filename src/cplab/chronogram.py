@@ -131,7 +131,6 @@ class RunRecord:
     kind: str
     n: int
     beta: float
-    seed: int
     w: int
     delta: PrimeModulus
     schedule: EpochSchedule  # ideal beta^i schedule
@@ -253,7 +252,6 @@ def run_hard_distribution(kind: str, n: int, beta: float, seed: int) -> RunRecor
         kind=kind,
         n=n,
         beta=beta,
-        seed=seed,
         w=w,
         delta=delta,
         schedule=schedule,

@@ -305,7 +305,7 @@ def _cmd_grid(args, parser) -> int:
 
 
 def _cmd_acceptance(args, parser) -> int:
-    results = run_acceptance(only=args.only, fault=args.fault)
+    results = run_acceptance(only=args.only)
     if not results:
         parser.error(f"--only {args.only!r} matched no criteria")
     failed = [r for r in results if not r.passed]
@@ -334,7 +334,6 @@ _OPTIONS = {
     "probe-threshold": {"type": _finite(float, "a finite number >= 0", lambda v: v >= 0)},
     "tries": {"type": _positive_count, "default": encoding_game.DEFAULT_MAX_TRIES},
     "only": {},
-    "fault": {"choices": ["corrupt-message"]},
     "out": {},
     "config": {},
 }
@@ -346,7 +345,7 @@ _COMMANDS = (
     ("chronogram", _cmd_chronogram, "n beta structure seed trials out"),
     ("encode", _cmd_encode, "kind n beta istar seed cell-budget probe-threshold tries out"),
     ("grid", _cmd_grid, "n beta m seed trials out"),
-    ("acceptance", _cmd_acceptance, "only fault"),
+    ("acceptance", _cmd_acceptance, "only"),
 )
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import zlib
 from dataclasses import dataclass, fields
 from itertools import compress
 from typing import Callable, Iterator, Sequence
@@ -150,24 +151,23 @@ class Section:
 
 
 # the JSON types a header field may hold, by the field's annotation
-_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "int | None": (int, type(None))}
+_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float)}
 
 
 @dataclass
 class EncodingMessage:
-    """Bit-exact encoder output with a per-section length breakdown."""
+    """Bit-exact encoder output with a per-section length breakdown. The
+    header holds only what the decoder cannot work out: Delta is
+    `field_modulus(n)`, w the run's `default_run_cell_width`, and the
+    query-id section counts its own ids."""
 
     kind: str
     n: int
     beta: float
     istar: int
-    delta: int
-    seed: int
-    w: int
     flag: int
     sections: tuple[Section, ...]
-    query_count: int | None = None
-    version: int = 1
+    version: int = 2
 
     @property
     def total_bits(self) -> int:
@@ -182,7 +182,9 @@ class EncodingMessage:
         raise ValueError(f"message has no section {label!r}")
 
     def to_bytes(self) -> bytes:
-        """A JSON header of every field but `sections`, then the sections."""
+        """A JSON header of every field but `sections`; each section as its
+        label length, label, 8-byte bit length and ceil(bit length / 8)
+        payload bytes; then the CRC-32 of all that as 4 big-endian bytes."""
         header = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "sections"}
         out = bytearray(json.dumps(header, sort_keys=True).encode() + b"\n")
         for s in self.sections:
@@ -190,25 +192,27 @@ class EncodingMessage:
             out.append(len(label))
             out += label
             out += s.bit_length.to_bytes(8, "big")
-            nbytes = -(-s.bit_length // 8)
-            out += nbytes.to_bytes(8, "big")
-            out += s.payload.to_bytes(nbytes, "big") if nbytes else b""
-        return bytes(out)
+            out += s.payload.to_bytes(-(-s.bit_length // 8), "big")
+        return bytes(out) + zlib.crc32(out).to_bytes(4, "big")
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EncodingMessage":
-        """Parse `to_bytes` output. Raises ValueError on a version other
-        than the integer 1; on a header that is not a JSON object of
+        """Parse `to_bytes` output. Raises ValueError, checked first, when
+        the last 4 bytes are not the CRC-32 of the rest; on a version other
+        than the integer 2; on a header that is not a JSON object of
         exactly the message's fields, each of its JSON type (an int field
         takes no bool or float), with a flag of 0 or 1; on a field that
-        runs past the buffer, a payload length that disagrees with its
-        bit length, and a repeated section label."""
-        newline = data.index(b"\n")
+        runs past the buffer, a payload with a set bit above its bit
+        length, and a repeated section label."""
+        end = len(data) - 4  # the sections end where the trailer starts
+        if end < 0 or zlib.crc32(memoryview(data)[:end]) != int.from_bytes(data[end:], "big"):
+            raise ValueError("message checksum does not match its CRC-32 trailer")
+        newline = data.index(b"\n", 0, end)
         header = json.loads(data[:newline])
         if not isinstance(header, dict):
             raise ValueError("message header is not a JSON object")
         version = header.get("version")
-        if type(version) is not int or version != 1:
+        if type(version) is not int or version != cls.version:
             raise ValueError(f"unknown message version {version!r}")
         types = {f.name: _JSON_TYPES[f.type] for f in fields(cls) if f.name != "sections"}
         if header.keys() != types.keys():
@@ -222,21 +226,18 @@ class EncodingMessage:
 
         def take(size: int, what: str) -> bytes:
             nonlocal pos
-            if pos + size > len(data):
+            if pos + size > end:
                 raise ValueError(f"section {what} runs past the end of the message")
             pos += size
             return data[pos - size : pos]
 
         sections = []
-        while pos < len(data):
+        while pos < end:
             label = take(take(1, "label length")[0], "label").decode()
             if any(s.label == label for s in sections):
                 raise ValueError(f"section {label!r} appears twice")
             bit_length = int.from_bytes(take(8, f"{label!r} bit length"), "big")
-            nbytes = int.from_bytes(take(8, f"{label!r} byte length"), "big")
-            if nbytes != -(-bit_length // 8):
-                raise ValueError(f"section {label!r}: {nbytes} bytes for {bit_length} bits")
-            payload = int.from_bytes(take(nbytes, f"{label!r} payload"), "big")
+            payload = int.from_bytes(take(-(-bit_length // 8), f"{label!r} payload"), "big")
             sections.append(Section(label=label, bit_length=bit_length, payload=payload))
         return cls(sections=tuple(sections), **header)
 
@@ -494,7 +495,6 @@ def encode_epoch(
         expected_t is not None and resolved.sample_mean_t > 2 * expected_t
     )
     if flag1:
-        qids = None
         sections = [_weights_section("raw_weights", run.updates.u(istar), delta)]
     else:
         id_of, _, row_of, _, dim = _query_view(
@@ -532,12 +532,8 @@ def encode_epoch(
         n=run.n,
         beta=run.beta,
         istar=istar,
-        delta=delta.value,
-        seed=run.seed,
-        w=run.w,
         flag=int(flag1),
         sections=tuple(sections),
-        query_count=None if qids is None else len(qids),
     )
 
 
@@ -561,14 +557,14 @@ def decode_epoch(
     """Recover the target epoch's weight vector from the message and the
     updates of the preceding epochs.
 
-    A kind outside `chronogram.KINDS` raises ValueError, as do a delta
-    other than `field_modulus(n)`, a kind that does not fit the structure
-    (an index-weight message needs a structure with a family, a dominance
-    message one without), a w other than the run's cell width, a query
-    count other than the number of ids sent (None for flag 1), a missing
-    section, and a section whose bit length does not fit its count. The flag-0
-    path builds each transmitted query's row from its id alone (an id
-    outside the family raises ValueError) and keeps the rows that
+    The decoder works out Delta as `field_modulus(n)` (an n it cannot
+    serve raises ValueError) and w as the run's `default_run_cell_width`.
+    A kind outside `chronogram.KINDS` raises ValueError, as do a kind
+    that does not fit the structure (an index-weight message needs a
+    structure with a family, a dominance message one without), a missing
+    section, and a section whose bit length does not fit its count. The
+    flag-0 path builds each transmitted query's row from its id alone (an
+    id outside the family raises ValueError) and keeps the rows that
     enlarge the span, as the encoder did. It re-executes the
     prefix on a fresh structure, loads C and then the smaller epochs'
     cells into that memory (a smaller-epoch cell wins over C), replays
@@ -584,8 +580,6 @@ def decode_epoch(
         raise ValueError(f"unknown kind {message.kind!r}, not one of {KINDS}")
     n = message.n
     delta = field_modulus(n)
-    if message.delta != delta.value:
-        raise ValueError(f"delta {message.delta} is not the field modulus {delta.value} of n={n}")
     istar = message.istar
     # a flag-1 message needs the epoch sizes but no lattice
     sched, epoch_points = executed_schedule(
@@ -594,29 +588,23 @@ def decode_epoch(
     m = sched.size_of(istar)
 
     if message.flag == 1:
-        if message.query_count is not None:
-            raise ValueError(f"a flag-1 message carries query count {message.query_count}")
         weights = _parse_weights_section(message.section("raw_weights"), delta, m)
         return DecodeResult(u_istar=weights)
 
     if any(e.epoch <= istar for e in prefix_updates.epochs):
         raise ValueError("prefix updates must cover only epochs above istar")
 
-    w = message.w
+    w = default_run_cell_width(message.kind, n, delta, sched.total)
     c_cells = _parse_cells_section(message.section("resolved_cells"), w)
     smaller = range(istar - 1, 0, -1)
     small_cells = {j: _parse_cells_section(message.section(f"cells_epoch_{j}"), w) for j in smaller}
     qids = _parse_query_ids_section(message.section("resolved_queries"), n, w)
-    if message.query_count != len(qids):
-        raise ValueError(f"query count {message.query_count} but {len(qids)} query ids")
     prefix_memory = SimulatedMemory(MemoryConfig(w=w))
     prefix_memory.trace = None  # the bound check reads the probe count; replay records its reads
     structure = structure_factory(prefix_memory)
     family = getattr(structure, "family", None)
     if (family is None) != (message.kind == "orc"):
         raise ValueError(f"a {message.kind!r} message does not fit a {type(structure).__name__}")
-    if w != default_run_cell_width(message.kind, n, delta, sched.total):
-        raise ValueError(f"cell width {w} is not the width of a {message.kind!r} run at n={n}")
     small_weights = {
         j: _parse_weights_section(message.section(f"weights_epoch_{j}"), delta, sched.size_of(j))
         for j in (smaller if message.kind == "orc" else ())

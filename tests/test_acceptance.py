@@ -7,7 +7,8 @@ tolerances' measured values and criterion 8's mean message length
 
 import pytest
 
-from cplab.acceptance import AcceptanceSuite
+from cplab import encoding_game
+from cplab.acceptance import AcceptanceSuite, _artificial_game_trial
 
 EXPECTED_LINES = {
     1: "PASS criterion 1 (fibonacci-area-bounds): m=13: 0/8281 violations; "
@@ -92,3 +93,21 @@ def test_criterion_10_answer_decomposition(suite):
 
 def test_criterion_11_well_separated_frequency(suite):
     _check(suite.well_separated_frequency())
+
+
+def test_corrupted_message_is_not_a_recovery(monkeypatch):
+    # seed 0 plays flag 0; a flipped bit in its first section must count
+    # as a failed recovery, not raise out of the trial
+    encode = encoding_game.encode_epoch
+
+    def corrupting_encode(*args, **kwargs):
+        message = encode(*args, **kwargs)
+        first = message.sections[0]
+        corrupted = encoding_game.Section(first.label, first.bit_length, first.payload ^ 1)
+        message.sections = (corrupted,) + message.sections[1:]
+        return message
+
+    assert _artificial_game_trial(0)[:3] == (True, 0, False)
+    monkeypatch.setattr(encoding_game, "encode_epoch", corrupting_encode)
+    recovered, flag, fallback, _, _ = _artificial_game_trial(0)
+    assert (recovered, flag, fallback) == (False, 0, False)

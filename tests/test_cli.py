@@ -163,7 +163,7 @@ class TestEncode:
         to_bytes = EncodingMessage.to_bytes
         monkeypatch.setattr(EncodingMessage, "to_bytes", lambda self: to_bytes(self) + b"\x00")
         out = tmp_path / "enc"
-        with pytest.raises(ValueError, match="runs past the end"):
+        with pytest.raises(ValueError, match="checksum"):
             run_cli(
                 "encode", "--kind", "artificial", "--n", "25", "--beta", "5",
                 "--istar", "2", "--seed", "1", "--cell-budget", "16",
@@ -181,12 +181,12 @@ class TestEncodeGolden:
         "artificial": (
             ["--kind", "artificial", "--n", "25", "--beta", "5", "--istar", "2",
              "--seed", "1", "--cell-budget", "16", "--probe-threshold", "12"],
-            "8e13b6400eb319ae2f5d941c3b280a4c031b505628a57c1a096b10d88f65559c",
+            "7cbfff01302970aa36f1ff07eaad2de2c22553911f7c9b905d9c725f5f115f3a",
         ),
         "orc": (
             ["--kind", "orc", "--n", "440", "--beta", "5", "--istar", "2",
              "--seed", "3", "--probe-threshold", "8"],
-            "bf40b27f92ada44e7c086902a30e415c5fa24cb53909280b4154aa604f119f46",
+            "2653379994b8a9046825c6a8aef3040a6492d525b8c45b2e28f06c033e17880e",
         ),
     }
 
@@ -387,18 +387,15 @@ class TestConfigFile:
         "command, line, flags",
         [
             ("chronogram", "structure = bogus", ["--n", "55", "--beta", "5"]),
-            ("acceptance", "fault = typo", ["--only", "lattice"]),
+            ("encode", "kind = typo", ["--n", "25", "--beta", "5", "--istar", "2"]),
         ],
     )
     def test_config_values_are_checked_like_flags(self, tmp_path, capsys, command, line, flags):
         config = tmp_path / "run.conf"
         config.write_text(line + "\n")
         out = tmp_path / "out"
-        argv = [command, "--config", str(config), *flags]
-        if command != "acceptance":
-            argv += ["--out", str(out)]
         with pytest.raises(SystemExit) as err:
-            run_cli(*argv)
+            run_cli(command, "--config", str(config), *flags, "--out", str(out))
         assert err.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
         assert not out.exists()
@@ -444,12 +441,14 @@ class TestAcceptanceCommand:
             run_cli("acceptance", "--only", "nonsense")
         assert err.value.code == 2
 
-    def test_fault_injection_fails_round_trip(self, capsys):
-        code = run_cli(
-            "acceptance", "--only", "encode_decode_artificial",
-            "--fault", "corrupt-message",
+    def test_failed_criterion_exits_1(self, capsys, monkeypatch):
+        from cplab.acceptance import AcceptanceSuite, CriterionResult
+
+        monkeypatch.setattr(
+            AcceptanceSuite, "fibonacci_area_bounds",
+            lambda self: CriterionResult(1, "fibonacci-area-bounds", False, "forced"),
         )
-        assert code == 1
+        assert run_cli("acceptance", "--only", "lattice") == 1
         out = capsys.readouterr().out
-        assert "encode-decode-artificial" in out
-        assert "FAIL" in out
+        assert "FAIL criterion 1 (fibonacci-area-bounds): forced" in out
+        assert "1 criterion(s) failed: fibonacci-area-bounds" in out

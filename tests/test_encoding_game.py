@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import json
 import math
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,12 @@ from cplab.encoding_game import (
 )
 from cplab.finite_field import ff_rank, largest_prime_below
 from cplab.rng import substream
+
+
+def _sealed(body):
+    """A forged message body with the CRC-32 trailer `to_bytes` writes,
+    so that parsing reaches the structural check under test."""
+    return body + zlib.crc32(body).to_bytes(4, "big")
 
 
 def _run_with_family_rows(rows, beta=2):
@@ -65,7 +73,7 @@ def _run_with_family_rows(rows, beta=2):
     structure = factory(memory)
     execute_epochs(structure, memory, updates)
     return RunRecord(
-        kind="artificial", n=n, beta=float(beta), seed=0, w=16,
+        kind="artificial", n=n, beta=float(beta), w=16,
         delta=params.modulus, schedule=sched, run_schedule=sched,
         updates=updates, memory=memory, structure=structure,
         structure_factory=factory,
@@ -121,11 +129,23 @@ class TestSections:
         raw = message.to_bytes()
         assert message.total_bits == 1 + 3 + 9  # the padding to whole bytes is not counted
         framed = lambda label, bits, payload: (
-            bytes([len(label)]) + label + bits.to_bytes(8, "big")
-            + len(payload).to_bytes(8, "big") + payload
+            bytes([len(label)]) + label + bits.to_bytes(8, "big") + payload
         )
-        assert raw.endswith(framed(b"a", 3, b"\x05") + framed(b"b", 9, b"\x01\x00"))
+        body = raw[:-4]
+        assert body.endswith(framed(b"a", 3, b"\x05") + framed(b"b", 9, b"\x01\x00"))
+        assert raw == _sealed(body)
         assert EncodingMessage.from_bytes(raw).sections == message.sections
+
+    def test_set_padding_bit_rejected(self):
+        # with no byte count in the framing, a payload bit above the bit
+        # length is what tells a forged section from a real one
+        run = run_hard_distribution("artificial", 16, 2, seed=1)
+        message = encode_epoch(run, 2, None)
+        message.sections = (Section("a", 3, 5),)
+        body = message.to_bytes()[:-4]
+        assert body.endswith(b"\x05")
+        with pytest.raises(ValueError, match="exceeds the declared bit length"):
+            EncodingMessage.from_bytes(_sealed(body[:-1] + b"\x0d"))
 
     def test_missing_section_is_a_value_error(self):
         run = run_hard_distribution("artificial", 16, 2, seed=1)
@@ -146,26 +166,20 @@ class TestStrictParsing:
         assert message.flag == 0
         return run, message
 
-    def test_no_strict_prefix_decodes(self):
-        run, message = self._message()
-        data = message.to_bytes()
-        prefix = run.updates.prefix_above(2)
-        for end in range(len(data)):
-            # a cut inside a section fails to parse; a cut between sections
-            # parses, but the decoder then misses a section it needs
-            with pytest.raises((ValueError, KeyError)):
-                parsed = EncodingMessage.from_bytes(data[:end])
-                decode_epoch(parsed, prefix, run.structure_factory, verify_run=run)
-
     def test_trailing_byte_rejected(self):
         _, message = self._message()
+        data = message.to_bytes()
+        with pytest.raises(ValueError, match="checksum"):
+            EncodingMessage.from_bytes(data + b"\x00")
         with pytest.raises(ValueError, match="runs past the end"):
-            EncodingMessage.from_bytes(message.to_bytes() + b"\x00")
+            EncodingMessage.from_bytes(_sealed(data[:-4] + b"\x00"))
 
-    def test_unknown_version_rejected(self):
+    @pytest.mark.parametrize("version", [1, 7])
+    def test_unknown_version_rejected(self, version):
+        # no reader for version 1: its header fields and byte counts are gone
         _, message = self._message()
-        with pytest.raises(ValueError, match="version"):
-            EncodingMessage.from_bytes(dataclasses.replace(message, version=7).to_bytes())
+        with pytest.raises(ValueError, match=rf"unknown message version {version}$"):
+            EncodingMessage.from_bytes(dataclasses.replace(message, version=version).to_bytes())
 
     def _flag1_bytes(self):
         run = run_hard_distribution("artificial", 25, 5, seed=1)
@@ -173,59 +187,55 @@ class TestStrictParsing:
 
     def test_repeated_section_rejected(self):
         data = self._flag1_bytes()
-        sections = data[data.index(b"\n") + 1 :]
+        body = data[:-4]
+        sections = body[body.index(b"\n") + 1 :]
         EncodingMessage.from_bytes(data)
         with pytest.raises(ValueError, match="'raw_weights' appears twice"):
-            EncodingMessage.from_bytes(data + sections)
+            EncodingMessage.from_bytes(_sealed(body + sections))
 
     def test_boolean_version_rejected(self):
-        data = self._flag1_bytes()
-        forged = data.replace(b'"version": 1,', b'"version": true,', 1)
-        assert forged != data
+        body = self._flag1_bytes()[:-4]
+        forged = body.replace(b'"version": 2}', b'"version": true}', 1)
+        assert forged != body
         with pytest.raises(ValueError, match="version True"):
-            EncodingMessage.from_bytes(forged)
+            EncodingMessage.from_bytes(_sealed(forged))
+
+    def test_header_holds_only_what_the_decoder_cannot_derive(self):
+        _, message = self._message()
+        data = message.to_bytes()
+        header = json.loads(data[: data.index(b"\n")])
+        assert header == {
+            "beta": 5.0, "flag": 0, "istar": 2, "kind": "artificial", "n": 25, "version": 2,
+        }
 
     @pytest.mark.parametrize(
         "edit",
         [
             lambda h: [h],
             lambda h: "header",
-            lambda h: {k: v for k, v in h.items() if k != "seed"},
+            lambda h: {k: v for k, v in h.items() if k != "istar"},
             lambda h: {**h, "extra": 0},
             lambda h: {**h, "n": True},
-            lambda h: {**h, "w": 40.0},
+            lambda h: {**h, "istar": 2.0},
             lambda h: {**h, "beta": "5"},
             lambda h: {**h, "kind": 1},
-            lambda h: {**h, "query_count": "3"},
+            lambda h: {**h, "flag": "0"},
             lambda h: {**h, "flag": 2},
         ],
         ids=[
             "list", "string", "missing-field", "extra-field", "bool-int", "float-int",
-            "string-beta", "int-kind", "string-query-count", "flag-2",
+            "string-beta", "int-kind", "string-flag", "flag-2",
         ],
     )
     def test_malformed_header_rejected(self, edit):
         _, message = self._message()
-        data = message.to_bytes()
-        newline = data.index(b"\n")
-        header = json.loads(data[:newline])
-        forged = json.dumps(edit(header)).encode() + data[newline:]
-        with pytest.raises(ValueError):
-            EncodingMessage.from_bytes(forged)
-
-    @pytest.mark.parametrize("nbytes", [0, 2])
-    def test_byte_count_must_match_bit_length(self, nbytes):
-        _, message = self._message()
-        message.sections = (Section("a", 3, 5),)
-        raw = message.to_bytes()
-        framed = b"\x01a" + (3).to_bytes(8, "big") + (1).to_bytes(8, "big") + b"\x05"
-        assert raw.endswith(framed)
-        forged = (
-            raw[: -len(framed)] + b"\x01a" + (3).to_bytes(8, "big")
-            + nbytes.to_bytes(8, "big") + b"\x05".rjust(nbytes, b"\x00")[:nbytes]
-        )
-        with pytest.raises(ValueError, match="bytes for 3 bits"):
-            EncodingMessage.from_bytes(forged)
+        body = message.to_bytes()[:-4]
+        newline = body.index(b"\n")
+        header = json.loads(body[:newline])
+        forged = json.dumps(edit(header)).encode() + body[newline:]
+        with pytest.raises(ValueError) as err:
+            EncodingMessage.from_bytes(_sealed(forged))
+        assert "checksum" not in str(err.value)
 
 
 class _ShiftFieldWriter:
@@ -501,7 +511,7 @@ class TestAccountingIdentities:
         run, message = self._flag0_message()
         # recompute the independent count with the rank oracle
         k_len = run.run_schedule.suffix_length(2)
-        rows = [run.family.vectors[j][-k_len:] for j in _decode_query_ids(message)]
+        rows = [run.family.vectors[j][-k_len:] for j in _decode_query_ids(message, run.w)]
         k = ff_rank(run.delta, rows)
         expected = ceil_bits_for_weights(run.delta, k_len - k)
         assert message.section("completion_products").bit_length == expected
@@ -513,10 +523,10 @@ class TestAccountingIdentities:
         assert section.bit_length == 2 * run.w + 2 * run.w * count
 
 
-def _decode_query_ids(message):
+def _decode_query_ids(message, w):
     from cplab.encoding_game import _parse_query_ids_section
 
-    return _parse_query_ids_section(message.section("resolved_queries"), message.n, message.w)
+    return _parse_query_ids_section(message.section("resolved_queries"), message.n, w)
 
 
 class TestArtificialRoundTrip:
@@ -570,7 +580,7 @@ class TestArtificialRoundTrip:
         assert result.u_istar == run.updates.u(istar)
         assert len(replays) == result.queries_replayed == result.independent_rows
         assert result.independent_rows <= min(
-            message.query_count, run.run_schedule.suffix_length(istar)
+            len(_decode_query_ids(message, run.w)), run.run_schedule.suffix_length(istar)
         )
 
 
@@ -589,7 +599,7 @@ def test_decode_from_the_products_alone():
         sample_size=len(zero_ids), tries_used=1, query_probes=0,
     )
     message = EncodingMessage.from_bytes(encode_epoch(run, 1, resolved).to_bytes())
-    assert message.flag == 0 and message.query_count == len(zero_ids)
+    assert message.flag == 0 and _decode_query_ids(message, run.w) == list(zero_ids)
     products = message.section("completion_products")
     assert products.bit_length == ceil_bits_for_weights(run.delta, k_len)
     result = decode_epoch(
@@ -702,57 +712,30 @@ class TestIntegrityChecks:
         with pytest.raises(ValueError):
             decode_epoch(message, run.updates, run.structure_factory)
 
-    @pytest.mark.parametrize(
-        "delta",
-        [
-            # psi_12: composite, yet a strong probable prime to bases 2..37
-            318665857834031151167461,
-            # psi_13: the first value the primality test will not answer
-            3317044064679887385961981,
-            # the Mersenne prime 2^89 - 1, beyond the exact range
-            2**89 - 1,
-        ],
-    )
-    def test_untestable_or_composite_delta_rejected(self, delta):
+    # psi_13, the first value the primality test will not answer
+    _PSI_13 = 3317044064679887385961981
+
+    @pytest.mark.parametrize("n", [math.isqrt(math.isqrt(_PSI_13)) + 1, 2**22])
+    def test_n_past_the_exact_prime_range_rejected(self, n):
+        # the decoder works Delta out from n; past psi_13 the primality test cannot certify it
+        assert n**4 >= self._PSI_13 > math.isqrt(math.isqrt(self._PSI_13)) ** 4
         run = run_hard_distribution("artificial", 25, 5, seed=1)
-        forged = dataclasses.replace(encode_epoch(run, 1, None), delta=delta)
+        forged = dataclasses.replace(encode_epoch(run, 1, None), n=n)
         parsed = EncodingMessage.from_bytes(forged.to_bytes())
-        assert parsed.delta == delta
-        with pytest.raises(ValueError):
+        assert parsed.n == n
+        with pytest.raises(ValueError, match=rf"n={n} is too large"):
             decode_epoch(parsed, run.updates.prefix_above(1), run.structure_factory)
 
 
-def _with_query_ids(message, qids):
+def _with_query_ids(message, qids, w):
     """The message with its resolved_queries section rewritten to `qids`."""
     from cplab.encoding_game import _query_ids_section
 
-    section = _query_ids_section(qids, message.n, message.w)
+    section = _query_ids_section(qids, message.n, w)
     sections = tuple(
         section if s.label == "resolved_queries" else s for s in message.sections
     )
-    forged = dataclasses.replace(message, sections=sections, query_count=len(qids))
-    return EncodingMessage.from_bytes(forged.to_bytes())
-
-
-def _reframed(message, w):
-    """The message at cell width `w`, each section of w-bit fields
-    rewritten at that width."""
-    from cplab.encoding_game import (
-        _cells_section,
-        _parse_cells_section,
-        _parse_query_ids_section,
-        _query_ids_section,
-    )
-
-    def rewrite(s):
-        if s.label == "resolved_queries":
-            qids = _parse_query_ids_section(s, message.n, message.w)
-            return _query_ids_section(qids, message.n, w)
-        if s.label == "resolved_cells" or s.label.startswith("cells_epoch_"):
-            return _cells_section(s.label, sorted(_parse_cells_section(s, message.w).items()), w)
-        return s
-
-    forged = dataclasses.replace(message, w=w, sections=tuple(map(rewrite, message.sections)))
+    forged = dataclasses.replace(message, sections=sections)
     return EncodingMessage.from_bytes(forged.to_bytes())
 
 
@@ -769,12 +752,12 @@ class TestQueryIdRange:
     def test_id_n_squared_rejected(self, kind, n, istar, overrides, position, verify):
         run = run_hard_distribution(kind, n, 5, seed=0)
         message = encode_epoch(run, istar, find_resolved_set(run, istar, seed=0, **overrides))
-        qids = _decode_query_ids(message)
+        qids = _decode_query_ids(message, run.w)
         assert max(qids) < n * n < 1 << (n * n - 1).bit_length()
         qids = [n * n] + qids if position == "first" else qids + [n * n]
         with pytest.raises(ValueError, match=rf"query id {n * n} outside"):
             decode_epoch(
-                _with_query_ids(message, qids),
+                _with_query_ids(message, qids, run.w),
                 run.updates.prefix_above(istar),
                 run.structure_factory,
                 verify_run=run if verify else None,
@@ -795,7 +778,7 @@ class TestQueryIdRange:
         ).u_istar == run.updates.u(2)
         with pytest.raises(ValueError, match="query id 3 outside"):
             decode_epoch(
-                _with_query_ids(message, [0, 1, 2, 3]),
+                _with_query_ids(message, [0, 1, 2, 3], run.w),
                 run.updates.prefix_above(2),
                 run.structure_factory,
             )
@@ -851,6 +834,62 @@ _FLAG0_GAMES = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def _game_bytes(game, flag):
+    """The run of `_FLAG0_GAMES[game]` at seed 0, its istar, and the bytes
+    of its flag-0 message, or of its flag-1 message (no resolved set)."""
+    kind, n, istar, overrides = _FLAG0_GAMES[game]
+    run = run_hard_distribution(kind, n, 5, seed=0)
+    resolved = find_resolved_set(run, istar, seed=0, **overrides) if flag == 0 else None
+    message = encode_epoch(run, istar, resolved)
+    assert message.flag == flag
+    return run, istar, message.to_bytes()
+
+
+def _decoded(run, istar, data):
+    """The weights the decoder recovers from the bytes `data`."""
+    message = EncodingMessage.from_bytes(data)
+    return decode_epoch(message, run.updates.prefix_above(istar), run.structure_factory).u_istar
+
+
+class TestCorruptedBuffers:
+    """A corrupted buffer decodes exactly or raises ValueError; it never
+    decodes to wrong weights."""
+
+    @pytest.mark.parametrize("flag", [0, 1])
+    def test_every_truncation_raises(self, flag):
+        run, istar, data = _game_bytes(0, flag)
+        assert _decoded(run, istar, data) == run.updates.u(istar)
+        for end in range(len(data)):
+            with pytest.raises(ValueError):
+                _decoded(run, istar, data[:end])
+
+    @pytest.mark.parametrize("flag", [0, 1])
+    def test_every_single_bit_flip_fails_the_checksum(self, flag):
+        run, istar, data = _game_bytes(0, flag)
+        for bit in range(8 * len(data)):
+            forged = bytearray(data)
+            forged[bit // 8] ^= 1 << bit % 8
+            with pytest.raises(ValueError, match="checksum"):
+                _decoded(run, istar, bytes(forged))
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_orc_overwrite_or_flip_never_decodes_wrong(self, data):
+        run, istar, buffer = _game_bytes(1, 0)
+        forged = bytearray(buffer)
+        position = data.draw(st.integers(0, len(buffer) - 1))
+        if data.draw(st.booleans()):
+            forged[position] = data.draw(st.integers(0, 255))
+        else:
+            forged[position] ^= 1 << data.draw(st.integers(0, 7))
+        try:
+            weights = _decoded(run, istar, bytes(forged))
+        except ValueError:
+            return
+        assert weights == run.updates.u(istar)
+
+
 class TestTrailingBits:
     @pytest.mark.parametrize("fill", [0, (1 << 40) - 1])
     @pytest.mark.parametrize("label", ["resolved_cells", "resolved_queries"])
@@ -888,55 +927,25 @@ class TestForgedHeaders:
                 forged, run.updates.prefix_above(istar), run.structure_factory, verify_run=run
             )
 
-    @pytest.mark.parametrize("kind, n, istar, overrides", _FLAG0_GAMES)
-    def test_kind_of_the_other_game_rejected(self, kind, n, istar, overrides):
+    @pytest.mark.parametrize(
+        "kind, n, istar, overrides, error",
+        [
+            (*_FLAG0_GAMES[0], "'orc' message does not fit a NaiveArtificialStructure"),
+            # read at the width of an index-weight run, the cells section
+            # no longer parses, before the structure is built
+            (*_FLAG0_GAMES[1], "'resolved_cells': 18448 bits for 192 fields of 80$"),
+        ],
+    )
+    def test_kind_of_the_other_game_rejected(self, kind, n, istar, overrides, error):
         run = run_hard_distribution(kind, n, 5, seed=0)
         message = encode_epoch(run, istar, find_resolved_set(run, istar, seed=0, **overrides))
         assert message.flag == 0
         other = "orc" if kind == "artificial" else "artificial"
         forged = EncodingMessage.from_bytes(dataclasses.replace(message, kind=other).to_bytes())
-        with pytest.raises(ValueError, match=rf"'{other}' message does not fit"):
+        with pytest.raises(ValueError, match=error):
             decode_epoch(
                 forged, run.updates.prefix_above(istar), run.structure_factory, verify_run=run
             )
-
-    @pytest.mark.parametrize("flag", [0, 1])
-    def test_delta_other_than_the_field_modulus_rejected(self, flag):
-        # the next prime below Delta is a field the decoder can compute in, not the run's
-        run = run_hard_distribution("artificial", 25, 5, seed=0)
-        overrides = dict(cell_budget=16, probe_threshold=12, max_tries=8)
-        resolved = find_resolved_set(run, 2, seed=0, **overrides) if flag == 0 else None
-        message = encode_epoch(run, 2, resolved)
-        assert message.flag == flag
-        smaller = largest_prime_below(run.delta.value).value
-        forged = EncodingMessage.from_bytes(dataclasses.replace(message, delta=smaller).to_bytes())
-        with pytest.raises(ValueError, match=rf"delta {smaller} is not the field modulus"):
-            decode_epoch(forged, run.updates.prefix_above(2), run.structure_factory)
-
-    @pytest.mark.parametrize("kind, n, istar, overrides", _FLAG0_GAMES)
-    def test_cell_width_other_than_the_run_width_rejected(self, kind, n, istar, overrides):
-        run = run_hard_distribution(kind, n, 5, seed=0)
-        message = encode_epoch(run, istar, find_resolved_set(run, istar, seed=0, **overrides))
-        assert message.flag == 0
-        forged = _reframed(message, run.w + 8)
-        with pytest.raises(ValueError, match=rf"cell width {run.w + 8} is not the width"):
-            decode_epoch(
-                forged, run.updates.prefix_above(istar), run.structure_factory, verify_run=run
-            )
-
-    @pytest.mark.parametrize("flag", [0, 1])
-    def test_query_count_other_than_the_ids_sent_rejected(self, flag):
-        run = run_hard_distribution("artificial", 25, 5, seed=0)
-        overrides = dict(cell_budget=16, probe_threshold=12, max_tries=8)
-        resolved = find_resolved_set(run, 2, seed=0, **overrides) if flag == 0 else None
-        message = encode_epoch(run, 2, resolved)
-        assert message.flag == flag
-        count = 1 if flag else message.query_count + 1
-        forged = EncodingMessage.from_bytes(
-            dataclasses.replace(message, query_count=count).to_bytes()
-        )
-        with pytest.raises(ValueError, match=rf"query count {count}"):
-            decode_epoch(forged, run.updates.prefix_above(2), run.structure_factory)
 
     def test_weights_of_the_wrong_count_rejected(self):
         # as an index-weight message, the snapped 21-weight epoch would be
