@@ -166,6 +166,19 @@ class TestStrictParsing:
         assert message.flag == 0
         return run, message
 
+    def test_no_strict_prefix_decodes(self):
+        # the checksum refuses every cut buffer (TestCorruptedBuffers); re-sealed,
+        # a cut inside a section fails to parse and a cut between sections
+        # parses, but the decoder then misses a section it needs
+        run, message = self._message()
+        body = message.to_bytes()[:-4]
+        prefix = run.updates.prefix_above(2)
+        for end in range(len(body)):
+            with pytest.raises(ValueError) as err:
+                parsed = EncodingMessage.from_bytes(_sealed(body[:end]))
+                decode_epoch(parsed, prefix, run.structure_factory, verify_run=run)
+            assert "checksum" not in str(err.value)
+
     def test_trailing_byte_rejected(self):
         _, message = self._message()
         data = message.to_bytes()
@@ -935,6 +948,7 @@ class TestForgedHeaders:
             # no longer parses, before the structure is built
             (*_FLAG0_GAMES[1], "'resolved_cells': 18448 bits for 192 fields of 80$"),
         ],
+        ids=["artificial-25-2-overrides0", "orc-440-2-overrides1"],
     )
     def test_kind_of_the_other_game_rejected(self, kind, n, istar, overrides, error):
         run = run_hard_distribution(kind, n, 5, seed=0)
