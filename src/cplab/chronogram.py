@@ -348,5 +348,5 @@ def analytic_epoch_counts(run: RunRecord, j: int) -> dict[int, int]:
     (an index-weight epoch's targets are its positions)."""
     if run.kind != "artificial" or run.family is None:
         raise ValueError("the analytic profile is for artificial runs")
-    vector = run.family.vectors[j]
+    vector = run.family.coords(j)
     return {e.epoch: sum(vector[p] for p in e.targets) for e in run.updates.epochs}

@@ -65,6 +65,11 @@ class DecodingIntegrityError(RuntimeError):
     """The decode replay broke an invariant it relies on."""
 
 
+class MessageFormatError(ValueError):
+    """A message the decoder cannot read: a bad checksum, header or
+    framing, a missing or malformed section, or an unknown kind."""
+
+
 # ---------------------------------------------------------------------------
 # bit-exact payload packing
 
@@ -129,7 +134,7 @@ class _FieldReader:
 
     def take(self, width: int) -> int:
         if width > self.remaining:
-            raise ValueError("section payload exhausted")
+            raise MessageFormatError("section payload exhausted")
         start = self._end - width
         out = int(self._digits[start : self._end] or "0", 2)
         self._end = start
@@ -175,11 +180,11 @@ class EncodingMessage:
         return 1 + sum(s.bit_length for s in self.sections)
 
     def section(self, label: str) -> Section:
-        """The section with this label; ValueError when there is none."""
+        """The section with this label; MessageFormatError when there is none."""
         for s in self.sections:
             if s.label == label:
                 return s
-        raise ValueError(f"message has no section {label!r}")
+        raise MessageFormatError(f"message has no section {label!r}")
 
     def to_bytes(self) -> bytes:
         """A JSON header of every field but `sections`; each section as its
@@ -197,48 +202,63 @@ class EncodingMessage:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EncodingMessage":
-        """Parse `to_bytes` output. Raises ValueError, checked first, when
-        the last 4 bytes are not the CRC-32 of the rest; on a version other
-        than the integer 2; on a header that is not a JSON object of
-        exactly the message's fields, each of its JSON type (an int field
-        takes no bool or float), with a flag of 0 or 1; on a field that
-        runs past the buffer, a payload with a set bit above its bit
-        length, and a repeated section label."""
+        """Parse `to_bytes` output. Raises MessageFormatError, checked
+        first, when the last 4 bytes are not the CRC-32 of the rest; on a
+        header line that is not JSON; on a version other than the integer
+        2; on a header that is not a JSON object of exactly the message's
+        fields, each of its JSON type (an int field takes no bool or
+        float), with a flag of 0 or 1; on a field that runs past the
+        buffer, a label that is not UTF-8, a payload with a set bit above
+        its bit length, and a repeated section label."""
         end = len(data) - 4  # the sections end where the trailer starts
         if end < 0 or zlib.crc32(memoryview(data)[:end]) != int.from_bytes(data[end:], "big"):
-            raise ValueError("message checksum does not match its CRC-32 trailer")
-        newline = data.index(b"\n", 0, end)
-        header = json.loads(data[:newline])
+            raise MessageFormatError("message checksum does not match its CRC-32 trailer")
+        newline = data.find(b"\n", 0, end)
+        if newline < 0:
+            raise MessageFormatError("message header has no closing newline")
+        try:
+            header = json.loads(data[:newline])
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
+            raise MessageFormatError(f"message header is not JSON: {exc}") from None
         if not isinstance(header, dict):
-            raise ValueError("message header is not a JSON object")
+            raise MessageFormatError("message header is not a JSON object")
         version = header.get("version")
         if type(version) is not int or version != cls.version:
-            raise ValueError(f"unknown message version {version!r}")
+            raise MessageFormatError(f"unknown message version {version!r}")
         types = {f.name: _JSON_TYPES[f.type] for f in fields(cls) if f.name != "sections"}
         if header.keys() != types.keys():
-            raise ValueError(f"message header fields {sorted(header)} are not {sorted(types)}")
+            raise MessageFormatError(
+                f"message header fields {sorted(header)} are not {sorted(types)}"
+            )
         for name, allowed in types.items():
             if type(header[name]) not in allowed:
-                raise ValueError(f"header field {name!r} holds {header[name]!r}")
+                raise MessageFormatError(f"header field {name!r} holds {header[name]!r}")
         if header["flag"] not in (0, 1):
-            raise ValueError(f"flag {header['flag']} is neither 0 nor 1")
+            raise MessageFormatError(f"flag {header['flag']} is neither 0 nor 1")
         pos = newline + 1
 
         def take(size: int, what: str) -> bytes:
             nonlocal pos
             if pos + size > end:
-                raise ValueError(f"section {what} runs past the end of the message")
+                raise MessageFormatError(f"section {what} runs past the end of the message")
             pos += size
             return data[pos - size : pos]
 
         sections = []
         while pos < end:
-            label = take(take(1, "label length")[0], "label").decode()
+            raw_label = take(take(1, "label length")[0], "label")
+            try:
+                label = raw_label.decode()
+            except UnicodeDecodeError:
+                raise MessageFormatError(f"section label {raw_label!r} is not UTF-8") from None
             if any(s.label == label for s in sections):
-                raise ValueError(f"section {label!r} appears twice")
+                raise MessageFormatError(f"section {label!r} appears twice")
             bit_length = int.from_bytes(take(8, f"{label!r} bit length"), "big")
             payload = int.from_bytes(take(-(-bit_length // 8), f"{label!r} payload"), "big")
-            sections.append(Section(label=label, bit_length=bit_length, payload=payload))
+            try:
+                sections.append(Section(label=label, bit_length=bit_length, payload=payload))
+            except ValueError as exc:  # a set bit above the bit length
+                raise MessageFormatError(f"section {label!r}: {exc}") from None
         return cls(sections=tuple(sections), **header)
 
 
@@ -372,11 +392,15 @@ def _weights_section(label: str, weights: Sequence[int], delta: PrimeModulus) ->
 
 def _parse_weights_section(section: Section, delta: PrimeModulus, count: int) -> tuple[int, ...]:
     """The section's `count` weights; any bit length other than
-    ceil_bits_for_weights(delta, count) raises ValueError."""
+    ceil_bits_for_weights(delta, count), or a payload past delta^count,
+    raises MessageFormatError."""
     bits = section.bit_length
     if bits != ceil_bits_for_weights(delta, count):
-        raise ValueError(f"section {section.label!r}: {bits} bits for {count} weights")
-    return unpack_weights(section.payload, delta, count)
+        raise MessageFormatError(f"section {section.label!r}: {bits} bits for {count} weights")
+    try:
+        return unpack_weights(section.payload, delta, count)
+    except ValueError as exc:
+        raise MessageFormatError(f"section {section.label!r}: {exc}") from None
 
 
 def _cells_section(label: str, cells: Sequence[tuple[int, int]], w: int) -> Section:
@@ -390,9 +414,9 @@ def _cells_section(label: str, cells: Sequence[tuple[int, int]], w: int) -> Sect
 
 def _check_fields_left(reader: _FieldReader, section: Section, count: int, width: int) -> None:
     """After a section's count field, exactly `count` fields of `width`
-    bits must remain; anything else raises ValueError."""
+    bits must remain; anything else raises MessageFormatError."""
     if reader.remaining != count * width:
-        raise ValueError(
+        raise MessageFormatError(
             f"section {section.label!r}: {reader.remaining} bits for {count} fields of {width}"
         )
 
@@ -445,7 +469,7 @@ def _query_view(
         return lambda q: q[0] * n + q[1], query_of, row_of, n * n, run_sched.size_of(istar)
     k_len = run_sched.suffix_length(istar)
     same = lambda q: q
-    row_of = lambda qid: family.vectors[qid][-k_len:]
+    row_of = lambda qid: family.coords(qid)[-k_len:]
     return same, same, row_of, min(n * n, len(family.vectors)), k_len
 
 
@@ -557,15 +581,16 @@ def decode_epoch(
     """Recover the target epoch's weight vector from the message and the
     updates of the preceding epochs.
 
-    The decoder works out Delta as `field_modulus(n)` (an n it cannot
-    serve raises ValueError) and w as the run's `default_run_cell_width`.
-    A kind outside `chronogram.KINDS` raises ValueError, as do a kind
-    that does not fit the structure (an index-weight message needs a
-    structure with a family, a dominance message one without), a missing
-    section, and a section whose bit length does not fit its count. The
-    flag-0 path builds each transmitted query's row from its id alone (an
-    id outside the family raises ValueError) and keeps the rows that
-    enlarge the span, as the encoder did. It re-executes the
+    The decoder works out Delta as `field_modulus(n)` and w as the run's
+    `default_run_cell_width`. A kind outside `chronogram.KINDS` raises
+    MessageFormatError, as do an n, beta or istar that no run can have
+    (an n past the exact prime range included), a missing section and a
+    section whose bit length does not fit its count; a kind that does not fit the structure (an index-weight
+    message needs a structure with a family, a dominance message one
+    without) raises ValueError. The flag-0 path builds each transmitted
+    query's row from its id alone (an id outside the family raises
+    MessageFormatError) and keeps the rows that enlarge the span, as the
+    encoder did. It re-executes the
     prefix on a fresh structure, loads C and then the smaller epochs'
     cells into that memory (a smaller-epoch cell wins over C), replays
     only the kept queries on it through `replay_queries` and subtracts
@@ -577,15 +602,18 @@ def decode_epoch(
     (`find_resolved_set`'s verify replay checks every transmitted query.)
     """
     if message.kind not in KINDS:
-        raise ValueError(f"unknown kind {message.kind!r}, not one of {KINDS}")
+        raise MessageFormatError(f"unknown kind {message.kind!r}, not one of {KINDS}")
     n = message.n
-    delta = field_modulus(n)
     istar = message.istar
-    # a flag-1 message needs the epoch sizes but no lattice
-    sched, epoch_points = executed_schedule(
-        message.kind, epoch_schedule(n, message.beta), istar if message.flag == 0 else 0
-    )
-    m = sched.size_of(istar)
+    try:
+        delta = field_modulus(n)
+        # a flag-1 message needs the epoch sizes but no lattice
+        sched, epoch_points = executed_schedule(
+            message.kind, epoch_schedule(n, message.beta), istar if message.flag == 0 else 0
+        )
+        m = sched.size_of(istar)
+    except ValueError as exc:  # an n, beta or istar that no run has
+        raise MessageFormatError(f"message header: {exc}") from None
 
     if message.flag == 1:
         weights = _parse_weights_section(message.section("raw_weights"), delta, m)
@@ -613,7 +641,7 @@ def decode_epoch(
         message.kind, n, sched, istar, epoch_points, family
     )
     if any(qid >= id_limit for qid in qids):
-        raise ValueError(f"query id {max(qids)} outside [0, {id_limit})")
+        raise MessageFormatError(f"query id {max(qids)} outside [0, {id_limit})")
     prefix_points = [pair for e in prefix_updates.epochs for pair in zip(e.targets, e.weights)]
     if message.kind == "orc":
 
@@ -627,7 +655,7 @@ def decode_epoch(
     else:
         prefix_weight_at = dict(prefix_points)
         prefix_weights = [prefix_weight_at[pos] for pos in range(n - dim)]
-        known_of = lambda qid: sum(compress(prefix_weights, family.vectors[qid]))
+        known_of = lambda qid: sum(compress(prefix_weights, family.coords(qid)))
 
     # the rows depend on the ids alone, so only the queries whose rows
     # enlarge the span (the encoder's own selection) are replayed

@@ -1,6 +1,10 @@
 """Families of {0,1} query vectors whose small subsets stay linearly
 independent on every length-k suffix.
 
+A vector is held as one n-bit int whose bit n - 1 - i is coordinate i,
+so its length-k suffix is its k low bits; `QueryFamily.coords` expands
+one vector into 0/1 coordinates for the callers that read them.
+
 Exhaustively checking all subsets for all k is combinatorially
 infeasible, so construction audits each candidate with seeded Monte
 Carlo subset sampling plus two cheap deterministic checks (nonzero
@@ -14,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import TextIO
 
 from .finite_field import PrimeModulus, ff_rank
@@ -51,14 +54,21 @@ class QueryFamilyParams:
 
 @dataclass(frozen=True)
 class QueryFamily:
-    """Query vectors indexed by position; built families hold n^2 vectors."""
+    """Query vectors indexed by position; built families hold n^2 vectors.
+    Each vector is an int in [0, 2^n) whose bit n - 1 - i is coordinate i."""
 
     params: QueryFamilyParams
-    vectors: tuple[tuple[int, ...], ...]
+    vectors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not set(chain.from_iterable(self.vectors)) <= {0, 1}:
-            raise ValueError("family vectors must be 0/1 valued")
+        limit = 1 << self.params.n
+        for v in self.vectors:
+            if type(v) is not int or not 0 <= v < limit:
+                raise ValueError(f"family vector {v!r} is not an int in [0, 2^{self.params.n})")
+
+    def coords(self, j: int) -> bytes:
+        """Vector j as n 0/1 coordinates, coordinate i being bit n - 1 - i."""
+        return _low_coords(self.vectors[j], self.params.n)
 
 
 def subset_bound(k: int, c: float) -> int:
@@ -78,9 +88,11 @@ def _k_range(n: int) -> range:
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def bits_to_coords(bits: int, n: int) -> tuple[int, ...]:
-    """The n bits of `bits` as 0/1 coordinates, most significant first."""
-    return tuple(format(bits, f"0{n}b").encode().translate(_BIT_VALUES))
+def _low_coords(bits: int, k: int) -> bytes:
+    """The length-k suffix of the vector `bits`: its k low bits as 0/1
+    coordinates, most significant first."""
+    # the sentinel bit 1 << k fixes the width; bin's "0b1" prefix drops it
+    return bin(bits & ((1 << k) - 1) | 1 << k)[3:].encode().translate(_BIT_VALUES)
 
 
 def build_query_family(params: QueryFamilyParams) -> QueryFamily:
@@ -98,19 +110,24 @@ def build_query_family(params: QueryFamilyParams) -> QueryFamily:
     k_pair = next((k for k in ks if subset_bound(k, c) >= 2), None)
     ks_multi = [k for k in ks if subset_bound(k, c) >= 2]
 
-    accepted: list[tuple[int, ...]] = []
-    pair_suffixes: set[tuple[int, ...]] = set()
+    # a length-k suffix is the k low bits, so these masks take it whole
+    single_mask = (1 << k_single) - 1 if k_single is not None else 0
+    pair_mask = (1 << k_pair) - 1 if k_pair is not None else 0
+
+    accepted: list[int] = []
+    pair_suffixes: set[int] = set()
     rejects_in_a_row = 0
     last_k: int | None = None
     while len(accepted) < n * n:
-        coords = bits_to_coords(rng.getrandbits(n), n)
+        bits = rng.getrandbits(n)
 
         ok = True
-        if k_single is not None and not any(coords[-k_single:]):
+        if k_single is not None and not bits & single_mask:
             ok, last_k = False, k_single
-        if ok and k_pair is not None and coords[-k_pair:] in pair_suffixes:
+        if ok and k_pair is not None and bits & pair_mask in pair_suffixes:
             ok, last_k = False, k_pair
         if ok and ks_multi and accepted:
+            coords = _low_coords(bits, n)
             for _ in range(VALIDATION_TRIALS):
                 k = rng.choice(ks_multi)
                 top = min(subset_bound(k, c), len(accepted) + 1)
@@ -118,7 +135,7 @@ def build_query_family(params: QueryFamilyParams) -> QueryFamily:
                     continue
                 size = rng.randint(2, top)
                 others = rng.sample(range(len(accepted)), size - 1)
-                rows = [accepted[i][-k:] for i in others]
+                rows = [_low_coords(accepted[i], k) for i in others]
                 rows.append(coords[-k:])
                 if ff_rank(params.modulus, rows) < size:
                     ok, last_k = False, k
@@ -133,9 +150,9 @@ def build_query_family(params: QueryFamilyParams) -> QueryFamily:
                 )
             continue
         rejects_in_a_row = 0
-        accepted.append(coords)
+        accepted.append(bits)
         if k_pair is not None:
-            pair_suffixes.add(coords[-k_pair:])
+            pair_suffixes.add(bits & pair_mask)
 
     return QueryFamily(params=params, vectors=tuple(accepted))
 
@@ -160,7 +177,7 @@ def check_suffix_independence(
     violations = 0
     for _ in range(trials):
         idxs = rng.sample(range(len(family.vectors)), subset_size)
-        rows = [family.vectors[i][-k:] for i in idxs]
+        rows = [_low_coords(family.vectors[i], k) for i in idxs]
         if ff_rank(family.params.modulus, rows) < subset_size:
             violations += 1
     return violations
@@ -171,7 +188,7 @@ def write_family(family: QueryFamily, fh: TextIO) -> None:
     p = family.params
     fh.write(f"{p.n} {p.modulus.value} {p.independence_constant} {p.seed}\n")
     for v in family.vectors:
-        fh.write("".join(str(c) for c in v) + "\n")
+        fh.write(format(v, f"0{p.n}b") + "\n")
 
 
 def read_family(fh: TextIO) -> QueryFamily:
@@ -189,5 +206,5 @@ def read_family(fh: TextIO) -> QueryFamily:
             continue
         if len(line) != n or set(line) - {"0", "1"}:
             raise ValueError(f"malformed family line: {line!r}")
-        vectors.append(tuple(int(ch) for ch in line))
+        vectors.append(int(line, 2))
     return QueryFamily(params=params, vectors=tuple(vectors))

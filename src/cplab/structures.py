@@ -73,7 +73,7 @@ class NaiveArtificialStructure(DynamicStructure):
     def query(self, j: int) -> int:
         if not 0 <= j < len(self.family.vectors):
             raise ValueError(f"query index {j} out of range")
-        cells = list(compress(range(self.n), self.family.vectors[j]))
+        cells = list(compress(range(self.n), self.family.coords(j)))
         return sum(self.memory.read_many(cells))
 
 

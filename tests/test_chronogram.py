@@ -133,7 +133,7 @@ class TestProbeProfiles:
         from cplab.hard_queries import QueryFamily, QueryFamilyParams
 
         params = QueryFamilyParams(n=4, modulus=largest_prime_below(4**4), seed=0)
-        family = QueryFamily(params=params, vectors=((0, 0, 0, 0), (1, 1, 1, 1)))
+        family = QueryFamily(params=params, vectors=(0b0000, 0b1111))
         memory = SimulatedMemory(MemoryConfig(w=8))
         structure = NaiveArtificialStructure(family, params.modulus, memory)
         updates = UpdateSequence(
@@ -245,7 +245,7 @@ class TestReplayQueries:
     def test_several_reads_yield_one_sequence_in_probe_order(self):
         class TwoReadQueries(NaiveArtificialStructure):
             def query(self, j):
-                cells = list(compress(range(self.n), self.family.vectors[j]))
+                cells = list(compress(range(self.n), self.family.coords(j)))
                 k = len(cells) // 2
                 return sum(self.memory.read_many(cells[k:])) + sum(
                     self.memory.read_many(cells[:k])
@@ -280,7 +280,7 @@ class TestReplayQueries:
         assert memory.probes == probes
         assert memory.replay_reads is None
         ((answer, addresses),) = replay_queries(run.structure, [0])
-        cells = list(compress(range(25), run.family.vectors[0]))
+        cells = list(compress(range(25), run.family.coords(0)))
         assert tuple(addresses) == tuple(cells)
         assert answer == sum(memory.contents_of(a) for a in cells)
         run.structure.update(0, 5)

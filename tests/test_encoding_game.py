@@ -13,6 +13,7 @@ from cplab.chronogram import replay_queries, run_hard_distribution
 from cplab.encoding_game import (
     DecodingIntegrityError,
     EncodingMessage,
+    MessageFormatError,
     ResolvedSet,
     ResolvedSetNotFound,
     Section,
@@ -26,6 +27,7 @@ from cplab.encoding_game import (
 )
 from cplab.finite_field import ff_rank, largest_prime_below
 from cplab.rng import substream
+from test_hard_queries import bits_of
 
 
 def _sealed(body):
@@ -49,10 +51,7 @@ def _run_with_family_rows(rows, beta=2):
 
     n = len(rows[0])
     params = QueryFamilyParams(n=n, modulus=largest_prime_below(n**4), seed=0)
-    family = QueryFamily(
-        params=params,
-        vectors=tuple(tuple(r) for r in rows),
-    )
+    family = QueryFamily(params=params, vectors=tuple(bits_of(r) for r in rows))
     sched = epoch_schedule(n, beta)
     rng = substream(0, "hand-run")
     epochs = []
@@ -144,13 +143,13 @@ class TestSections:
         message.sections = (Section("a", 3, 5),)
         body = message.to_bytes()[:-4]
         assert body.endswith(b"\x05")
-        with pytest.raises(ValueError, match="exceeds the declared bit length"):
+        with pytest.raises(MessageFormatError, match="exceeds the declared bit length"):
             EncodingMessage.from_bytes(_sealed(body[:-1] + b"\x0d"))
 
     def test_missing_section_is_a_value_error(self):
         run = run_hard_distribution("artificial", 16, 2, seed=1)
         message = encode_epoch(run, 2, None)
-        with pytest.raises(ValueError, match="no section 'resolved_cells'"):
+        with pytest.raises(MessageFormatError, match="no section 'resolved_cells'"):
             message.section("resolved_cells")
 
 
@@ -174,7 +173,7 @@ class TestStrictParsing:
         body = message.to_bytes()[:-4]
         prefix = run.updates.prefix_above(2)
         for end in range(len(body)):
-            with pytest.raises(ValueError) as err:
+            with pytest.raises(MessageFormatError) as err:
                 parsed = EncodingMessage.from_bytes(_sealed(body[:end]))
                 decode_epoch(parsed, prefix, run.structure_factory, verify_run=run)
             assert "checksum" not in str(err.value)
@@ -182,16 +181,16 @@ class TestStrictParsing:
     def test_trailing_byte_rejected(self):
         _, message = self._message()
         data = message.to_bytes()
-        with pytest.raises(ValueError, match="checksum"):
+        with pytest.raises(MessageFormatError, match="checksum"):
             EncodingMessage.from_bytes(data + b"\x00")
-        with pytest.raises(ValueError, match="runs past the end"):
+        with pytest.raises(MessageFormatError, match="runs past the end"):
             EncodingMessage.from_bytes(_sealed(data[:-4] + b"\x00"))
 
     @pytest.mark.parametrize("version", [1, 7])
     def test_unknown_version_rejected(self, version):
         # no reader for version 1: its header fields and byte counts are gone
         _, message = self._message()
-        with pytest.raises(ValueError, match=rf"unknown message version {version}$"):
+        with pytest.raises(MessageFormatError, match=rf"unknown message version {version}$"):
             EncodingMessage.from_bytes(dataclasses.replace(message, version=version).to_bytes())
 
     def _flag1_bytes(self):
@@ -203,14 +202,14 @@ class TestStrictParsing:
         body = data[:-4]
         sections = body[body.index(b"\n") + 1 :]
         EncodingMessage.from_bytes(data)
-        with pytest.raises(ValueError, match="'raw_weights' appears twice"):
+        with pytest.raises(MessageFormatError, match="'raw_weights' appears twice"):
             EncodingMessage.from_bytes(_sealed(body + sections))
 
     def test_boolean_version_rejected(self):
         body = self._flag1_bytes()[:-4]
         forged = body.replace(b'"version": 2}', b'"version": true}', 1)
         assert forged != body
-        with pytest.raises(ValueError, match="version True"):
+        with pytest.raises(MessageFormatError, match="version True"):
             EncodingMessage.from_bytes(_sealed(forged))
 
     def test_header_holds_only_what_the_decoder_cannot_derive(self):
@@ -246,9 +245,30 @@ class TestStrictParsing:
         newline = body.index(b"\n")
         header = json.loads(body[:newline])
         forged = json.dumps(edit(header)).encode() + body[newline:]
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(MessageFormatError) as err:
             EncodingMessage.from_bytes(_sealed(forged))
         assert "checksum" not in str(err.value)
+
+    @pytest.mark.parametrize(
+        "forge, error",
+        [
+            (lambda body: body.replace(b"\n", b" "), "no closing newline"),
+            (lambda body: b"{" + body, "not JSON"),
+            (lambda body: body.replace(b'"kind": "', b'"kind": "\xff', 1), "not JSON"),
+            (lambda body: b"[" * 100_000 + body[body.index(b"\n") :], "not JSON"),
+            (lambda body: b"1" * 5000 + body[body.index(b"\n") :], "not JSON"),
+            (lambda body: body.replace(b"\x0braw_weights", b"\x0b\xffaw_weights", 1), "UTF-8"),
+        ],
+        ids=["no-newline", "bad-json", "bad-utf8", "deep-nesting", "long-int", "label-utf8"],
+    )
+    def test_resealed_garbage_is_a_message_format_error(self, forge, error):
+        # each of these leaked a bare ValueError, JSONDecodeError,
+        # UnicodeDecodeError or RecursionError before the parser caught it
+        body = self._flag1_bytes()[:-4]
+        forged = forge(body)
+        assert forged != body
+        with pytest.raises(MessageFormatError, match=error):
+            EncodingMessage.from_bytes(_sealed(forged))
 
 
 class _ShiftFieldWriter:
@@ -303,7 +323,7 @@ class TestBitFields:
         for value, width in fields:
             assert new_reader.take(width) == old_reader.take(width) == value
         assert new_reader.remaining == old_reader.remaining == 0
-        with pytest.raises(ValueError, match="exhausted"):
+        with pytest.raises(MessageFormatError, match="exhausted"):
             new_reader.take(1)
 
     @given(st.integers(0, 300), st.data())
@@ -316,7 +336,7 @@ class TestBitFields:
         new_reader = _FieldReader(payload, bits)
         for width in data.draw(st.lists(st.integers(0, 80), max_size=12)):
             if width > old_reader.remaining:
-                with pytest.raises(ValueError, match="exhausted"):
+                with pytest.raises(MessageFormatError, match="exhausted"):
                     new_reader.take(width)
                 break
             assert new_reader.take(width) == old_reader.take(width)
@@ -524,7 +544,7 @@ class TestAccountingIdentities:
         run, message = self._flag0_message()
         # recompute the independent count with the rank oracle
         k_len = run.run_schedule.suffix_length(2)
-        rows = [run.family.vectors[j][-k_len:] for j in _decode_query_ids(message, run.w)]
+        rows = [run.family.coords(j)[-k_len:] for j in _decode_query_ids(message, run.w)]
         k = ff_rank(run.delta, rows)
         expected = ceil_bits_for_weights(run.delta, k_len - k)
         assert message.section("completion_products").bit_length == expected
@@ -604,7 +624,7 @@ def test_decode_from_the_products_alone():
     run = run_hard_distribution("artificial", 25, 5, seed=0)
     k_len = run.run_schedule.suffix_length(1)
     zero_ids = tuple(
-        j for j, v in enumerate(run.family.vectors) if not any(v[-k_len:])
+        j for j in range(len(run.family.vectors)) if not any(run.family.coords(j)[-k_len:])
     )
     assert zero_ids
     resolved = ResolvedSet(
@@ -657,8 +677,8 @@ class TestIntegrityChecks:
         epoch2_positions = range(run.run_schedule.size_of(2))
         victim = next(
             j
-            for j, v in enumerate(run.family.vectors)
-            if any(v[p] for p in epoch2_positions)
+            for j in range(len(run.family.vectors))
+            if any(run.family.coords(j)[p] for p in epoch2_positions)
         )
         bogus = ResolvedSet(
             cell_addresses=(),
@@ -681,7 +701,7 @@ class TestIntegrityChecks:
     def test_kept_query_outside_c_detected(self):
         run = run_hard_distribution("artificial", 25, 5, seed=3)
         epoch2 = {addr for addr, _ in run.cells_of_epoch(2)}
-        vectors = run.family.vectors
+        vectors = [run.family.coords(j) for j in range(len(run.family.vectors))]
         first = next(j for j, v in enumerate(vectors) if any(v[:20]))
         ((_, addresses),) = replay_queries(run.structure, [first])
         c_cells = epoch2.intersection(addresses)
@@ -736,8 +756,26 @@ class TestIntegrityChecks:
         forged = dataclasses.replace(encode_epoch(run, 1, None), n=n)
         parsed = EncodingMessage.from_bytes(forged.to_bytes())
         assert parsed.n == n
-        with pytest.raises(ValueError, match=rf"n={n} is too large"):
+        with pytest.raises(MessageFormatError, match=rf"n={n} is too large"):
             decode_epoch(parsed, run.updates.prefix_above(1), run.structure_factory)
+
+    @pytest.mark.parametrize("flag", [0, 1])
+    @pytest.mark.parametrize("game", [0, 1], ids=["artificial", "orc"])
+    @pytest.mark.parametrize(
+        "forged, error",
+        [
+            (dict(istar=0), "epoch 0 outside"),
+            (dict(istar=99), "epoch 99 outside"),
+            (dict(beta=1.0), "beta=1.0 outside"),
+            (dict(n=3), "outside"),
+        ],
+        ids=["istar-0", "istar-99", "beta-1", "n-3"],
+    )
+    def test_header_no_run_has_is_a_message_format_error(self, game, flag, forged, error):
+        run, istar, data = _game_bytes(game, flag)
+        message = dataclasses.replace(EncodingMessage.from_bytes(data), **forged)
+        with pytest.raises(MessageFormatError, match=f"message header: .*{error}"):
+            decode_epoch(message, run.updates.prefix_above(istar), run.structure_factory)
 
 
 def _with_query_ids(message, qids, w):
@@ -768,7 +806,7 @@ class TestQueryIdRange:
         qids = _decode_query_ids(message, run.w)
         assert max(qids) < n * n < 1 << (n * n - 1).bit_length()
         qids = [n * n] + qids if position == "first" else qids + [n * n]
-        with pytest.raises(ValueError, match=rf"query id {n * n} outside"):
+        with pytest.raises(MessageFormatError, match=rf"query id {n * n} outside"):
             decode_epoch(
                 _with_query_ids(message, qids, run.w),
                 run.updates.prefix_above(istar),
@@ -789,7 +827,7 @@ class TestQueryIdRange:
         assert decode_epoch(
             message, run.updates.prefix_above(2), run.structure_factory, verify_run=run
         ).u_istar == run.updates.u(2)
-        with pytest.raises(ValueError, match="query id 3 outside"):
+        with pytest.raises(MessageFormatError, match="query id 3 outside"):
             decode_epoch(
                 _with_query_ids(message, [0, 1, 2, 3], run.w),
                 run.updates.prefix_above(2),
@@ -837,8 +875,13 @@ class TestSectionFormats:
         assert _parse_weights_section(section, delta, len(weights)) == weights
         for count in (len(weights) + 1, len(weights) - 1):
             if count >= 0:
-                with pytest.raises(ValueError, match="'u': .* bits for"):
+                with pytest.raises(MessageFormatError, match="'u': .* bits for"):
                     _parse_weights_section(section, delta, count)
+        if weights:
+            # every payload bit set reads past delta^count: Delta is odd
+            full = Section("u", section.bit_length, (1 << section.bit_length) - 1)
+            with pytest.raises(MessageFormatError, match="'u': .* trailing data"):
+                _parse_weights_section(full, delta, len(weights))
 
 
 _FLAG0_GAMES = [
@@ -866,15 +909,15 @@ def _decoded(run, istar, data):
 
 
 class TestCorruptedBuffers:
-    """A corrupted buffer decodes exactly or raises ValueError; it never
-    decodes to wrong weights."""
+    """A corrupted buffer decodes exactly or raises MessageFormatError; it
+    never decodes to wrong weights."""
 
     @pytest.mark.parametrize("flag", [0, 1])
     def test_every_truncation_raises(self, flag):
         run, istar, data = _game_bytes(0, flag)
         assert _decoded(run, istar, data) == run.updates.u(istar)
         for end in range(len(data)):
-            with pytest.raises(ValueError):
+            with pytest.raises(MessageFormatError):
                 _decoded(run, istar, data[:end])
 
     @pytest.mark.parametrize("flag", [0, 1])
@@ -883,7 +926,7 @@ class TestCorruptedBuffers:
         for bit in range(8 * len(data)):
             forged = bytearray(data)
             forged[bit // 8] ^= 1 << bit % 8
-            with pytest.raises(ValueError, match="checksum"):
+            with pytest.raises(MessageFormatError, match="checksum"):
                 _decoded(run, istar, bytes(forged))
 
     @given(st.data())
@@ -898,7 +941,7 @@ class TestCorruptedBuffers:
             forged[position] ^= 1 << data.draw(st.integers(0, 7))
         try:
             weights = _decoded(run, istar, bytes(forged))
-        except ValueError:
+        except MessageFormatError:
             return
         assert weights == run.updates.u(istar)
 
@@ -920,7 +963,7 @@ class TestTrailingBits:
         forged = EncodingMessage.from_bytes(
             dataclasses.replace(message, sections=sections).to_bytes()
         )
-        with pytest.raises(ValueError, match=rf"'{label}': .* bits for .* fields"):
+        with pytest.raises(MessageFormatError, match=rf"'{label}': .* bits for .* fields"):
             decode_epoch(
                 forged, run.updates.prefix_above(istar), run.structure_factory, verify_run=run
             )
@@ -935,7 +978,7 @@ class TestForgedHeaders:
         message = encode_epoch(run, istar, resolved)
         assert message.flag == flag
         forged = EncodingMessage.from_bytes(dataclasses.replace(message, kind="orb").to_bytes())
-        with pytest.raises(ValueError, match="unknown kind 'orb'"):
+        with pytest.raises(MessageFormatError, match="unknown kind 'orb'"):
             decode_epoch(
                 forged, run.updates.prefix_above(istar), run.structure_factory, verify_run=run
             )
@@ -968,7 +1011,7 @@ class TestForgedHeaders:
         message = encode_epoch(run, 2, None)
         assert run.run_schedule.size_of(2) == 21 and run.schedule.size_of(2) == 25
         forged = dataclasses.replace(message, kind="artificial")
-        with pytest.raises(ValueError, match="'raw_weights': .* bits for 25 weights"):
+        with pytest.raises(MessageFormatError, match="'raw_weights': .* bits for 25 weights"):
             decode_epoch(forged, run.updates.prefix_above(2), run.structure_factory)
 
 

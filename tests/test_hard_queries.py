@@ -1,4 +1,6 @@
+import hashlib
 import io
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from cplab.finite_field import PrimeModulus, largest_prime_below
 from cplab.hard_queries import (
     QueryFamily,
     QueryFamilyParams,
-    bits_to_coords,
+    _low_coords,
     build_query_family,
     check_suffix_independence,
     read_family,
@@ -24,6 +26,11 @@ def params_for(n, c=2.0, seed=0):
     )
 
 
+def bits_of(coords):
+    """The family vector of 0/1 coordinates: coordinate i is bit n - 1 - i."""
+    return int("".join(map(str, coords)), 2)
+
+
 class TestParams:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
@@ -36,23 +43,44 @@ class TestParams:
     def test_non_binary_vectors_rejected(self):
         p = params_for(4)
         with pytest.raises(ValueError):
-            QueryFamily(params=p, vectors=((2, 0, 0, 0),))
+            QueryFamily(params=p, vectors=(0b10000,))
 
     @pytest.mark.parametrize("bad", [2, -1])
     def test_non_binary_coordinate_in_last_vector_rejected(self, bad):
+        # coordinates (bad, 0, 1, 0) as base-2 digits: 2 overflows the
+        # 4 bits, -1 makes the vector negative
         p = params_for(4)
-        vectors = [(1, 0, 1, 1) for _ in range(5)]
-        vectors.append((0, 1, 0, bad))
+        vectors = [0b1011] * 5
+        vectors.append(bad << 3 | 0b010)
         with pytest.raises(ValueError):
             QueryFamily(params=p, vectors=tuple(vectors))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [-1, 1 << 4, 1 << 100, 3.0, "1011", True, None, (1, 0, 1, 1)],
+        ids=["negative", "2^n", "2^100", "float", "string", "bool", "none", "legacy-tuple"],
+    )
+    def test_vector_outside_n_bit_ints_is_a_value_error(self, bad):
+        with pytest.raises(ValueError, match="is not an int in"):
+            QueryFamily(params=params_for(4), vectors=(0b0110, bad))
 
-@given(st.integers(1, 130).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2**n - 1))))
+    def test_every_n_bit_int_accepted(self):
+        family = QueryFamily(params=params_for(4), vectors=tuple(range(16)))
+        assert family.coords(0) == bytes(4) and family.coords(15) == bytes([1] * 4)
+
+
+@given(st.integers(4, 130).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2**n - 1))))
 @settings(max_examples=200, deadline=None)
-def test_bits_to_coords_matches_shifts(case):
-    """The byte-level coordinate generator against the per-bit shifts it replaced."""
+def test_coords_match_shifts(case):
+    """The byte-level coordinates against per-bit shifts; the audits' k
+    low bits against the last k coordinates."""
     n, bits = case
-    assert bits_to_coords(bits, n) == tuple((bits >> (n - 1 - i)) & 1 for i in range(n))
+    family = QueryFamily(params=params_for(n), vectors=(bits,))
+    coords = family.coords(0)
+    assert coords == bytes((bits >> (n - 1 - i)) & 1 for i in range(n))
+    assert bits_of(coords) == bits
+    for k in range(n + 1):
+        assert _low_coords(bits, k) == coords[n - k :]
 
 
 class TestSubsetBound:
@@ -67,8 +95,9 @@ class TestBuild:
     def test_small_family_shape(self):
         family = build_query_family(params_for(4, c=2.0, seed=1))
         assert len(family.vectors) == 16
-        assert all(len(v) == 4 for v in family.vectors)
-        assert all(set(v) <= {0, 1} for v in family.vectors)
+        assert all(0 <= v < 1 << 4 for v in family.vectors)
+        assert all(len(family.coords(j)) == 4 for j in range(16))
+        assert all(set(family.coords(j)) <= {0, 1} for j in range(16))
 
     def test_deterministic(self):
         a = build_query_family(params_for(8, seed=3))
@@ -92,7 +121,7 @@ class TestCheck:
         p = QueryFamilyParams(
             n=n, modulus=largest_prime_below(n**4), independence_constant=1.0, seed=0
         )
-        vectors = tuple(unit_vector(i, n) for i in range(n))
+        vectors = tuple(bits_of(unit_vector(i, n)) for i in range(n))
         family = QueryFamily(params=p, vectors=vectors)
         violations = check_suffix_independence(family, k=16, subset_size=4, trials=200, seed=0)
         assert violations == 0
@@ -102,7 +131,7 @@ class TestCheck:
         p = QueryFamilyParams(
             n=n, modulus=largest_prime_below(n**4), independence_constant=1.0, seed=0
         )
-        dup = (1, 0) * 8
+        dup = bits_of((1, 0) * 8)
         family = QueryFamily(params=p, vectors=(dup, dup))
         violations = check_suffix_independence(family, k=16, subset_size=2, trials=50, seed=0)
         assert violations == 50
@@ -143,3 +172,50 @@ class TestSerialization:
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError):
             read_family(io.StringIO("8 4093 2.0 1\n01x10101\n"))
+
+    @pytest.mark.parametrize(
+        "n, c, seed, digest",
+        [
+            (16, 2.0, 1, "6146f9a67f659aa22805070fc77c2ca60c60238d33188fd6c7f7f6fd754e9c32"),
+            (100, 22.0, 0, "ef7f146986d1ab31bff3ccc60dda70ea09e5d68957b0a4013dcffba76e9e114d"),
+        ],
+    )
+    def test_family_file_bytes_pinned(self, n, c, seed, digest):
+        # pinned from the coordinate-tuple family this n-bit form replaced
+        buffer = io.StringIO()
+        write_family(build_query_family(params_for(n, c=c, seed=seed)), buffer)
+        assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == digest
+
+    @given(
+        st.integers(4, 40).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.integers(0, 2**n - 1) | st.integers(0, 2 ** (n // 2)), max_size=20
+                ),
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_family_round_trips(self, case):
+        # the second integer range draws vectors with many leading zero bits
+        n, vectors = case
+        family = QueryFamily(params=params_for(n), vectors=tuple(vectors))
+        buffer = io.StringIO()
+        write_family(family, buffer)
+        lines = buffer.getvalue().splitlines()[1:]
+        assert lines == [format(v, f"0{n}b") for v in vectors]
+        buffer.seek(0)
+        assert read_family(buffer) == family
+
+
+def test_built_family_holds_one_int_per_vector():
+    # 10 000 vectors of 100 bits: ~0.5 MB as ints, ~8.5 MB as coordinate tuples
+    tracemalloc.start()
+    try:
+        family = build_query_family(params_for(100, c=22.0))
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(family.vectors) == 100 * 100
+    assert live < 2_000_000

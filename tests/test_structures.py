@@ -13,6 +13,7 @@ from cplab.structures import (
     PrefixSumRangeStructure,
 )
 from cplab.rng import substream
+from test_hard_queries import bits_of
 
 
 @dataclass
@@ -35,7 +36,7 @@ class ArtificialInstance:
 
 def family_with_vectors(n, rows):
     params = QueryFamilyParams(n=n, modulus=largest_prime_below(n**4), seed=0)
-    vectors = tuple(tuple(r) for r in rows)
+    vectors = tuple(bits_of(r) for r in rows)
     return QueryFamily(params=params, vectors=vectors)
 
 
