@@ -118,7 +118,7 @@ def _artificial_game_trial(seed: int) -> tuple[bool, int, bool, int, float]:
             verify_run=run,
         )
         recovered = result.u_istar == run.updates.u(istar)
-    except (encoding_game.DecodingIntegrityError, ValueError, KeyError):
+    except (encoding_game.DecodingIntegrityError, ValueError):
         pass  # counted as a failed recovery
     account = encoding_game.entropy_account(run.run_schedule, istar, run.delta, message)
     return recovered, message.flag, fallback, message.total_bits, account.h_bits

@@ -101,47 +101,6 @@ def unpack_weights(value: int, delta: PrimeModulus, count: int) -> tuple[int, ..
     return tuple(weights)
 
 
-class _FieldWriter:
-    """Fixed-width bit fields, LSB first, kept as the callers' ints (a digit
-    string per field fragments the allocator) and joined once per section."""
-
-    def __init__(self) -> None:
-        self._values: list[int] = []
-        self._widths: list[int] = []
-        self.bits = 0
-
-    def put(self, value: int, width: int) -> None:
-        if not 0 <= value < 1 << width:
-            raise ValueError(f"{value} does not fit in {width} bits")
-        self._values.append(value)
-        self._widths.append(width)
-        self.bits += width
-
-    def section(self, label: str) -> "Section":
-        fields = zip(reversed(self._values), reversed(self._widths))
-        digits = "".join(f"{value:0{width}b}" for value, width in fields if width)
-        return Section(label=label, bit_length=self.bits, payload=int(digits or "0", 2))
-
-
-class _FieldReader:
-    """Takes fixed-width bit fields, LSB first, as slices of the
-    payload's binary digits, so a whole section parses in linear time."""
-
-    def __init__(self, value: int, bits: int):
-        self._digits = format(value, f"0{bits}b")
-        self._end = len(self._digits)  # the next field ends here
-        self.remaining = bits
-
-    def take(self, width: int) -> int:
-        if width > self.remaining:
-            raise MessageFormatError("section payload exhausted")
-        start = self._end - width
-        out = int(self._digits[start : self._end] or "0", 2)
-        self._end = start
-        self.remaining -= width
-        return out
-
-
 @dataclass(frozen=True)
 class Section:
     label: str
@@ -310,7 +269,8 @@ def find_resolved_set(
     resolves a non-empty set of low-cost queries; keep the best try.
 
     The candidates are every family index (index-weight runs) or
-    DOMINANCE_QUERY_POOL distinct seeded points (dominance runs).
+    DOMINANCE_QUERY_POOL distinct seeded points (dominance runs; all n^2
+    points when there are fewer).
     Queries qualify when their distinct epoch-istar probe count is at
     most the threshold (default lg_beta(n)/4) and every such probe lands
     in the sampled subset. Raises ResolvedSetNotFound when every try
@@ -330,7 +290,7 @@ def find_resolved_set(
     else:
         qrng = substream(seed, "query-sample")
         distinct: dict[tuple[int, int], None] = {}  # keeps first-draw order
-        while len(distinct) < DOMINANCE_QUERY_POOL:
+        while len(distinct) < min(DOMINANCE_QUERY_POOL, run.n * run.n):
             distinct[qrng.randrange(run.n), qrng.randrange(run.n)] = None
         pool = list(distinct)
 
@@ -403,50 +363,47 @@ def _parse_weights_section(section: Section, delta: PrimeModulus, count: int) ->
         raise MessageFormatError(f"section {section.label!r}: {exc}") from None
 
 
-def _cells_section(label: str, cells: Sequence[tuple[int, int]], w: int) -> Section:
-    writer = _FieldWriter()
-    writer.put(len(cells), 2 * w)
-    for addr, contents in cells:
-        writer.put(addr, w)
-        writer.put(contents, w)
-    return writer.section(label)
+def _counted_section(label: str, fields: Sequence[int], width: int, w: int) -> Section:
+    """A 2w-bit count, then each field in `width` >= 1 bits, LSB first. The
+    fields stay ints (a digit string per field fragments the allocator)
+    until their binary digits are joined once."""
+    if len(fields) >> 2 * w or fields and (min(fields) < 0 or max(fields) >> width):
+        raise ValueError(f"section {label!r}: a field or the count does not fit its width")
+    digits = "".join(f"{field:0{width}b}" for field in reversed(fields))
+    payload = int(f"{digits}{len(fields):0{2 * w}b}", 2)
+    return Section(label, 2 * w + len(fields) * width, payload)
 
 
-def _check_fields_left(reader: _FieldReader, section: Section, count: int, width: int) -> None:
-    """After a section's count field, exactly `count` fields of `width`
-    bits must remain; anything else raises MessageFormatError."""
-    if reader.remaining != count * width:
+def _parse_counted_section(section: Section, width: int, w: int) -> list[int]:
+    """The fields of a `_counted_section`, sliced from the payload's binary
+    digits; a section shorter than its count field, or whose remaining
+    bits are not that many fields of `width`, raises MessageFormatError."""
+    bits = section.bit_length - 2 * w  # after the count field
+    if bits < 0:
+        raise MessageFormatError(f"section {section.label!r}: {section.bit_length} bits, no count")
+    digits = format(section.payload, f"0{section.bit_length}b")
+    count = int(digits[bits:], 2)
+    if bits != count * width:
         raise MessageFormatError(
-            f"section {section.label!r}: {reader.remaining} bits for {count} fields of {width}"
+            f"section {section.label!r}: {bits} bits for {count} fields of {width}"
         )
+    return [int(digits[end - width : end], 2) for end in range(bits, 0, -width)]
+
+
+def _cells_section(label: str, cells: Sequence[tuple[int, int]], w: int) -> Section:
+    """Each (address, contents) cell as one 2w-bit field, contents << w | address."""
+    if any(addr >> w for addr, _ in cells):  # it would bleed into the contents
+        raise ValueError(f"section {label!r}: an address does not fit in {w} bits")
+    return _counted_section(label, [contents << w | addr for addr, contents in cells], 2 * w, w)
 
 
 def _parse_cells_section(section: Section, w: int) -> dict[int, int]:
-    reader = _FieldReader(section.payload, section.bit_length)
-    count = reader.take(2 * w)
-    _check_fields_left(reader, section, count, 2 * w)
-    return {reader.take(w): reader.take(w) for _ in range(count)}
+    mask = (1 << w) - 1
+    return {field & mask: field >> w for field in _parse_counted_section(section, 2 * w, w)}
 
 
 def _query_id_bits(n: int) -> int:
     return (n * n - 1).bit_length()
-
-
-def _query_ids_section(qids: Sequence[int], n: int, w: int) -> Section:
-    qbits = _query_id_bits(n)
-    writer = _FieldWriter()
-    writer.put(len(qids), 2 * w)
-    for qid in qids:
-        writer.put(qid, qbits)
-    return writer.section("resolved_queries")
-
-
-def _parse_query_ids_section(section: Section, n: int, w: int) -> list[int]:
-    qbits = _query_id_bits(n)
-    reader = _FieldReader(section.payload, section.bit_length)
-    count = reader.take(2 * w)
-    _check_fields_left(reader, section, count, qbits)
-    return [reader.take(qbits) for _ in range(count)]
 
 
 def _query_view(
@@ -539,7 +496,7 @@ def encode_epoch(
         )
         sections = [
             _cells_section("resolved_cells", cell_pairs, run.w),
-            _query_ids_section(qids, run.n, run.w),
+            _counted_section("resolved_queries", qids, _query_id_bits(run.n), run.w),
             _weights_section(
                 "completion_products", [x for j, x in enumerate(u) if j not in pivot_set], delta
             ),
@@ -626,7 +583,7 @@ def decode_epoch(
     c_cells = _parse_cells_section(message.section("resolved_cells"), w)
     smaller = range(istar - 1, 0, -1)
     small_cells = {j: _parse_cells_section(message.section(f"cells_epoch_{j}"), w) for j in smaller}
-    qids = _parse_query_ids_section(message.section("resolved_queries"), n, w)
+    qids = _parse_counted_section(message.section("resolved_queries"), _query_id_bits(n), w)
     prefix_memory = SimulatedMemory(MemoryConfig(w=w))
     prefix_memory.trace = None  # the bound check reads the probe count; replay records its reads
     structure = structure_factory(prefix_memory)

@@ -111,3 +111,26 @@ def test_corrupted_message_is_not_a_recovery(monkeypatch):
     monkeypatch.setattr(encoding_game, "encode_epoch", corrupting_encode)
     recovered, flag, fallback, _, _ = _artificial_game_trial(0)
     assert (recovered, flag, fallback) == (False, 0, False)
+
+
+@pytest.mark.parametrize(
+    "error, counted",
+    [
+        (encoding_game.MessageFormatError("message has no section 'x'"), True),
+        (encoding_game.DecodingIntegrityError("replay probed outside C"), True),
+        (KeyError("x"), False),
+    ],
+    ids=["message-format", "integrity", "key-error"],
+)
+def test_only_decoding_errors_count_as_failed_recoveries(monkeypatch, error, counted):
+    # no decode path raises KeyError (a missing section is a
+    # MessageFormatError), so one is a bug and must leave the trial
+    def failing_decode(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(encoding_game, "decode_epoch", failing_decode)
+    if counted:
+        assert _artificial_game_trial(0)[:3] == (False, 0, False)
+    else:
+        with pytest.raises(KeyError):
+            _artificial_game_trial(0)

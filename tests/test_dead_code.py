@@ -6,7 +6,9 @@ outside its own body, or in perfbench/ or scripts/. A name counts as
 referenced when it appears as a variable, an attribute or an imported
 name. A string counts only when it names a method in
 `acceptance.CRITERIA`, the one table that `getattr` dispatches on.
-Dunders are exempt.
+Dunders are exempt. Every private (`_`-prefixed) module-level function
+and class of src/cplab must be referenced the same way, so that no
+helper survives for tests alone.
 
 Every public module-level UPPER_CASE constant of src/cplab must be read
 the same way: somewhere in src/cplab outside its own assignment, or in
@@ -78,6 +80,13 @@ def _public_defs(tree):
                         yield f"{node.name}.{member.name}", member
 
 
+def _private_defs(tree):
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds) and node.name.startswith("_") and not node.name.endswith("__"):
+            yield node
+
+
 def _public_constants(tree):
     for node in tree.body:
         if isinstance(node, ast.Assign):
@@ -115,6 +124,17 @@ def test_every_public_symbol_has_a_caller():
                 continue
             if in_src[node.name] == _names(node)[node.name]:  # only its own body
                 unused.append(f"{module}: {qualname}")
+    assert not unused, "no caller outside tests: " + ", ".join(unused)
+
+
+def test_every_private_module_symbol_has_a_caller():
+    modules, in_src, outside = _references()
+    unused = [
+        f"{module}: {node.name}"
+        for module, tree in modules
+        for node in _private_defs(tree)
+        if not outside[node.name] and in_src[node.name] == _names(node)[node.name]
+    ]
     assert not unused, "no caller outside tests: " + ", ".join(unused)
 
 

@@ -5,7 +5,7 @@ import math
 import zlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from probe_log import segment
 
@@ -301,55 +301,118 @@ class _ShiftFieldReader:
         return out
 
 
-_fields = st.integers(0, 70).flatmap(
-    lambda width: st.tuples(st.integers(0, (1 << width) - 1), st.just(width))
+def _oracle_section(fields, width, w):
+    """(bit length, payload) of a counted section packed by the oracle:
+    the count in 2w bits, then each field in `width` bits."""
+    writer = _ShiftFieldWriter()
+    writer.put(len(fields), 2 * w)
+    for field in fields:
+        writer.put(field, width)
+    return writer.bits, writer.value
+
+
+# (fields, width, w): up to 40 fields, so a count fits 2w >= 6 bits
+_counted = st.tuples(st.integers(1, 70), st.integers(3, 24)).flatmap(
+    lambda sizes: st.tuples(
+        st.lists(st.integers(0, (1 << sizes[0]) - 1), max_size=40),
+        st.just(sizes[0]),
+        st.just(sizes[1]),
+    )
 )
 
 
 class TestBitFields:
-    @given(st.lists(_fields, max_size=40))
+    """`_counted_section` and `_parse_counted_section` against the former
+    shift-based writer and reader."""
+
+    @given(_counted)
     @settings(max_examples=200, deadline=None)
-    def test_pack_and_parse_match_the_shift_classes(self, fields):
-        from cplab.encoding_game import _FieldReader, _FieldWriter
+    def test_pack_and_parse_match_the_shift_classes(self, case):
+        from cplab.encoding_game import _counted_section, _parse_counted_section
 
-        old, new = _ShiftFieldWriter(), _FieldWriter()
-        for value, width in fields:
-            old.put(value, width)
-            new.put(value, width)
-        section = new.section("x")
-        assert (section.bit_length, section.payload) == (old.bits, old.value)
-        old_reader = _ShiftFieldReader(old.value, old.bits)
-        new_reader = _FieldReader(section.payload, section.bit_length)
-        for value, width in fields:
-            assert new_reader.take(width) == old_reader.take(width) == value
-        assert new_reader.remaining == old_reader.remaining == 0
-        with pytest.raises(MessageFormatError, match="exhausted"):
-            new_reader.take(1)
+        fields, width, w = case
+        section = _counted_section("x", fields, width, w)
+        bits, value = _oracle_section(fields, width, w)
+        assert (section.bit_length, section.payload) == (bits, value)
+        reader = _ShiftFieldReader(value, bits)
+        assert reader.take(2 * w) == len(fields)
+        assert [reader.take(width) for _ in fields] == fields
+        assert reader.remaining == 0
+        assert _parse_counted_section(section, width, w) == fields
 
-    @given(st.integers(0, 300), st.data())
+    @given(_counted, st.data())
     @settings(max_examples=200, deadline=None)
-    def test_any_widths_parse_like_the_shift_reader(self, bits, data):
-        from cplab.encoding_game import _FieldReader
+    def test_any_widths_parse_like_the_shift_reader(self, case, data):
+        from cplab.encoding_game import _parse_counted_section
 
-        payload = data.draw(st.integers(0, (1 << bits) - 1))
-        old_reader = _ShiftFieldReader(payload, bits)
-        new_reader = _FieldReader(payload, bits)
-        for width in data.draw(st.lists(st.integers(0, 80), max_size=12)):
-            if width > old_reader.remaining:
-                with pytest.raises(MessageFormatError, match="exhausted"):
-                    new_reader.take(width)
-                break
-            assert new_reader.take(width) == old_reader.take(width)
-            assert new_reader.remaining == old_reader.remaining
+        fields, width, w = case
+        full, value = _oracle_section(fields, width, w)
+        # cut the section short, or give it extra high bits of any value
+        bits = data.draw(st.integers(0, full + 2 * width))
+        value = (value | data.draw(st.integers(0, (1 << bits) - 1)) << full) % (1 << bits)
+        section = Section("x", bits, value)
+        reader = _ShiftFieldReader(value, bits)
+        if bits < 2 * w:
+            with pytest.raises(MessageFormatError, match=f"'x': {bits} bits, no count"):
+                _parse_counted_section(section, width, w)
+            return
+        count = reader.take(2 * w)
+        if reader.remaining != count * width:
+            error = rf"'x': {reader.remaining} bits for {count} fields of {width}$"
+            with pytest.raises(MessageFormatError, match=error):
+                _parse_counted_section(section, width, w)
+            return
+        assert _parse_counted_section(section, width, w) == [
+            reader.take(width) for _ in range(count)
+        ]
 
-    @pytest.mark.parametrize("value, width", [(8, 3), (1, 0), (-1, 4)])
+    @pytest.mark.parametrize("w", [8, 40])
+    @pytest.mark.parametrize("short", [0, 1, -1], ids=["0", "1", "2w-1"])
+    @pytest.mark.parametrize("fill", [0, 1])
+    def test_section_shorter_than_its_count_rejected(self, w, short, fill):
+        from cplab.encoding_game import _parse_counted_section
+
+        bits = short % (2 * w)
+        section = Section("x", bits, fill * ((1 << bits) - 1))
+        with pytest.raises(MessageFormatError, match=f"'x': {bits} bits, no count"):
+            _parse_counted_section(section, 14, w)
+
+    @pytest.mark.parametrize("count", [0, 2, 4, (1 << 16) - 1])
+    def test_count_that_disagrees_with_the_bit_length_rejected(self, count):
+        from cplab.encoding_game import _counted_section, _parse_counted_section
+
+        section = _counted_section("x", [5, 0, 2**14 - 1], 14, 8)
+        forged = Section("x", section.bit_length, section.payload >> 16 << 16 | count)
+        with pytest.raises(MessageFormatError, match=rf"'x': 42 bits for {count} fields of 14$"):
+            _parse_counted_section(forged, 14, 8)
+
+    @pytest.mark.parametrize("value, width", [(8, 3), (1, 0), (-1, 4), (1 << 70, 70)])
     def test_value_that_does_not_fit_rejected(self, value, width):
-        from cplab.encoding_game import _FieldWriter
+        from cplab.encoding_game import _counted_section
 
         with pytest.raises(ValueError):
-            _ShiftFieldWriter().put(value, width)
+            _oracle_section([0, value, 0], width, 8)
+        with pytest.raises(ValueError, match="does not fit"):
+            _counted_section("x", [0, value, 0], width, 8)
+
+    def test_count_that_does_not_fit_rejected(self):
+        from cplab.encoding_game import _counted_section
+
         with pytest.raises(ValueError):
-            _FieldWriter().put(value, width)
+            _oracle_section([1] * 4, 1, 1)
+        with pytest.raises(ValueError, match="does not fit"):
+            _counted_section("x", [1] * 4, 1, 1)
+
+    @pytest.mark.parametrize(
+        "address, contents",
+        [(256, 0), (256, 255), (1 << 20, 0), (0, 256), (255, 1 << 20), (-1, 0), (0, -1)],
+    )
+    def test_cell_that_does_not_fit_rejected(self, address, contents):
+        # one 2w-bit field per cell must not let an address bleed into its contents
+        from cplab.encoding_game import _cells_section
+
+        with pytest.raises(ValueError, match="does not fit"):
+            _cells_section("c", [(0, 0), (address, contents)], 8)
 
 
 class TestFindResolvedSet:
@@ -418,6 +481,19 @@ class TestFindResolvedSet:
         run = run_hard_distribution(kind, n, 5, seed=3)
         resolved = find_resolved_set(run, istar, seed=3, **overrides)
         assert resolved.query_probes == probes
+
+    @pytest.mark.parametrize("n", [4, 13, 19, 20, 21])
+    def test_dominance_pool_on_a_small_grid(self, n):
+        # below n = 20 there are fewer than DOMINANCE_QUERY_POOL points, and
+        # the pool holds each of them once instead of drawing forever
+        from cplab.encoding_game import DOMINANCE_QUERY_POOL
+
+        run = run_hard_distribution("orc", n, 2, seed=1)
+        resolved = find_resolved_set(
+            run, 1, cell_budget=len(run.cells_of_epoch(1)), probe_threshold=1e9, max_tries=1
+        )
+        assert resolved.sample_size == len(resolved.queries) == min(DOMINANCE_QUERY_POOL, n * n)
+        assert len(set(resolved.queries)) == len(resolved.queries)
 
 
 class TestQueriesLeaveRunUnchanged:
@@ -557,9 +633,10 @@ class TestAccountingIdentities:
 
 
 def _decode_query_ids(message, w):
-    from cplab.encoding_game import _parse_query_ids_section
+    from cplab.encoding_game import _parse_counted_section, _query_id_bits
 
-    return _parse_query_ids_section(message.section("resolved_queries"), message.n, w)
+    section = message.section("resolved_queries")
+    return _parse_counted_section(section, _query_id_bits(message.n), w)
 
 
 class TestArtificialRoundTrip:
@@ -667,6 +744,38 @@ class TestOrcRoundTrip:
         assert "weights_epoch_1" in labels and "cells_epoch_1" in labels
         section = message.section("weights_epoch_1")
         assert section.bit_length == ceil_bits_for_weights(run.delta, 5)
+
+
+class TestWholeGames:
+    """Whole games across the configuration space, not only at pinned
+    sizes: run, resolve (no resolved set falls back to flag 1), encode,
+    bytes, parse and a verified decode must recover the epoch exactly.
+    This is what checks the counted-field codec over many cell widths w
+    and query-id widths."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_every_game_recovers_exactly(self, data):
+        kind = data.draw(st.sampled_from(["artificial", "orc"]), label="kind")
+        n = data.draw(st.integers(4, 60 if kind == "artificial" else 700), label="n")
+        beta = data.draw(st.integers(2, n // 2) | st.floats(2, n / 2), label="beta")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        run = run_hard_distribution(kind, n, beta, seed=seed)
+        istar = data.draw(st.integers(1, run.run_schedule.count), label="istar")
+        try:
+            resolved = find_resolved_set(run, istar, seed=seed)
+        except ResolvedSetNotFound:
+            resolved = None
+        message = encode_epoch(run, istar, resolved)
+        assert message.flag == (resolved is None)
+        event(f"{kind}, flag {message.flag}")
+        result = decode_epoch(
+            EncodingMessage.from_bytes(message.to_bytes()),
+            run.updates.prefix_above(istar),
+            run.structure_factory,
+            verify_run=run,
+        )
+        assert result.u_istar == run.updates.u(istar)
 
 
 class TestIntegrityChecks:
@@ -780,9 +889,9 @@ class TestIntegrityChecks:
 
 def _with_query_ids(message, qids, w):
     """The message with its resolved_queries section rewritten to `qids`."""
-    from cplab.encoding_game import _query_ids_section
+    from cplab.encoding_game import _counted_section, _query_id_bits
 
-    section = _query_ids_section(qids, message.n, w)
+    section = _counted_section("resolved_queries", qids, _query_id_bits(message.n), w)
     sections = tuple(
         section if s.label == "resolved_queries" else s for s in message.sections
     )
@@ -836,19 +945,22 @@ class TestQueryIdRange:
 
 
 class TestSectionFormats:
-    """Each section format has one writer and one reader, which the
-    encoder and the decoder share; every writer's output reads back."""
+    """There are two section formats, radix-Delta weights and counted
+    fixed-width fields (the cells of C and of the smaller epochs, one
+    2w-bit field per cell, and the query ids). Each has one writer and
+    one reader, which the encoder and the decoder share; every writer's
+    output reads back."""
 
     @given(st.integers(2, 60), st.sampled_from([8, 16, 24]), st.data())
     @settings(max_examples=150, deadline=None)
     def test_query_ids_round_trip(self, n, w, data):
-        from cplab.encoding_game import _parse_query_ids_section, _query_ids_section
+        from cplab.encoding_game import _counted_section, _parse_counted_section, _query_id_bits
 
         ids = st.sampled_from([0, n * n - 1]) | st.integers(0, n * n - 1)
         qids = data.draw(st.lists(ids, max_size=30))
-        section = _query_ids_section(qids, n, w)
+        section = _counted_section("q", qids, _query_id_bits(n), w)
         assert section.bit_length == 2 * w + len(qids) * (n * n - 1).bit_length()
-        assert _parse_query_ids_section(section, n, w) == qids
+        assert _parse_counted_section(section, _query_id_bits(n), w) == qids
 
     @given(st.sampled_from([8, 16, 24]), st.data())
     @settings(max_examples=150, deadline=None)
@@ -859,6 +971,13 @@ class TestSectionFormats:
         cells = data.draw(st.dictionaries(field, field, max_size=30))
         section = _cells_section("c", sorted(cells.items()), w)
         assert section.bit_length == 2 * w * (1 + len(cells))
+        # bit for bit the former layout: the count, then each address and its contents
+        oracle = _ShiftFieldWriter()
+        oracle.put(len(cells), 2 * w)
+        for address, contents in sorted(cells.items()):
+            oracle.put(address, w)
+            oracle.put(contents, w)
+        assert (section.bit_length, section.payload) == (oracle.bits, oracle.value)
         assert _parse_cells_section(section, w) == cells
 
     @given(st.integers(2, 40), st.data())
