@@ -54,11 +54,7 @@ class CriterionResult:
 def _family_trial(seed: int) -> tuple[int, int]:
     """Criterion 2, one family seed: (subsets checked, violations)."""
     n = 16
-    family = build_query_family(
-        QueryFamilyParams(
-            n=n, modulus=field_modulus(n), independence_constant=2.0, seed=seed
-        )
-    )
+    family = build_query_family(QueryFamilyParams(n=n, independence_constant=2.0, seed=seed))
     checks = violations = 0
     for k in (8, 16):
         size = subset_bound(k, 2.0)

@@ -1,10 +1,11 @@
 """Simulated memory of addressable w-bit cells, with a probe count and
 a probe log.
 
-Every read or write of a cell is a probe. It adds one to the memory's
-probe count and lands in its trace, unless the memory keeps no log (the
-decoder's re-execution of the preceding epochs only counts) or a query
-is replayed (its reads are recorded apart; it may not write). Each
+An update's probes are counted and logged: each read or write of a cell
+adds one to the memory's probe count and lands in its trace, unless the
+memory keeps no log (the decoder's re-execution of the preceding epochs
+only counts). A query reads only while `chronogram.replay_queries`
+replays it, which records its reads apart; it may not write. Each
 written cell carries the id of the last epoch that wrote it, which is
 what per-epoch probe accounting is built on. Cells never written read
 as zero: a decoder re-executing a prefix of the updates must see
@@ -95,14 +96,16 @@ class SimulatedMemory:
     A cell's contents and its epoch tag live in two stores keyed by
     address, `values` and `tags`, which always hold the same addresses.
     Read them freely; change them only through `write`, `add_many` and
-    `load`. `probes` counts every probe made so far. `trace` is the
-    probe log; a memory whose `trace` is set to None counts its probes
-    and logs none of them, for a re-execution whose probes no one reads.
+    `load`. `probes` counts the update probes made so far. `trace` is
+    the probe log; a memory whose `trace` is set to None counts its
+    probes and logs none of them, for a re-execution whose probes no
+    one reads.
 
     `replay_reads` is None except while `chronogram.replay_queries` asks
-    a query: then it is a list, `read_many` appends a tuple of its
-    addresses to it and logs nothing, `begin_operation` does nothing,
-    and `write` and `add_many` raise AssertionError before any change.
+    a query: then it is a list, and `read_many` appends a tuple of its
+    addresses to it. `read_many` works only then; `write` and
+    `add_many` work only outside it. Each raises AssertionError, before
+    any check or change, when called in the wrong mode.
 
     A single instance is single-threaded mutable state; run independent
     instances for parallel trials. Epoch ids must strictly decrease
@@ -132,7 +135,7 @@ class SimulatedMemory:
         self.current_epoch = epoch_id
 
     def begin_operation(self, op_id: Hashable) -> None:
-        if self.trace is not None and self.replay_reads is None:
+        if self.trace is not None:
             self.trace.begin(op_id)
 
     def _reject_addresses(self, addresses: Sequence[int]) -> NoReturn:
@@ -140,21 +143,19 @@ class SimulatedMemory:
         bad = next(a for a in addresses if not 0 <= a < self._limit)
         raise ValueError(f"address {bad} does not fit in {self.config.w} bits")
 
-    # read_many, add_many and write are the hot path: they count probes
-    # and append them to the log's columns, with no per-probe object
+    # read_many, add_many and write are the hot path: they record a
+    # query's reads, or count probes and append them to the log's
+    # columns, with no per-probe object
     def read_many(self, addresses: Sequence[int]) -> list[int]:
-        """Read the cells in order: one read probe per address, counted
-        and logged with the cell's epoch tag (-1 if unwritten), or, in a
-        replay, recorded in `replay_reads`. Every address is checked
-        before the memory changes, so a bad one raises and leaves it as
-        it was."""
+        """A replayed query reads the cells in order: their addresses go
+        to `replay_reads` as one tuple, in probe order. Every address is
+        checked first, so a bad one raises and records nothing."""
+        reads = self.replay_reads
+        if reads is None:
+            raise AssertionError("a read outside a query replay")
         if addresses and (min(addresses) < 0 or max(addresses) >= self._address_limit):
             self._reject_addresses(addresses)
-        self.probes += len(addresses)
-        if self.replay_reads is not None:
-            self.replay_reads.append(tuple(addresses))
-        elif self.trace is not None:
-            self.trace.log_reads(addresses, self.tags)
+        reads.append(tuple(addresses))
         return list(map(self.values.get, addresses, repeat(0)))
 
     def add_many(self, addresses: Sequence[int], addend: int) -> None:
@@ -195,12 +196,10 @@ class SimulatedMemory:
     def write(self, address: int, value: int) -> None:
         if self.replay_reads is not None:
             raise AssertionError(f"a replayed query wrote cell {address}")
-        if not 0 <= address < self._limit:
-            raise ValueError(f"address {address} does not fit in {self.config.w} bits")
+        if not 0 <= address < self._address_limit:
+            self._reject_addresses((address,))
         if not 0 <= value < self._limit:
             raise OverflowError(f"value {value} does not fit in {self.config.w} bits")
-        if address >= _INT64_LIMIT:
-            raise OverflowError(f"address {address} does not fit in a signed 64-bit log")
         tag = self.current_epoch if self.current_epoch is not None else 0
         self.probes += 1
         trace = self.trace
@@ -216,13 +215,6 @@ class SimulatedMemory:
         probing (bookkeeping access: no trace entry, no probe counted)."""
         self.values.update(cells)
         self.tags.update(zip(cells, repeat(epoch_id)))
-
-    def epoch_of(self, address: int) -> int | None:
-        return self.tags.get(address)
-
-    def contents_of(self, address: int) -> int:
-        """Contents without probing (bookkeeping access, not in the trace)."""
-        return self.values.get(address, 0)
 
     def written_addresses(self) -> set[int]:
         return set(self.tags)
@@ -248,7 +240,7 @@ def probe_counts_by_epoch(addresses: Iterable[int], mem: SimulatedMemory) -> dic
     """
     counts: dict[int, int] = {}
     for address in dict.fromkeys(addresses):
-        tag = mem.epoch_of(address)
+        tag = mem.tags.get(address)
         if tag is not None:
             counts[tag] = counts.get(tag, 0) + 1
     return counts

@@ -210,14 +210,12 @@ def run_hard_distribution(kind: str, n: int, beta: float, seed: int) -> RunRecor
     run_sched, epoch_points = executed_schedule(kind, schedule)
 
     if kind == "artificial":
-        family = build_query_family(
-            QueryFamilyParams(n=n, modulus=delta, seed=substream_seed(seed, "family"))
-        )
+        family = build_query_family(QueryFamilyParams(n=n, seed=substream_seed(seed, "family")))
         positions = iter(range(n))  # each epoch updates the next block of positions
         targets = {
             i: tuple(islice(positions, run_sched.size_of(i))) for i in run_sched.epoch_ids()
         }
-        factory = lambda memory: NaiveArtificialStructure(family, delta, memory)
+        factory = lambda memory: NaiveArtificialStructure(family, memory)
     else:
         family, targets = None, epoch_points
         capacity = run_sched.total
@@ -301,42 +299,39 @@ class ProbeProfile:
 
 
 def replay_queries(
-    structure: DynamicStructure, queries: Iterable, log: ProbeTrace | None = None
+    structure: DynamicStructure, queries: Iterable
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Ask the structure the queries one at a time after its updates and
     yield each query's answer and probed addresses, a tuple in probe
-    order. The memory records a query's reads in `replay_reads` and
-    refuses its writes before they land (a query must not mutate the
-    run it reads); its own log and probe count are left as they were.
-    A `log` gets each query's addresses as reads, op id ("qry", index),
-    tagged with the memory's current tags: a replayed query cannot write."""
+    order. This is the only way to read a cell: the memory records a
+    query's reads in `replay_reads`, and refuses its writes before they
+    land (a query must not mutate the run it reads)."""
     memory = structure.memory
-    probes = memory.probes
-    for idx, q in enumerate(queries):
+    for q in queries:
         reads = memory.replay_reads = []
         try:
             answer = structure.query(q)
         finally:
-            memory.replay_reads, memory.probes = None, probes
-        addresses = reads[0] if len(reads) == 1 else tuple(chain.from_iterable(reads))
-        if log is not None:
-            log.begin(("qry", idx))
-            log.log_reads(addresses, memory.tags)
-        yield answer, addresses
+            memory.replay_reads = None
+        yield answer, reads[0] if len(reads) == 1 else tuple(chain.from_iterable(reads))
 
 
 def epoch_probe_profile(run: RunRecord, queries: Sequence) -> ProbeProfile:
     """Execute the sample read-only after all updates and count, per
-    query, the distinct cells probed from each epoch's cell set."""
-    log = ProbeTrace()
-    counts = tuple(
-        probe_counts_by_epoch(addresses, run.memory)
-        for _, addresses in replay_queries(run.structure, queries, log)
-    )
+    query, the distinct cells probed from each epoch's cell set. The
+    profile's log gets each query's addresses as reads, op id
+    ("qry", index), tagged with the memory's tags: a replayed query
+    cannot write."""
+    memory, log = run.memory, ProbeTrace()
+    counts = []
+    for idx, (_, addresses) in enumerate(replay_queries(run.structure, queries)):
+        log.begin(("qry", idx))
+        log.log_reads(addresses, memory.tags)
+        counts.append(probe_counts_by_epoch(addresses, memory))
     return ProbeProfile(
         epochs=tuple(run.run_schedule.epoch_ids()),
         queries=tuple(queries),
-        counts=counts,
+        counts=tuple(counts),
         totals=tuple(sum(by_epoch.values()) for by_epoch in counts),
         log=log,
     )

@@ -24,6 +24,7 @@ from . import __version__, chronogram, encoding_game, fibonacci_lattice, grid_an
 from .acceptance import run_acceptance
 from .finite_field import field_modulus
 from .hard_queries import (
+    FamilyConstructionError,
     QueryFamilyParams,
     build_query_family,
     check_suffix_independence,
@@ -134,11 +135,9 @@ def _cmd_family(args, parser) -> int:
     _require(args, parser, "n")
     n, seed, c = args.n, args.seed, args.c
     trials = args.trials if args.trials is not None else 200
-    delta = _checked(parser, "--n", field_modulus, n)
+    params = _checked(parser, "--n", QueryFamilyParams, n, c, seed)
     outdir = _outdir(args)
-    family = build_query_family(
-        QueryFamilyParams(n=n, modulus=delta, independence_constant=c, seed=seed)
-    )
+    family = build_query_family(params)
     family_path = outdir / "family.txt"
     with open(family_path, "w") as fh:
         write_family(family, fh)
@@ -148,7 +147,7 @@ def _cmd_family(args, parser) -> int:
             family, k=n, subset_size=subset_bound(n, c), trials=trials, seed=seed
         )
         checked = trials
-    config = {"n": n, "c": c, "seed": seed, "delta": delta.value, "trials": trials}
+    config = {"n": n, "c": c, "seed": seed, "delta": params.modulus.value, "trials": trials}
     _write_manifest(
         outdir, "family", config, [family_path.name],
         {"vectors": len(family.vectors), "violations": violations, "subsets_checked": checked},
@@ -384,7 +383,12 @@ def main(argv: list[str] | None = None) -> int:
         args = _parse(parser, [argv[0], *tokens, *argv[1:]])
     try:
         return args.fn(args, args.parser)
-    except (InvariantFailure, AssertionError, encoding_game.DecodingIntegrityError) as exc:
+    except (
+        InvariantFailure,
+        AssertionError,
+        encoding_game.DecodingIntegrityError,
+        FamilyConstructionError,
+    ) as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 1
 

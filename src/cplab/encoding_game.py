@@ -491,9 +491,8 @@ def encode_epoch(
         _, pivots = independent_row_indices(delta, map(row_of, qids))
         pivot_set = set(pivots)
         u = _suffix_weight_vector(run, istar)[:dim]
-        cell_pairs = sorted(
-            (addr, run.memory.contents_of(addr)) for addr in resolved.cell_addresses
-        )
+        values = run.memory.values
+        cell_pairs = sorted((addr, values[addr]) for addr in resolved.cell_addresses)
         sections = [
             _cells_section("resolved_cells", cell_pairs, run.w),
             _counted_section("resolved_queries", qids, _query_id_bits(run.n), run.w),
@@ -632,7 +631,7 @@ def decode_epoch(
         if verify_run is not None:
             # no replay may probe an epoch-istar cell of the verify run outside C
             for a in addresses:
-                if verify_run.memory.epoch_of(a) == istar and a not in c_cells:
+                if verify_run.memory.tags.get(a) == istar and a not in c_cells:
                     raise DecodingIntegrityError(f"replay probed epoch-{istar} cell {a} outside C")
         z_values.append((answer - known_of(qid)) % delta.value)
 

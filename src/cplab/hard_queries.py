@@ -17,10 +17,10 @@ auditing a faithful surrogate. lg means log base 2 throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TextIO
 
-from .finite_field import PrimeModulus, ff_rank
+from .finite_field import PrimeModulus, ff_rank, field_modulus
 from .rng import substream
 
 
@@ -36,20 +36,19 @@ class FamilyConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class QueryFamilyParams:
+    """A family's parameters; its field modulus is derived from n, once."""
+
     n: int
-    modulus: PrimeModulus
     independence_constant: float = 22.0
     seed: int = 0
+    modulus: PrimeModulus = field(init=False)  # field_modulus(n)
 
     def __post_init__(self) -> None:
         if self.n < 4:
             raise ValueError("family needs n >= 4")
         if self.independence_constant <= 0:
             raise ValueError("independence constant must be positive")
-        if not self.n**4 // 2 <= self.modulus.value <= self.n**4:
-            raise ValueError(
-                f"modulus {self.modulus.value} outside [n^4/2, n^4] for n={self.n}"
-            )
+        object.__setattr__(self, "modulus", field_modulus(self.n))
 
 
 @dataclass(frozen=True)
@@ -196,9 +195,9 @@ def read_family(fh: TextIO) -> QueryFamily:
     if len(header) != 4:
         raise ValueError("malformed family header")
     n, delta, c, seed = int(header[0]), int(header[1]), float(header[2]), int(header[3])
-    params = QueryFamilyParams(
-        n=n, modulus=PrimeModulus(delta), independence_constant=c, seed=seed
-    )
+    params = QueryFamilyParams(n=n, independence_constant=c, seed=seed)
+    if delta != params.modulus.value:
+        raise ValueError(f"family modulus {delta} is not field_modulus({n}) = {params.modulus.value}")
     vectors = []
     for line in fh:
         line = line.strip()

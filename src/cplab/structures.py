@@ -54,12 +54,12 @@ class NaiveArtificialStructure(DynamicStructure):
     the exact test vehicle for probe accounting.
     """
 
-    def __init__(self, family: QueryFamily, delta: PrimeModulus, memory: SimulatedMemory):
+    def __init__(self, family: QueryFamily, memory: SimulatedMemory):
         self.family = family
-        self.delta = delta
+        self.delta = family.params.modulus
         self.memory = memory
         self.n = family.params.n
-        _check_width(memory, self.n, (delta.value - 1).bit_length())
+        _check_width(memory, self.n, (self.delta.value - 1).bit_length())
         self.declared_update_probes = 1
         self.declared_query_probes = self.n
 

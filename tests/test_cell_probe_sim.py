@@ -16,8 +16,9 @@ from cplab.cell_probe_sim import (
 
 
 class ReferenceMemory(SimulatedMemory):
-    """The simulated memory plus a per-cell `read`: the reference that
-    `read_many` and `add_many` are compared with."""
+    """The simulated memory plus a per-cell `read` that logs a read probe,
+    as the read half of an update does: the reference that `add_many` is
+    compared with, and a way to put read rows in a log."""
 
     def read(self, address: int) -> int:
         if not 0 <= address < self._limit:
@@ -32,6 +33,16 @@ class ReferenceMemory(SimulatedMemory):
 
 def make_memory(w=16):
     return ReferenceMemory(MemoryConfig(w=w))
+
+
+def replay_read(mem, addresses):
+    """Read as a replayed query does: the contents, and what the memory
+    recorded of the reads."""
+    mem.replay_reads = []
+    try:
+        return mem.read_many(addresses), mem.replay_reads
+    finally:
+        mem.replay_reads = None
 
 
 class TestConfig:
@@ -52,14 +63,14 @@ class TestEpochTagging:
         mem.write(0, 1)
         mem.begin_epoch(1)
         mem.write(0, 2)
-        assert mem.epoch_of(0) == 1
+        assert mem.tags[0] == 1
 
     def test_tag_survives_without_rewrite(self):
         mem = make_memory()
         mem.begin_epoch(3)
         mem.write(0, 1)
         mem.begin_epoch(1)
-        assert mem.epoch_of(0) == 3
+        assert mem.tags[0] == 3
 
     def test_nonmonotonic_epoch_rejected(self):
         mem = make_memory()
@@ -70,18 +81,18 @@ class TestEpochTagging:
     def test_writes_outside_epochs_tagged_zero(self):
         mem = make_memory()
         mem.write(5, 1)
-        assert mem.epoch_of(5) == 0
+        assert mem.tags[5] == 0
 
 
 class TestProbes:
     def test_unwritten_reads_zero(self):
         mem = make_memory()
-        assert mem.read(123) == 0
+        assert replay_read(mem, [123]) == ([0], [(123,)])
 
     def test_write_then_read(self):
         mem = make_memory()
         mem.write(7, 5)
-        assert mem.read(7) == 5
+        assert replay_read(mem, [7]) == ([5], [(7,)])
 
     def test_each_probe_appends_one_entry(self):
         mem = make_memory()
@@ -99,9 +110,11 @@ class TestProbes:
     def test_address_out_of_range(self):
         mem = make_memory(w=8)
         with pytest.raises(ValueError):
-            mem.read(256)
+            replay_read(mem, [256])
         with pytest.raises(ValueError):
             mem.write(-1, 0)
+        with pytest.raises(ValueError):
+            mem.write(256, 0)
 
     def test_address_beyond_log_range_changes_nothing(self):
         # the log stores addresses as signed 64-bit integers
@@ -109,7 +122,7 @@ class TestProbes:
         with pytest.raises(OverflowError):
             mem.write(1 << 63, 1)
         with pytest.raises(OverflowError):
-            mem.read(1 << 63)
+            replay_read(mem, [1 << 63])
         assert len(mem.trace) == 0 and mem.values == mem.tags == {}
 
 
@@ -304,10 +317,11 @@ _batch_actions = st.lists(
 @given(_batch_actions)
 @settings(max_examples=100, deadline=None)
 def test_read_many_matches_reads(actions):
-    """A batch read leaves the same log and returns the same contents as
-    the same addresses read one at a time."""
+    """A replayed batch read returns the contents that the same addresses
+    read one at a time return, records them as one tuple in probe order,
+    and leaves the cells, the probe count and the log as they were."""
     one, many = make_memory(w=8), make_memory(w=8)
-    epoch, ops = 9, []
+    epoch = 9
     for action in actions:
         if action[0] == "epoch":
             if epoch > 1:
@@ -318,15 +332,11 @@ def test_read_many_matches_reads(actions):
             for mem in (one, many):
                 mem.write(action[1], action[2])
         else:
-            ops.append(len(ops))
-            for mem in (one, many):
-                mem.begin_operation(ops[-1])
-            assert many.read_many(action[1]) == [one.read(a) for a in action[1]]
-    a, b = one.trace, many.trace
-    assert (a.addresses, a.kinds, a.tags) == (b.addresses, b.kinds, b.tags)
-    for op in [None] + ops:
-        assert segment(a, op) == segment(b, op)
-    assert list(a.rows()) == list(b.rows())
+            before = _memory_state(many)
+            got, recorded = replay_read(many, action[1])
+            assert got == [one.read(a) for a in action[1]]
+            assert recorded == [tuple(action[1])]
+            assert _memory_state(many) == before
     assert (one.values, one.tags) == (many.values, many.tags)
 
 
@@ -339,20 +349,30 @@ def test_read_many_bad_address_changes_nothing(w, bad, error, position):
     mem = make_memory(w=w)
     mem.begin_epoch(2)
     mem.write(3, 7)
-    mem.begin_operation("q")
-    mem.read(3)
     with pytest.raises(error):
-        mem.read(bad)  # the type a batch must raise too
-    trace = mem.trace
-    before = (
-        len(trace), trace.addresses[:], trace.kinds[:], trace.tags[:],
-        dict(mem.values), dict(mem.tags),
-    )
+        mem.write(bad, 0)  # the type a batch read must raise too
+    before = _memory_state(mem)
     batch = [3, 1, 3, 0]
     batch.insert(position, bad)
+    mem.replay_reads = [(3,)]
     with pytest.raises(error):
         mem.read_many(batch)
-    assert (len(trace), trace.addresses, trace.kinds, trace.tags, mem.values, mem.tags) == before
+    assert mem.replay_reads == [(3,)]
+    assert _memory_state(mem) == before
+
+
+@pytest.mark.parametrize(
+    "call", [lambda m: m.write(-1, 0), lambda m: m.add_many([1 << 70], 1)], ids=["write", "add"]
+)
+def test_write_in_a_replay_raises_before_any_check(call):
+    mem = make_memory(w=8)
+    mem.write(3, 7)
+    before = _memory_state(mem)
+    mem.replay_reads = []
+    with pytest.raises(AssertionError, match="a replayed query wrote cell"):
+        call(mem)
+    assert mem.replay_reads == []
+    assert _memory_state(mem) == before
 
 
 @given(st.sampled_from([8, 64]), st.data())
@@ -382,7 +402,7 @@ def test_add_many_matches_reads_and_writes(w, data):
             ops.append(len(ops))
             for mem in (one, many):
                 mem.begin_operation(ops[-1])
-            if any(one.contents_of(a) + addend >= limit for a in addresses):
+            if any(one.values.get(a, 0) + addend >= limit for a in addresses):
                 with pytest.raises(OverflowError):
                     many.add_many(addresses, addend)
                 continue
@@ -447,9 +467,10 @@ def _memory_state(mem):
 @settings(max_examples=150, deadline=None)
 def test_log_free_memory_matches_logged(w, data):
     """A memory with no log ends with the same cells and probe count as
-    one that logs, over any mix of writes, batch reads and batch adds,
-    bad ones included; a logged memory counts one probe per log entry,
-    and a rejected call changes neither memory."""
+    one that logs, over any mix of writes, replayed batch reads and batch
+    adds, bad ones included; a logged memory counts one probe per log
+    entry, a read counts none, and a rejected call changes neither
+    memory."""
     limit = 1 << w
     address = st.sampled_from([*range(8), -1, limit, 2**63])
     value = st.one_of(st.integers(0, 300), st.sampled_from([-1, limit - 1, limit]))
@@ -477,11 +498,14 @@ def test_log_free_memory_matches_logged(w, data):
         outcomes = []
         for mem in (logged, bare):
             before = _memory_state(mem)
-            call = {"write": mem.write, "read": mem.read_many, "add": mem.add_many}[action]
+            read = lambda addresses: replay_read(mem, addresses)
+            call = {"write": mem.write, "read": read, "add": mem.add_many}[action]
             try:
                 outcomes.append(call(*args))
             except (ValueError, OverflowError) as exc:
                 outcomes.append(type(exc))
+                assert _memory_state(mem) == before
+            if action == "read":
                 assert _memory_state(mem) == before
         assert outcomes[0] == outcomes[1]
     assert _memory_state(logged)[:3] == _memory_state(bare)[:3]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from probe_log import segment
 
-from cplab.cell_probe_sim import MemoryConfig, ProbeTrace, SimulatedMemory
+from cplab.cell_probe_sim import MemoryConfig, SimulatedMemory
 from cplab.chronogram import (
     EpochUpdates,
     UpdateSequence,
@@ -132,10 +132,10 @@ class TestProbeProfiles:
         # hand-built run whose family contains the zero vector
         from cplab.hard_queries import QueryFamily, QueryFamilyParams
 
-        params = QueryFamilyParams(n=4, modulus=largest_prime_below(4**4), seed=0)
+        params = QueryFamilyParams(n=4, seed=0)
         family = QueryFamily(params=params, vectors=(0b0000, 0b1111))
         memory = SimulatedMemory(MemoryConfig(w=8))
-        structure = NaiveArtificialStructure(family, params.modulus, memory)
+        structure = NaiveArtificialStructure(family, memory)
         updates = UpdateSequence(
             epochs=(
                 EpochUpdates(epoch=2, targets=(0, 1), weights=(3, 4)),
@@ -143,11 +143,11 @@ class TestProbeProfiles:
             ),
         )
         execute_epochs(structure, memory, updates)
-        memory.begin_operation(("qry", 0))
-        assert structure.query(0) == 0
+        ((answer, addresses),) = replay_queries(structure, [0])
+        assert (answer, addresses) == (0, ())
         from cplab.cell_probe_sim import probe_counts_by_epoch
 
-        assert probe_counts_by_epoch(segment(memory.trace, ("qry", 0)), memory) == {}
+        assert probe_counts_by_epoch(addresses, memory) == {}
 
     def test_profile_csv_schema(self, tmp_path):
         run = run_hard_distribution("artificial", 16, 2, seed=3)
@@ -161,7 +161,7 @@ class TestProbeProfiles:
 
 class TestReplayQueries:
     @pytest.mark.parametrize("kind, n", [("artificial", 25), ("orc", 55)])
-    def test_replay_without_log_yields_the_logged_addresses(self, kind, n):
+    def test_profile_log_holds_the_replayed_addresses(self, kind, n):
         run = run_hard_distribution(kind, n, 5, seed=4)
         rng = substream(4, "replay-sample")
         if kind == "artificial":
@@ -170,13 +170,28 @@ class TestReplayQueries:
             queries = [(rng.randrange(n), rng.randrange(n)) for _ in range(40)]
         trace = run.memory.trace
         before = (len(trace), bytes(trace.addresses), bytes(trace.kinds), bytes(trace.tags))
-        log = ProbeTrace()
-        logged = [tuple(a) for _, a in replay_queries(run.structure, queries, log)]
-        unlogged = [tuple(a) for _, a in replay_queries(run.structure, queries)]
-        assert unlogged == logged
-        assert sum(map(len, unlogged)) == len(log)
+        log = epoch_probe_profile(run, queries).log
+        replayed = [list(a) for _, a in replay_queries(run.structure, queries)]
+        assert [segment(log, ("qry", idx)) for idx in range(40)] == replayed
+        assert sum(map(len, replayed)) == len(log)
         assert run.memory.trace is trace
         assert (len(trace), bytes(trace.addresses), bytes(trace.kinds), bytes(trace.tags)) == before
+
+    @pytest.mark.parametrize("kind, n", [("artificial", 25), ("orc", 55)])
+    def test_query_outside_a_replay_raises_and_changes_nothing(self, kind, n):
+        run = run_hard_distribution(kind, n, 5, seed=0)
+        memory, trace = run.memory, run.memory.trace
+        query = 0 if kind == "artificial" else (n - 1, n - 1)
+        before = (dict(memory.values), dict(memory.tags), memory.probes, list(trace.rows()))
+        with pytest.raises(AssertionError, match="a read outside a query replay"):
+            run.structure.query(query)
+        for addresses in ([], [-1], [1 << 70]):  # refused before the address check
+            with pytest.raises(AssertionError, match="a read outside a query replay"):
+                memory.read_many(addresses)
+        assert (dict(memory.values), dict(memory.tags), memory.probes, list(trace.rows())) == before
+        assert memory.replay_reads is None
+        ((answer, addresses),) = replay_queries(run.structure, [query])
+        assert answer == sum(memory.values.get(a, 0) for a in addresses) and addresses
 
     def test_query_that_writes_raises(self):
         from cplab.encoding_game import decode_epoch, encode_epoch, find_resolved_set
@@ -192,7 +207,7 @@ class TestReplayQueries:
         )
         message = encode_epoch(run, 2, resolved)
         assert message.flag == 0
-        factory = lambda memory: WritingQueries(run.family, run.delta, memory)
+        factory = lambda memory: WritingQueries(run.family, memory)
         run.structure = factory(run.memory)
         with pytest.raises(AssertionError, match="wrote cell 0"):
             list(replay_queries(run.structure, [0]))
@@ -216,31 +231,15 @@ class TestReplayQueries:
         run = run_hard_distribution(kind, n, 5, seed=0)
         memory, trace = run.memory, run.memory.trace
         if kind == "artificial":
-            structure, query = WritingNaive(run.family, run.delta, memory), 0
+            structure, query = WritingNaive(run.family, memory), 0
         else:
             structure = AddingPrefixSum(n, run.delta, memory, capacity=run.run_schedule.total)
             query = (n - 1, n - 1)
         before = (dict(memory.values), dict(memory.tags), memory.probes, len(trace))
-        for log in (None, ProbeTrace()):
-            with pytest.raises(AssertionError, match="wrote cell 0"):
-                list(replay_queries(structure, [query], log))
-            assert (dict(memory.values), dict(memory.tags), memory.probes, len(trace)) == before
-            assert memory.replay_reads is None
-
-    def test_query_does_not_begin_an_operation_in_the_run_log(self):
-        class BeginningQueries(NaiveArtificialStructure):
-            def query(self, q):
-                self.memory.begin_operation("sneak")
-                return super().query(q)
-
-        run = run_hard_distribution("artificial", 25, 5, seed=0)
-        rows = list(run.memory.trace.rows())
-        structure = BeginningQueries(run.family, run.delta, run.memory)
-        ((got, addresses),) = replay_queries(structure, [3])
-        ((want, expected),) = replay_queries(run.structure, [3])
-        assert (got, addresses) == (want, expected)
-        assert list(run.memory.trace.rows()) == rows
-        run.memory.begin_operation("sneak")  # the id was never used in the run's log
+        with pytest.raises(AssertionError, match="wrote cell 0"):
+            list(replay_queries(structure, [query]))
+        assert (dict(memory.values), dict(memory.tags), memory.probes, len(trace)) == before
+        assert memory.replay_reads is None
 
     def test_several_reads_yield_one_sequence_in_probe_order(self):
         class TwoReadQueries(NaiveArtificialStructure):
@@ -252,16 +251,16 @@ class TestReplayQueries:
                 )
 
         run = run_hard_distribution("artificial", 25, 5, seed=0)
-        structure = TwoReadQueries(run.family, run.delta, run.memory)
+        structure = TwoReadQueries(run.family, run.memory)
         queries = list(range(12))
         plain = list(replay_queries(run.structure, queries))
-        log = ProbeTrace()
-        for with_log in (None, log):
-            replies = replay_queries(structure, queries, with_log)
-            for (answer, addresses), (want, cells) in zip(replies, plain):
-                k = len(cells) // 2
-                assert answer == want
-                assert tuple(addresses) == tuple(cells[k:]) + tuple(cells[:k])
+        replies = replay_queries(structure, queries)
+        for (answer, addresses), (want, cells) in zip(replies, plain):
+            k = len(cells) // 2
+            assert answer == want
+            assert tuple(addresses) == tuple(cells[k:]) + tuple(cells[:k])
+        run.structure = structure
+        log = epoch_probe_profile(run, queries).log
         for idx, (_, cells) in enumerate(plain):
             k = len(cells) // 2
             assert segment(log, ("qry", idx)) == list(cells[k:]) + list(cells[:k])
@@ -276,15 +275,15 @@ class TestReplayQueries:
         memory = run.memory
         probes, logged = memory.probes, len(memory.trace)
         with pytest.raises(ValueError):
-            list(replay_queries(StrayQueries(run.family, run.delta, memory), [0]))
+            list(replay_queries(StrayQueries(run.family, memory), [0]))
         assert memory.probes == probes
         assert memory.replay_reads is None
         ((answer, addresses),) = replay_queries(run.structure, [0])
         cells = list(compress(range(25), run.family.coords(0)))
         assert tuple(addresses) == tuple(cells)
-        assert answer == sum(memory.contents_of(a) for a in cells)
+        assert answer == sum(memory.values.get(a, 0) for a in cells)
         run.structure.update(0, 5)
-        assert memory.contents_of(0) == 5
+        assert memory.values[0] == 5
         assert (memory.probes, len(memory.trace)) == (probes + 1, logged + 1)
 
 
@@ -298,9 +297,9 @@ def _replay_run(kind: str, n: int):
     kind_n=st.sampled_from([("artificial", 25), ("orc", 55)]),
     picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=12),
 )
-def test_replay_with_and_without_a_log_agree(kind_n, picks):
-    """The same answers and addresses either way; the log holds one read
-    per address with the cell's tag; the run is left as it was."""
+def test_profile_log_matches_the_replay(kind_n, picks):
+    """The profile's log holds one read per replayed address, with the
+    cell's tag; the run is left as it was."""
     kind, n = kind_n
     run = _replay_run(kind, n)
     memory, trace = run.memory, run.memory.trace
@@ -310,14 +309,12 @@ def test_replay_with_and_without_a_log_agree(kind_n, picks):
         queries = [divmod(p % (n * n), n) for p in picks]
     rows = list(trace.rows())
     before = (dict(memory.values), dict(memory.tags), memory.probes, rows)
-    log = ProbeTrace()
-    logged = [(a, tuple(x)) for a, x in replay_queries(run.structure, queries, log)]
-    unlogged = [(a, tuple(x)) for a, x in replay_queries(run.structure, queries)]
-    assert logged == unlogged
-    tag = lambda a: "" if memory.epoch_of(a) is None else memory.epoch_of(a)
+    log = epoch_probe_profile(run, queries).log
+    replayed = list(replay_queries(run.structure, queries))
+    tag = lambda a: memory.tags.get(a, "")
     assert list(log.rows()) == [
         (("qry", idx), "read", a, tag(a))
-        for idx, (_, addresses) in enumerate(unlogged)
+        for idx, (_, addresses) in enumerate(replayed)
         for a in addresses
     ]
     assert (dict(memory.values), dict(memory.tags), memory.probes, list(trace.rows())) == before

@@ -59,6 +59,15 @@ class TestFamily:
         header = (out / "family.txt").read_text().splitlines()[0]
         assert header.split()[0] == "8"
 
+    def test_stalled_build_is_an_invariant_failure(self, tmp_path, capsys):
+        # c = 0.01 needs distinct nonzero 2-bit suffixes (k = 2), and only
+        # three exist for the 16 vectors
+        code = run_cli("family", "--n", "4", "--c", "0.01", "--out", str(tmp_path / "fam"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "invariant failure: family construction stalled after 500 consecutive rejections"
+        )
+
 
 class TestChronogram:
     def test_profile_csv_per_epoch(self, tmp_path):
@@ -324,6 +333,9 @@ class TestUsageErrors:
             (("family", "--n", "16", "--c", "nan"), "--c: must be a finite number > 0"),
             (("family", "--n", "16", "--c", "-1"), "--c: must be a finite number > 0"),
             (("family", "--n", "16", "--c", "0"), "--c: must be a finite number > 0"),
+            (("family", "--n", "2"), "--n: family needs n >= 4"),
+            (("family", "--n", "3"), "--n: family needs n >= 4"),
+            (("family", "--n", "1349547"), "--n: n=1349547 is too large"),
         ],
         ids=[
             "grid-beta-1", "grid-beta-half", "chronogram-beta-nan", "chronogram-beta-inf",
@@ -332,7 +344,7 @@ class TestUsageErrors:
             "grid-epoch-too-small", "encode-istar-99",
             "chronogram-w", "encode-w", "encode-probe-threshold-nan",
             "encode-probe-threshold-negative", "encode-probe-threshold-inf", "family-c-nan",
-            "family-c-negative", "family-c-0",
+            "family-c-negative", "family-c-0", "family-n-2", "family-n-3", "family-n-too-large",
         ],
     )
     def test_exits_2_with_its_usage_and_no_directory(self, tmp_path, capsys, argv, message):

@@ -50,7 +50,7 @@ def _run_with_family_rows(rows, beta=2):
     from cplab.structures import NaiveArtificialStructure
 
     n = len(rows[0])
-    params = QueryFamilyParams(n=n, modulus=largest_prime_below(n**4), seed=0)
+    params = QueryFamilyParams(n=n, seed=0)
     family = QueryFamily(params=params, vectors=tuple(bits_of(r) for r in rows))
     sched = epoch_schedule(n, beta)
     rng = substream(0, "hand-run")
@@ -68,7 +68,7 @@ def _run_with_family_rows(rows, beta=2):
         position += size
     updates = UpdateSequence(epochs=tuple(epochs))
     memory = SimulatedMemory(MemoryConfig(w=16))
-    factory = lambda mem: NaiveArtificialStructure(family, params.modulus, mem)
+    factory = lambda mem: NaiveArtificialStructure(family, mem)
     structure = factory(memory)
     execute_epochs(structure, memory, updates)
     return RunRecord(
@@ -494,6 +494,62 @@ class TestFindResolvedSet:
         )
         assert resolved.sample_size == len(resolved.queries) == min(DOMINANCE_QUERY_POOL, n * n)
         assert len(set(resolved.queries)) == len(resolved.queries)
+
+
+class TestCellSamplingLaw:
+    """One try of the resolve search against the exact law of cell
+    sampling. A uniform c-subset C of the |S| epoch-istar cells holds
+    the u cells of a given set with probability
+    h(u) = C(|S| - u, c - u) / C(|S|, c). So an eligible query with t
+    distinct epoch-istar probes is resolved with probability h(t), and
+    two queries together with h of the size of their probes' union; the
+    variance of a yield follows from these pairwise joint probabilities
+    exactly."""
+
+    def test_mean_yield_matches_the_exact_law(self):
+        import numpy as np
+
+        run = run_hard_distribution("artificial", 25, 5, seed=0)
+        istar, budget, threshold, tries = 2, 16, 12, 200
+        cells = sorted(a for a, _ in run.cells_of_epoch(istar))
+        size = len(cells)
+        # the pool is the whole family, so one expectation serves every seed
+        pool = range(len(run.family.vectors))
+        reads = [set(addresses) for _, addresses in replay_queries(run.structure, pool)]
+        hits = np.array([[a in r for a in cells] for r in reads], dtype=np.int64)
+        eligible = np.flatnonzero(hits.sum(axis=1) <= threshold)
+        hits = hits[eligible]
+        t = hits.sum(axis=1)
+        union = t[:, None] + t[None, :] - hits @ hits.T
+        h = np.array([
+            math.comb(size - u, budget - u) / math.comb(size, budget) if u <= budget else 0.0
+            for u in range(size + 1)
+        ])
+        joint = h[union]
+        # the yield over every eligible query, then, one per cell, over the
+        # eligible queries that probe it: a sampler that never puts some
+        # cell in C resolves none of the latter
+        subsets = np.vstack([np.ones(len(eligible), dtype=np.int64), hits.T])
+        expected = subsets @ h[t]
+        sd = np.sqrt(np.einsum("si,ij,sj->s", subsets, joint, subsets) - expected**2)
+
+        column = {int(q): i for i, q in enumerate(eligible)}
+        observed = np.zeros(len(subsets))
+        for seed in range(tries):
+            try:
+                resolved = find_resolved_set(
+                    run, istar, cell_budget=budget, probe_threshold=threshold,
+                    max_tries=1, seed=seed,
+                )
+            except ResolvedSetNotFound:
+                continue  # a yield of 0
+            observed += subsets[:, [column[q] for q in resolved.queries]].sum(axis=1)
+        observed /= tries
+        assert expected[0] == pytest.approx(38.3806, abs=1e-4)
+        # 5 standard errors for each of the 21 yields: under the law (normal
+        # approximation) a false failure has chance below 1.3e-5
+        z = (observed - expected) / (sd / math.sqrt(tries))
+        assert np.all(np.abs(z) < 5), list(zip(observed, expected, z))
 
 
 class TestQueriesLeaveRunUnchanged:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cplab.finite_field import PrimeModulus, largest_prime_below
+from cplab.finite_field import field_modulus
 from cplab.hard_queries import (
     QueryFamily,
     QueryFamilyParams,
@@ -21,9 +21,7 @@ from test_finite_field import unit_vector
 
 
 def params_for(n, c=2.0, seed=0):
-    return QueryFamilyParams(
-        n=n, modulus=largest_prime_below(n**4), independence_constant=c, seed=seed
-    )
+    return QueryFamilyParams(n=n, independence_constant=c, seed=seed)
 
 
 def bits_of(coords):
@@ -36,9 +34,11 @@ class TestParams:
         with pytest.raises(ValueError):
             params_for(3)
 
-    def test_modulus_window_enforced(self):
-        with pytest.raises(ValueError):
-            QueryFamilyParams(n=16, modulus=PrimeModulus(101), seed=0)
+    @pytest.mark.parametrize("n", [4, 16, 100])
+    def test_modulus_is_derived_from_n(self, n):
+        assert params_for(n).modulus == field_modulus(n)
+        with pytest.raises(TypeError):
+            QueryFamilyParams(n=n, modulus=field_modulus(n))
 
     def test_non_binary_vectors_rejected(self):
         p = params_for(4)
@@ -118,9 +118,7 @@ class TestBuild:
 class TestCheck:
     def test_unit_vector_family_clean(self):
         n = 16
-        p = QueryFamilyParams(
-            n=n, modulus=largest_prime_below(n**4), independence_constant=1.0, seed=0
-        )
+        p = params_for(n, c=1.0)
         vectors = tuple(bits_of(unit_vector(i, n)) for i in range(n))
         family = QueryFamily(params=p, vectors=vectors)
         violations = check_suffix_independence(family, k=16, subset_size=4, trials=200, seed=0)
@@ -128,9 +126,7 @@ class TestCheck:
 
     def test_duplicate_vector_detected_with_witness(self):
         n = 16
-        p = QueryFamilyParams(
-            n=n, modulus=largest_prime_below(n**4), independence_constant=1.0, seed=0
-        )
+        p = params_for(n, c=1.0)
         dup = bits_of((1, 0) * 8)
         family = QueryFamily(params=p, vectors=(dup, dup))
         violations = check_suffix_independence(family, k=16, subset_size=2, trials=50, seed=0)
@@ -172,6 +168,12 @@ class TestSerialization:
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError):
             read_family(io.StringIO("8 4093 2.0 1\n01x10101\n"))
+
+    # field_modulus(8) is 4093; 4091 is the next prime down, 4099 the next up
+    @pytest.mark.parametrize("delta", [4091, 4099, 2, 4093 * 2])
+    def test_header_modulus_other_than_the_field_modulus_rejected(self, delta):
+        with pytest.raises(ValueError, match=r"is not field_modulus\(8\) = 4093"):
+            read_family(io.StringIO(f"8 {delta} 2.0 1\n01010101\n"))
 
     @pytest.mark.parametrize(
         "n, c, seed, digest",
