@@ -14,7 +14,6 @@ exactly the same blanks the original execution saw.
 
 from __future__ import annotations
 
-import csv
 from array import array
 from dataclasses import dataclass
 from itertools import repeat
@@ -80,14 +79,6 @@ class ProbeTrace:
             for k in range(start, end):
                 tag = self.tags[k]
                 yield op_id, _KINDS[self.kinds[k]], self.addresses[k], "" if tag < 0 else tag
-
-    def export_csv(self, path: str, *then: "ProbeTrace") -> None:
-        """Write this log's rows, followed by those of each log in `then`."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["op_id", "kind", "address", "epoch_tag"])
-            for trace in (self, *then):
-                writer.writerows(trace.rows())
 
 
 class SimulatedMemory:

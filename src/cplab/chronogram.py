@@ -4,17 +4,16 @@ accounting.
 Epochs are numbered largest-first in time: epoch `count` performs the
 first block of updates, epoch 1 the last. For the dominance problem
 each epoch size is snapped to the largest Fibonacci number not above
-it so the epoch can insert a scaled lattice; the snapped schedule is
-recorded next to the ideal one. The final query of the distribution is
+it so the epoch can insert a scaled lattice; a run records the snapped
+schedule it executed. The final query of the distribution is
 generalised to a seeded query sample so per-epoch averages come out of
 a single run.
 """
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -133,7 +132,6 @@ class RunRecord:
     beta: float
     w: int
     delta: PrimeModulus
-    schedule: EpochSchedule  # ideal beta^i schedule
     run_schedule: EpochSchedule  # executed sizes (snapped for dominance runs)
     updates: UpdateSequence
     memory: SimulatedMemory
@@ -206,8 +204,7 @@ def run_hard_distribution(kind: str, n: int, beta: float, seed: int) -> RunRecor
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     delta = field_modulus(n)
-    schedule = epoch_schedule(n, beta)
-    run_sched, epoch_points = executed_schedule(kind, schedule)
+    run_sched, epoch_points = executed_schedule(kind, epoch_schedule(n, beta))
 
     if kind == "artificial":
         family = build_query_family(QueryFamilyParams(n=n, seed=substream_seed(seed, "family")))
@@ -252,7 +249,6 @@ def run_hard_distribution(kind: str, n: int, beta: float, seed: int) -> RunRecor
         beta=beta,
         w=w,
         delta=delta,
-        schedule=schedule,
         run_schedule=run_sched,
         updates=updates,
         memory=memory,
@@ -261,41 +257,6 @@ def run_hard_distribution(kind: str, n: int, beta: float, seed: int) -> RunRecor
         family=family,
         epoch_points=epoch_points,
     )
-
-
-@dataclass
-class ProbeProfile:
-    """Per-query, per-epoch distinct-cell probe counts for one run."""
-
-    epochs: tuple[int, ...]  # descending epoch ids
-    queries: tuple
-    counts: tuple[dict[int, int], ...]
-    totals: tuple[int, ...]
-    log: ProbeTrace = field(compare=False, repr=False)  # the queries' scoped probe log
-
-    def t(self, query_index: int, epoch: int) -> int:
-        return self.counts[query_index].get(epoch, 0)
-
-    def mean_t(self, epoch: int) -> float:
-        if not self.queries:
-            return 0.0
-        return sum(c.get(epoch, 0) for c in self.counts) / len(self.queries)
-
-    def max_t(self, epoch: int) -> int:
-        return max((c.get(epoch, 0) for c in self.counts), default=0)
-
-    def total_mean(self) -> float:
-        """Estimate of the total query cost: sum of per-epoch means."""
-        return sum(self.mean_t(i) for i in self.epochs)
-
-    def export_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "queries_sampled", "mean_t_i", "max_t_i"])
-            for epoch in self.epochs:
-                writer.writerow(
-                    [epoch, len(self.queries), self.mean_t(epoch), self.max_t(epoch)]
-                )
 
 
 def replay_queries(
@@ -316,25 +277,22 @@ def replay_queries(
         yield answer, reads[0] if len(reads) == 1 else tuple(chain.from_iterable(reads))
 
 
-def epoch_probe_profile(run: RunRecord, queries: Sequence) -> ProbeProfile:
+def epoch_probe_profile(
+    run: RunRecord, queries: Sequence
+) -> tuple[list[dict[int, int]], ProbeTrace]:
     """Execute the sample read-only after all updates and count, per
-    query, the distinct cells probed from each epoch's cell set. The
-    profile's log gets each query's addresses as reads, op id
-    ("qry", index), tagged with the memory's tags: a replayed query
-    cannot write."""
+    query, the distinct cells probed from each epoch's cell set: one
+    `{epoch: distinct cells}` dict per query, with no entry for an epoch
+    the query does not probe. The returned log gets each query's
+    addresses as reads, op id ("qry", index), tagged with the memory's
+    tags: a replayed query cannot write."""
     memory, log = run.memory, ProbeTrace()
     counts = []
     for idx, (_, addresses) in enumerate(replay_queries(run.structure, queries)):
         log.begin(("qry", idx))
         log.log_reads(addresses, memory.tags)
         counts.append(probe_counts_by_epoch(addresses, memory))
-    return ProbeProfile(
-        epochs=tuple(run.run_schedule.epoch_ids()),
-        queries=tuple(queries),
-        counts=tuple(counts),
-        totals=tuple(sum(by_epoch.values()) for by_epoch in counts),
-        log=log,
-    )
+    return counts, log
 
 
 def analytic_epoch_counts(run: RunRecord, j: int) -> dict[int, int]:

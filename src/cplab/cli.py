@@ -13,12 +13,14 @@ takes only the options it reads. Exit codes: 0 ok, 1 invariant failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import platform
 import sys
+from itertools import chain
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from . import __version__, chronogram, encoding_game, fibonacci_lattice, grid_analysis
 from .acceptance import run_acceptance
@@ -69,6 +71,15 @@ def _write_manifest(outdir: Path, name: str, config: dict, artifacts: list[str],
     manifest.update(extra)
     path = outdir / f"{name}_manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return path
+
+
+def _write_csv(outdir: Path, name: str, header: list[str], rows: Iterable) -> Path:
+    path = outdir / name
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
     return path
 
 
@@ -165,7 +176,7 @@ def _cmd_chronogram(args, parser) -> int:
     seed = args.seed
     sample_size = args.trials if args.trials is not None else 200
     _checked(parser, "--n", field_modulus, args.n)
-    _checked(parser, "--beta", chronogram.epoch_schedule, args.n, args.beta)
+    schedule = _checked(parser, "--beta", chronogram.epoch_schedule, args.n, args.beta)
     outdir = _outdir(args)
     run = chronogram.run_hard_distribution(kind, args.n, args.beta, seed=seed)
     rng = substream(seed, "cli-query-sample")
@@ -174,12 +185,22 @@ def _cmd_chronogram(args, parser) -> int:
         queries = rng.sample(range(universe), min(sample_size, universe))
     else:
         queries = [(rng.randrange(run.n), rng.randrange(run.n)) for _ in range(sample_size)]
-    profile = chronogram.epoch_probe_profile(run, queries)
-    profile_path = outdir / "chronogram_profile.csv"
-    profile.export_csv(str(profile_path))
-    trace_path = outdir / "chronogram_trace.csv"
+    counts, log = chronogram.epoch_probe_profile(run, queries)
+    # per epoch, the mean and the max over the queries of t_i, the
+    # distinct epoch-i cells a query probes
+    rows = []
+    for epoch in run.run_schedule.epoch_ids():
+        t = [by_epoch.get(epoch, 0) for by_epoch in counts]
+        rows.append([epoch, len(queries), sum(t) / len(queries), max(t)])
+    mean_total = sum(row[2] for row in rows)
+    profile_path = _write_csv(
+        outdir, "chronogram_profile.csv", ["epoch", "queries_sampled", "mean_t_i", "max_t_i"], rows
+    )
     # the run's update probes, then the profile's query probes
-    run.memory.trace.export_csv(str(trace_path), profile.log)
+    trace_path = _write_csv(
+        outdir, "chronogram_trace.csv", ["op_id", "kind", "address", "epoch_tag"],
+        chain(run.memory.trace.rows(), log.rows()),
+    )
     config = {
         "kind": kind, "structure": structure, "n": args.n, "beta": args.beta,
         "seed": seed, "w": run.w, "queries_sampled": len(queries),
@@ -188,14 +209,14 @@ def _cmd_chronogram(args, parser) -> int:
         outdir, "chronogram", config, [profile_path.name, trace_path.name],
         {
             "delta": run.delta.value,
-            "epoch_sizes": list(run.schedule.sizes),
+            "epoch_sizes": list(schedule.sizes),
             "snapped_sizes": list(run.run_schedule.sizes),
-            "mean_total_probes": profile.total_mean(),
+            "mean_total_probes": mean_total,
         },
     )
     print(
         f"chronogram {kind} n={args.n} beta={args.beta}: epochs {list(run.run_schedule.sizes)}, "
-        f"mean total distinct probes {profile.total_mean():.2f}"
+        f"mean total distinct probes {mean_total:.2f}"
     )
     return 0
 
@@ -282,10 +303,16 @@ def _cmd_grid(args, parser) -> int:
         rank = grid_analysis.survivor_rank(points, survivors, delta)
         separated = grid_analysis.well_separated_subset(sample, threshold)
         rows.append((t, len(survivors), rank, len(separated) / len(sample)))
-    trials_path = outdir / "grid_trials.csv"
-    grid_analysis.export_trials_csv(str(trials_path), rows)
-    hitting_path = outdir / "grid_hitting.csv"
-    grid_analysis.export_hitting_csv(str(hitting_path), grids, first_sample)
+    trials_path = _write_csv(
+        outdir, "grid_trials.csv", ["trial", "|Q|", "rank", "well_separated_fraction"], rows
+    )
+    hitting_path = _write_csv(
+        outdir, "grid_hitting.csv", ["grid_j", "mu", "gamma", "hitting_number"],
+        (
+            [j, float(g.width), float(g.height), grid_analysis.hitting_number(first_sample, g)]
+            for j, g in grids.items()
+        ),
+    )
     config = {"n": n, "beta": beta, "m": m, "seed": seed, "trials": trials}
     _write_manifest(
         outdir, "grid", config, [trials_path.name, hitting_path.name],

@@ -228,7 +228,6 @@ class ResolvedSet:
 
     cell_addresses: tuple[int, ...]
     queries: tuple
-    sample_mean_t: float
     sample_size: int
     tries_used: int
     query_probes: int  # raw probes of the pool replay and the verify replay
@@ -295,14 +294,12 @@ def find_resolved_set(
         pool = list(distinct)
 
     # hold only the eligible queries' probe cells, as tuples (a third of a
-    # small set's bytes); mean_t needs just the sum
-    eligible, probe_sum, query_probes = [], 0, 0
+    # small set's bytes)
+    eligible, query_probes = [], 0
     for q, probes, raw in _query_probe_sets(run, cells, pool):
-        probe_sum += len(probes)
         query_probes += raw
         if len(probes) <= probe_threshold:
             eligible.append((q, tuple(probes)))
-    mean_t = probe_sum / len(pool)
 
     crng = substream(seed, "cell-sample")
     population = sorted(cells)
@@ -334,7 +331,6 @@ def find_resolved_set(
     return ResolvedSet(
         cell_addresses=best_cells,
         queries=tuple(sorted(best)),
-        sample_mean_t=mean_t,
         sample_size=len(pool),
         tries_used=tries_used,
         query_probes=query_probes,
@@ -458,23 +454,12 @@ def _extract_independent_queries(run: RunRecord, istar: int, queries: Sequence) 
     return best[1]
 
 
-def encode_epoch(
-    run: RunRecord,
-    istar: int,
-    resolved: ResolvedSet | None,
-    expected_t: float | None = None,
-) -> EncodingMessage:
+def encode_epoch(run: RunRecord, istar: int, resolved: ResolvedSet | None) -> EncodingMessage:
     """Emit the message that lets a prefix-informed decoder recover the
-    target epoch's weights.
-
-    Falls back to the flag-1 raw weight dump when no resolved set is
-    available or when the run's measured average epoch cost exceeds
-    twice the supplied expectation.
-    """
+    target epoch's weights: flag 0 from the resolved set, or the flag-1
+    raw weight dump when there is none."""
     delta = run.delta
-    flag1 = resolved is None or (
-        expected_t is not None and resolved.sample_mean_t > 2 * expected_t
-    )
+    flag1 = resolved is None
     if flag1:
         sections = [_weights_section("raw_weights", run.updates.u(istar), delta)]
     else:
@@ -541,9 +526,11 @@ def decode_epoch(
     `default_run_cell_width`. A kind outside `chronogram.KINDS` raises
     MessageFormatError, as do an n, beta or istar that no run can have
     (an n past the exact prime range included), a missing section and a
-    section whose bit length does not fit its count; a kind that does not fit the structure (an index-weight
-    message needs a structure with a family, a dominance message one
-    without) raises ValueError. The flag-0 path builds each transmitted
+    section whose bit length does not fit its count. On the flag-0 path a
+    kind that does not fit the structure (an index-weight message needs a
+    structure with a family, a dominance message one without) raises
+    ValueError, as does a prefix other than epochs count..istar+1 in time
+    order, each of its executed size. That path builds each transmitted
     query's row from its id alone (an id outside the family raises
     MessageFormatError) and keeps the rows that enlarge the span, as the
     encoder did. It re-executes the
@@ -575,9 +562,6 @@ def decode_epoch(
         weights = _parse_weights_section(message.section("raw_weights"), delta, m)
         return DecodeResult(u_istar=weights)
 
-    if any(e.epoch <= istar for e in prefix_updates.epochs):
-        raise ValueError("prefix updates must cover only epochs above istar")
-
     w = default_run_cell_width(message.kind, n, delta, sched.total)
     c_cells = _parse_cells_section(message.section("resolved_cells"), w)
     smaller = range(istar - 1, 0, -1)
@@ -593,6 +577,10 @@ def decode_epoch(
         j: _parse_weights_section(message.section(f"weights_epoch_{j}"), delta, sched.size_of(j))
         for j in (smaller if message.kind == "orc" else ())
     }
+    # any other prefix re-executes into the wrong cells
+    shape = [(i, sched.size_of(i)) for i in range(sched.count, istar, -1)]
+    if [(e.epoch, len(e.weights)) for e in prefix_updates.epochs] != shape:
+        raise ValueError(f"prefix updates are not the (epoch, size) pairs {shape} in time order")
     _, query_of, row_of, id_limit, dim = _query_view(
         message.kind, n, sched, istar, epoch_points, family
     )

@@ -10,7 +10,6 @@ grid records that rounding happened.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -259,25 +258,3 @@ def well_separated_frequency(
         if 2 * len(well_separated_subset(sample, threshold)) >= len(sample):
             hits += 1
     return hits / trials
-
-
-def export_hitting_csv(
-    path: str, grids: dict[int, Grid], queries: Sequence[Query]
-) -> None:
-    """CSV `grid_j,mu,gamma,hitting_number` for one query set."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["grid_j", "mu", "gamma", "hitting_number"])
-        for j, grid in grids.items():
-            writer.writerow(
-                [j, float(grid.width), float(grid.height), hitting_number(queries, grid)]
-            )
-
-
-def export_trials_csv(path: str, rows: Iterable[tuple[int, int, int, float]]) -> None:
-    """CSV `trial,|Q|,rank,well_separated_fraction`."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "|Q|", "rank", "well_separated_fraction"])
-        for row in rows:
-            writer.writerow(list(row))

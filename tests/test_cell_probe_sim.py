@@ -1,7 +1,3 @@
-import csv
-import os
-import tempfile
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -197,7 +193,7 @@ class TestTrace:
         assert segment(mem.trace, "a") == [0]
         assert segment(mem.trace, "b") == [1, 2]
 
-    def test_csv_export(self, tmp_path):
+    def test_rows_name_op_kind_address_and_tag(self):
         mem = make_memory()
         mem.begin_epoch(2)
         mem.begin_operation("u")
@@ -205,13 +201,11 @@ class TestTrace:
         mem.begin_operation("q")
         mem.read(3)
         mem.read(4)
-        path = tmp_path / "trace.csv"
-        mem.trace.export_csv(str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "op_id,kind,address,epoch_tag"
-        assert lines[1] == "u,write,3,2"
-        assert lines[2] == "q,read,3,2"
-        assert lines[3] == "q,read,4,"  # unwritten cell has no tag
+        assert list(mem.trace.rows()) == [
+            ("u", "write", 3, 2),
+            ("q", "read", 3, 2),
+            ("q", "read", 4, ""),  # unwritten cell has no tag
+        ]
 
     def test_reused_op_id_rejected(self):
         mem = make_memory()
@@ -293,15 +287,6 @@ def test_columns_match_list_model(actions):
     for o in [None] + ops:  # every op is closed except the last one begun
         assert segment(trace, o) == [a for m_op, _, a, _ in model if m_op == o]
     assert list(trace.tags) == [-1 if t == "" else t for _, _, _, t in model]
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "trace.csv")
-        trace.export_csv(path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    assert rows[0] == ["op_id", "kind", "address", "epoch_tag"]
-    assert rows[1:] == [
-        ["" if o is None else str(o), k, str(a), str(t)] for o, k, a, t in model
-    ]
 
 
 _batch_actions = st.lists(

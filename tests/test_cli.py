@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 
@@ -45,6 +46,27 @@ class TestLattice:
         assert not out.exists()
 
 
+class TestLatticeGolden:
+    """Byte-exact artifacts of `cplab lattice`, pinned from a reference run.
+    The points CSV ends its lines with LF, where the CSVs of the other
+    commands end them with CRLF."""
+
+    def test_artifacts_byte_identical(self, tmp_path):
+        out = tmp_path / "lattice"
+        assert run_cli("lattice", "--m", "13", "--out", str(out)) == 0
+        digest = hashlib.sha256((out / "lattice_points.csv").read_bytes()).hexdigest()
+        assert digest == "3f1a3a4972f3905ed2e94ac4f78a5b07a68e3cd0110994a89de4d3a2bdd7682b"
+        manifest = json.loads((out / "lattice_manifest.json").read_text())
+        del manifest["versions"]
+        assert manifest == {
+            "artifacts": ["lattice_points.csv"],
+            "command": "lattice",
+            "config": {"m": 13, "multiplier": 8, "n": 104},
+            "rectangles": 8281,
+            "violations": 0,
+        }
+
+
 class TestFamily:
     def test_build_and_audit(self, tmp_path):
         out = tmp_path / "fam"
@@ -77,11 +99,17 @@ class TestChronogram:
             "--seed", "7", "--trials", "40", "--out", str(out),
         )
         assert code == 0
-        lines = (out / "chronogram_profile.csv").read_text().strip().splitlines()
         manifest = json.loads((out / "chronogram_manifest.json").read_text())
-        assert len(lines) == 1 + len(manifest["snapped_sizes"])
         assert manifest["snapped_sizes"] == [34, 5]
         assert (out / "chronogram_trace.csv").exists()
+        # one row per executed epoch in time order, and the manifest's mean
+        # total is the sum of the epochs' mean t_i
+        with open(out / "chronogram_profile.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["epoch", "queries_sampled", "mean_t_i", "max_t_i"]
+        assert [(epoch, sampled) for epoch, sampled, _, _ in rows] == [("2", "40"), ("1", "40")]
+        assert all(float(mean) <= int(top) for _, _, mean, top in rows)
+        assert manifest["mean_total_probes"] == sum(float(mean) for _, _, mean, _ in rows)
 
 
 class TestChronogramGolden:
@@ -224,6 +252,12 @@ class TestGrid:
         assert len(lines) == 21
         manifest = json.loads((out / "grid_manifest.json").read_text())
         assert manifest["full_rank_trials"] == 20
+        # one row per grid, each counting the cells the first sample hits
+        with open(out / "grid_hitting.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["grid_j", "mu", "gamma", "hitting_number"]
+        assert [row[0] for row in rows] == list(manifest["grids"])
+        assert all(1 <= int(row[3]) <= 11 for row in rows)  # 55 / 5 slab queries
 
 
 class TestGridGolden:

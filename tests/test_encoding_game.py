@@ -9,8 +9,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from probe_log import segment
 
-from cplab.chronogram import replay_queries, run_hard_distribution
+from cplab.chronogram import epoch_schedule, replay_queries, run_hard_distribution
 from cplab.encoding_game import (
+    DOMINANCE_QUERY_POOL,
     DecodingIntegrityError,
     EncodingMessage,
     MessageFormatError,
@@ -19,6 +20,7 @@ from cplab.encoding_game import (
     Section,
     ceil_bits_for_weights,
     decode_epoch,
+    default_cell_budget,
     encode_epoch,
     entropy_account,
     find_resolved_set,
@@ -43,7 +45,6 @@ def _run_with_family_rows(rows, beta=2):
         EpochUpdates,
         RunRecord,
         UpdateSequence,
-        epoch_schedule,
         execute_epochs,
     )
     from cplab.hard_queries import QueryFamily, QueryFamilyParams
@@ -73,7 +74,7 @@ def _run_with_family_rows(rows, beta=2):
     execute_epochs(structure, memory, updates)
     return RunRecord(
         kind="artificial", n=n, beta=float(beta), w=16,
-        delta=params.modulus, schedule=sched, run_schedule=sched,
+        delta=params.modulus, run_schedule=sched,
         updates=updates, memory=memory, structure=structure,
         structure_factory=factory,
         family=family, epoch_points=None,
@@ -551,6 +552,66 @@ class TestCellSamplingLaw:
         z = (observed - expected) / (sd / math.sqrt(tries))
         assert np.all(np.abs(z) < 5), list(zip(observed, expected, z))
 
+    @pytest.mark.parametrize("n", [1000, 3000])
+    def test_orc_single_tries_match_the_exact_law(self, n):
+        """At orc sizes each seed draws its own pool of query points, so
+        each seed's expectation and variance come from its own eligible
+        pool, and they add up over the independent seeds. The yield over
+        every eligible query must lie within 5 standard deviations of the
+        law. No cell's yield (over the eligible queries that probe it) may
+        fall 4 below: a yield cannot go below 0, and a sampler that never
+        puts one of the most-probed cells in C resolves none of them."""
+        import numpy as np
+
+        run = run_hard_distribution("orc", n, 5, seed=0)
+        istar, threshold, seeds = run.run_schedule.count - 1, 8, 60
+        cells = sorted(a for a, _ in run.cells_of_epoch(istar))
+        size, budget = len(cells), min(default_cell_budget(run, istar), len(cells))
+        h = np.array([
+            math.comb(size - u, budget - u) / math.comb(size, budget) if u <= budget else 0.0
+            for u in range(2 * threshold + 1)
+        ])
+        column = {a: i for i, a in enumerate(cells, start=1)}  # column 0 counts every query
+        expected, variance, observed = np.zeros((3, size + 1))
+        for seed in range(seeds):
+            # the seed's pool, drawn as find_resolved_set draws it
+            qrng, pool = substream(seed, "query-sample"), {}
+            while len(pool) < DOMINANCE_QUERY_POOL:
+                pool[qrng.randrange(n), qrng.randrange(n)] = None
+            replies = replay_queries(run.structure, pool)
+            probed = [{column[a] for a in addresses if a in column} for _, addresses in replies]
+            eligible = {q: p for q, p in zip(pool, probed) if len(p) <= threshold}
+            hits = np.zeros((len(eligible), size + 1))
+            hits[:, 0] = 1
+            for row, p in enumerate(eligible.values()):
+                hits[row, list(p)] = 1
+            touched = np.flatnonzero(hits.any(axis=0))
+            hits = hits[:, touched]
+            # t_i distinct probes per query; hits @ hits.T counts the shared
+            # ones plus column 0, which gives each union |T_i u T_j|
+            t = hits.sum(axis=1).astype(int) - 1
+            union = t[:, None] + t[None, :] + 1 - (hits @ hits.T).astype(int)
+            mean = hits.T @ h[t]
+            expected[touched] += mean
+            # per column, the sum of h(|T_i u T_j|) over its pairs, less mean^2
+            variance[touched] += ((h[union] @ hits) * hits).sum(axis=0) - mean**2
+            try:
+                resolved = find_resolved_set(
+                    run, istar, probe_threshold=threshold, max_tries=1, seed=seed
+                )
+            except ResolvedSetNotFound:
+                continue  # a yield of 0
+            rows = {q: row for row, q in enumerate(eligible)}
+            observed[touched] += hits[[rows[q] for q in resolved.queries]].sum(axis=0)
+        sd = np.sqrt(variance)
+        in_sd = lambda x: np.divide(x, sd, out=np.zeros(size + 1), where=sd > 0)
+        z = in_sd(observed - expected)
+        assert expected[0] > 50 * seeds  # the law is not vacuous here
+        # some cell's whole yield is more than 4 sd, so leaving it out would show
+        assert in_sd(expected)[1:].max() > 4
+        assert abs(z[0]) < 5, (observed[0], expected[0], z[0])
+        assert z.min() > -4, (observed[z.argmin()], expected[z.argmin()], z.min())
+
 
 class TestQueriesLeaveRunUnchanged:
     @pytest.mark.parametrize(
@@ -578,10 +639,10 @@ class TestQueriesLeaveRunUnchanged:
             sample = rng.sample(range(len(run.family.vectors)), 100)
         else:
             sample = [(rng.randrange(n), rng.randrange(n)) for _ in range(100)]
-        first = epoch_probe_profile(run, sample)
-        second = epoch_probe_profile(run, sample)
-        assert first == second
-        assert list(first.log.rows()) == list(second.log.rows())
+        counts, log = epoch_probe_profile(run, sample)
+        again, log_again = epoch_probe_profile(run, sample)
+        assert counts == again
+        assert list(log.rows()) == list(log_again.rows())
         resolved = find_resolved_set(run, istar, seed=0, **overrides)
         message = encode_epoch(run, istar, resolved)
         assert message.flag == 0
@@ -643,14 +704,6 @@ class TestFlagOnePath:
         result = decode_epoch(message, run.updates.prefix_above(1), run.structure_factory)
         assert message.flag == 1
         assert result.u_istar == run.updates.u(1)
-
-    def test_average_cost_test_forces_flag_one(self):
-        run = run_hard_distribution("artificial", 16, 2, seed=2)
-        resolved = find_resolved_set(
-            run, 2, cell_budget=4, probe_threshold=1e9, max_tries=2, seed=0
-        )
-        message = encode_epoch(run, 2, resolved, expected_t=1e-9)
-        assert message.flag == 1
 
     def test_flag_one_slack_window(self):
         run = run_hard_distribution("artificial", 25, 5, seed=1)
@@ -761,7 +814,7 @@ def test_decode_from_the_products_alone():
     )
     assert zero_ids
     resolved = ResolvedSet(
-        cell_addresses=(), queries=zero_ids, sample_mean_t=0.0,
+        cell_addresses=(), queries=zero_ids,
         sample_size=len(zero_ids), tries_used=1, query_probes=0,
     )
     message = EncodingMessage.from_bytes(encode_epoch(run, 1, resolved).to_bytes())
@@ -848,7 +901,6 @@ class TestIntegrityChecks:
         bogus = ResolvedSet(
             cell_addresses=(),
             queries=(victim,),
-            sample_mean_t=1.0,
             sample_size=1,
             tries_used=1,
             query_probes=0,
@@ -882,7 +934,6 @@ class TestIntegrityChecks:
             resolved = ResolvedSet(
                 cell_addresses=tuple(sorted(c_cells)),
                 queries=queries,
-                sample_mean_t=1.0,
                 sample_size=len(queries),
                 tries_used=1,
                 query_probes=0,
@@ -1184,10 +1235,51 @@ class TestForgedHeaders:
         # read as its unsnapped 25 weights
         run = run_hard_distribution("orc", 440, 5, seed=0)
         message = encode_epoch(run, 2, None)
-        assert run.run_schedule.size_of(2) == 21 and run.schedule.size_of(2) == 25
+        assert run.run_schedule.size_of(2) == 21 and epoch_schedule(440, 5).size_of(2) == 25
         forged = dataclasses.replace(message, kind="artificial")
         with pytest.raises(MessageFormatError, match="'raw_weights': .* bits for 25 weights"):
             decode_epoch(forged, run.updates.prefix_above(2), run.structure_factory)
+
+
+class TestPrefixShape:
+    """The decoder re-executes exactly the epochs before istar. A prefix
+    that leaves out its first or last epoch, is empty, runs backwards,
+    lacks an update or reaches istar is refused; without the check these
+    decoded to wrong weights (orc) or raised a bare KeyError (artificial)."""
+
+    @pytest.mark.parametrize(
+        "kind, n, beta, overrides",
+        [
+            ("orc", 440, 5, dict(probe_threshold=8, max_tries=8)),
+            ("artificial", 25, 2, dict(probe_threshold=1e9, max_tries=1)),
+        ],
+    )
+    def test_prefix_of_another_shape_rejected(self, kind, n, beta, overrides):
+        from cplab.chronogram import UpdateSequence
+
+        run = run_hard_distribution(kind, n, beta, seed=0)
+        message = encode_epoch(run, 1, find_resolved_set(run, 1, seed=0, **overrides))
+        assert message.flag == 0
+        epochs = run.updates.prefix_above(1).epochs
+        assert len(epochs) >= 2
+        top = epochs[0]
+        cut = dataclasses.replace(top, targets=top.targets[:-1], weights=top.weights[:-1])
+        shapes = {
+            "no first": epochs[1:],
+            "no last": epochs[:-1],
+            "empty": (),
+            "backwards": epochs[::-1],
+            "top cut": (cut, *epochs[1:]),
+            "with istar": run.updates.epochs,
+        }
+        for shape, prefix in shapes.items():
+            with pytest.raises(ValueError, match="prefix updates are not the") as err:
+                decode_epoch(message, UpdateSequence(epochs=prefix), run.structure_factory)
+            assert type(err.value) is ValueError, shape
+        result = decode_epoch(
+            message, run.updates.prefix_above(1), run.structure_factory, verify_run=run
+        )
+        assert result.u_istar == run.updates.u(1)
 
 
 class TestEntropyAccount:

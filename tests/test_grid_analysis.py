@@ -10,8 +10,6 @@ from cplab.grid_analysis import (
     cell_representatives,
     cross_out_extract,
     effective_epoch_index,
-    export_hitting_csv,
-    export_trials_csv,
     hitting_number,
     sample_slab_queries,
     separation_area_threshold,
@@ -214,20 +212,3 @@ class TestFrequencies:
     def test_midrange_configuration(self):
         freq = well_separated_frequency(1024, 64, 512, trials=300, seed_base=0)
         assert 0.2 < freq < 0.45
-
-
-class TestExports:
-    def test_hitting_csv(self, tmp_path):
-        grids = build_grid_family(64, 4, 4**3)
-        path = tmp_path / "hits.csv"
-        export_hitting_csv(str(path), grids, [(1, 1), (50, 50)])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "grid_j,mu,gamma,hitting_number"
-        assert len(lines) == 4
-
-    def test_trials_csv(self, tmp_path):
-        path = tmp_path / "trials.csv"
-        export_trials_csv(str(path), [(0, 3, 3, 0.5), (1, 2, 2, 1.0)])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "trial,|Q|,rank,well_separated_fraction"
-        assert lines[1] == "0,3,3,0.5"
