@@ -147,8 +147,8 @@ def _cmd_family(args, parser) -> int:
     n, seed, c = args.n, args.seed, args.c
     trials = args.trials if args.trials is not None else 200
     params = _checked(parser, "--n", QueryFamilyParams, n, c, seed)
+    family = build_query_family(params)  # before _outdir: a stalled build makes no directory
     outdir = _outdir(args)
-    family = build_query_family(params)
     family_path = outdir / "family.txt"
     with open(family_path, "w") as fh:
         write_family(family, fh)

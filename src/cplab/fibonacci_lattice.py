@@ -80,17 +80,14 @@ def check_all_lattice_rectangles(m: int, n: int, slack: int = 1) -> RectangleSwe
     """Exhaustive bound check over every rectangle with corners on
     lattice coordinates inside [0, n - n/m]^2.
 
-    Vectorised sweep over the y-ranges c <= d, one flat array each: per
-    x-range [a, b], the counts grow by one column's "y-range holds this
-    column's row" mask as b advances. The test is the one a single
-    rectangle gets: floor(alpha/A1) - slack <= count <= ceil(alpha/A2) +
-    slack, with alpha the area in units of n^2/m. The bounds are worked
-    out in Python integers, so they stay exact at any n.
+    Incremental sweep over the y-ranges c <= d, each one fixed-width
+    field of a packed int: per x-range [a, b], the counts grow by one
+    column's "y-range holds this column's row" int as b advances. The
+    test is the one a single rectangle gets: floor(alpha/A1) - slack <=
+    count <= ceil(alpha/A2) + slack, with alpha the area in units of
+    n^2/m. The bounds are worked out in Python integers, so they stay
+    exact at any n.
     """
-    # the sweep is numpy's only user in cplab: importing it here keeps
-    # every other process from paying for it at start-up
-    import numpy as np
-
     spec = LatticeSpec.create(m, n)
     xs = [j * n // m for j in range(m)]  # row values are the same multiples
     if any(m * x > m * n - n for x in xs):  # lattice coords c with m*c <= m*n - n
@@ -98,14 +95,51 @@ def check_all_lattice_rectangles(m: int, n: int, slack: int = 1) -> RectangleSwe
 
     # the distinct side lengths, x-widths and y-heights alike
     sides = sorted({xs[b] - xs[a] for a in range(m) for b in range(a, m)})
-    side_index = {side: i for i, side in enumerate(sides)}
-    c, d = np.triu_indices(m)  # every y-range [xs[c], xs[d]]
-    height_of = np.array([side_index[xs[j] - xs[i]] for i, j in zip(c.tolist(), d.tolist())])
-    perm = np.array([(j * spec.multiplier) % m for j in range(m)])
-    holds = (c <= perm[:, None]) & (perm[:, None] <= d)  # holds[j]: y-ranges holding column j's row
-    # counts lie in [0, m], so bounds clipped to [-1, m + 1] compare the
-    # same, and both fit the narrowest signed dtype holding m + 1
-    dtype = np.min_scalar_type(-(m + 1))
+    # the y-ranges [xs[c], xs[d]] in field order, grouped by height, so
+    # that a width's bounds are one run of equal fields per height
+    by_height: dict[int, list[tuple[int, int]]] = {h: [] for h in sides}
+    for c in range(m):
+        for d in range(c, m):
+            by_height[xs[d] - xs[c]].append((c, d))
+    ranges = [cd for h in sides for cd in by_height[h]]
+    runs = [len(by_height[h]) for h in sides]
+
+    # A field holds a count in [0, m] under its top (guard) bit. Bounds
+    # clipped to lower in [0, m + 1] and upper in [-1, m] compare the same,
+    # and with top > m + 1 both top + lower - 1 - count and
+    # top - upper - 1 + count lie in [0, 2 top): no field borrows from or
+    # carries into the next, and the guard bit is set exactly when
+    # count < lower or count > upper.
+    size = ((m + 1).bit_length() + 8) // 8  # bytes a field: 1 while m + 1 < 128
+    top = 1 << (8 * size - 1)
+
+    def packed(values: Iterable[int], repeats: Iterable[int]) -> int:
+        fields = b"".join(v.to_bytes(size, "little") * k for v, k in zip(values, repeats))
+        return int.from_bytes(fields, "little")
+
+    guards = packed([top], [len(ranges)])
+
+    def marked(rows: Iterable[list[int]]) -> list[int]:
+        # the running union of the rows' fields, a 1 in each, after each row
+        buf, union = bytearray(size * len(ranges)), []
+        for fields in rows:
+            for i in fields:
+                buf[size * i] = 1
+            union.append(int.from_bytes(buf, "little"))
+        return union
+
+    starting: list[list[int]] = [[] for _ in range(m)]
+    ending: list[list[int]] = [[] for _ in range(m)]
+    for i, (c, d) in enumerate(ranges):
+        starting[c].append(i)
+        ending[d].append(i)
+    # hold[row]: a 1 in every y-range c <= row <= d; holds[j]: column j's row
+    hold = [
+        low & high
+        for low, high in zip(marked(starting), reversed(marked(reversed(ending))))
+    ]
+    holds = [hold[(j * spec.multiplier) % m] for j in range(m)]
+
     # per x-width, each y-range's floor(alpha/A1) - slack and
     # ceil(alpha/A2) + slack, in exact integers: alpha = w * h * m / n^2
     lower_den, upper_den = A1.numerator * n * n, A2.numerator * n * n
@@ -114,13 +148,16 @@ def check_all_lattice_rectangles(m: int, n: int, slack: int = 1) -> RectangleSwe
         m_areas = [w * h * m for h in sides]
         lower = [min(max(A1.denominator * a // lower_den - slack, 0), m + 1) for a in m_areas]
         upper = [min(max(-(-A2.denominator * a // upper_den) + slack, -1), m) for a in m_areas]
-        bounds[w] = (np.array(lower, dtype)[height_of], np.array(upper, dtype)[height_of])
+        bounds[w] = (
+            packed([top + v - 1 for v in lower], runs),
+            packed([top - v - 1 for v in upper], runs),
+        )
 
     violations = 0
     for a in range(m):
-        counts = np.zeros(len(c), dtype=dtype)
+        counts = 0
         for b in range(a, m):
             counts += holds[b]
-            lower, upper = bounds[xs[b] - xs[a]]
-            violations += int(np.count_nonzero((counts < lower) | (counts > upper)))
-    return RectangleSweep(rectangles=len(c) ** 2, violations=violations)
+            lo, hi = bounds[xs[b] - xs[a]]
+            violations += ((lo - counts | counts + hi) & guards).bit_count()
+    return RectangleSweep(rectangles=len(ranges) ** 2, violations=violations)

@@ -84,11 +84,13 @@ class TestFamily:
     def test_stalled_build_is_an_invariant_failure(self, tmp_path, capsys):
         # c = 0.01 needs distinct nonzero 2-bit suffixes (k = 2), and only
         # three exist for the 16 vectors
-        code = run_cli("family", "--n", "4", "--c", "0.01", "--out", str(tmp_path / "fam"))
+        out = tmp_path / "fam"
+        code = run_cli("family", "--n", "4", "--c", "0.01", "--out", str(out))
         assert code == 1
         assert capsys.readouterr().err.startswith(
             "invariant failure: family construction stalled after 500 consecutive rejections"
         )
+        assert not out.exists()  # the build fails before the output directory is made
 
 
 class TestChronogram:

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import subprocess
@@ -24,7 +25,7 @@ from cplab.fibonacci_lattice import (
 from cplab.rng import substream
 
 
-# Reference for the vectorised sweep: one rectangle at a time, by brute force.
+# Reference for the rectangle sweep: one rectangle at a time, by brute force.
 
 
 @dataclass(frozen=True)
@@ -282,24 +283,58 @@ class TestSweepAgainstReference:
                 expected = reference_sweep(m, n, slack)
                 assert check_all_lattice_rectangles(m, n, slack) == expected, (n, slack)
 
+    # m = 89 is criterion 1's largest lattice and the largest Fibonacci
+    # size whose counts fit 1-byte fields
+    @pytest.mark.parametrize("n", [89, 712])
+    @pytest.mark.parametrize("slack", [0, 1])
+    def test_sweep_equals_reference_at_m89(self, n, slack):
+        assert check_all_lattice_rectangles(89, n, slack) == reference_sweep(89, n, slack)
 
-def test_cplab_starts_without_numpy():
-    # numpy's only user is the rectangle sweep; the modules every game,
-    # CLI run and pool worker imports must not load it
+    def test_sweep_equals_reference_with_2_byte_fields(self):
+        # m = 144 is the first Fibonacci size with m + 1 >= 128, so its
+        # fields take 2 bytes; slack 0 makes some rectangles fail
+        expected = reference_sweep(144, 144, 0)
+        assert expected.violations > 0
+        assert check_all_lattice_rectangles(144, 144, 0) == expected
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_cplab_never_loads_numpy(tmp_path):
+    # the rectangle sweep runs on packed ints: importing cplab, the sweep,
+    # criterion 1 and `cplab lattice` all leave numpy unloaded
     code = (
         "import sys\n"
         "import cplab.cli, cplab.acceptance, cplab.chronogram, cplab.encoding_game\n"
         "assert 'numpy' not in sys.modules, 'numpy loaded at import'\n"
         "from cplab.fibonacci_lattice import check_all_lattice_rectangles\n"
         "check_all_lattice_rectangles(13, 104)\n"
-        "assert 'numpy' in sys.modules, 'the sweep ran without numpy'\n"
+        "assert 'numpy' not in sys.modules, 'the sweep loaded numpy'\n"
+        "assert cplab.acceptance.AcceptanceSuite().fibonacci_area_bounds().passed\n"
+        "assert 'numpy' not in sys.modules, 'criterion 1 loaded numpy'\n"
+        f"assert cplab.cli.main(['lattice', '--m', '13', '--out', {str(tmp_path)!r}]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'cplab lattice loaded numpy'\n"
     )
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_sweep_script_writes_one_row_per_size(tmp_path):
+    out = tmp_path / "sweep.csv"
+    script = SRC.parent / "scripts" / "sweep_lattice_bounds.py"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, str(script), "--sizes", "13", "21", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert rows[0] == ["m", "n", "rectangles", "violations", "seconds"]
+    assert [row[:4] for row in rows[1:]] == [["13", "104", "8281", "0"], ["21", "168", "53361", "0"]]
 
 
 class TestSweepPastInt64:
