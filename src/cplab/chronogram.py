@@ -12,7 +12,6 @@ a single run.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence
@@ -234,14 +233,6 @@ def run_hard_distribution(kind: str, n: int, beta: float, seed: int) -> RunRecor
     memory = SimulatedMemory(MemoryConfig(w=w))
     instance = factory(memory)
     execute_epochs(instance, memory, updates)
-
-    epoch_sizes = Counter(memory.tags.values())
-    for epoch_id in run_sched.epoch_ids():
-        bound = run_sched.size_of(epoch_id) * instance.declared_update_probes
-        if epoch_sizes[epoch_id] > bound:
-            raise AssertionError(
-                f"|S_{epoch_id}| = {epoch_sizes[epoch_id]} exceeds size * t_u = {bound}"
-            )
 
     return RunRecord(
         kind=kind,

@@ -24,7 +24,7 @@ import math
 import zlib
 from dataclasses import dataclass, fields
 from itertools import compress
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .cell_probe_sim import MemoryConfig, SimulatedMemory
 from .chronogram import (
@@ -224,22 +224,13 @@ class EncodingMessage:
 @dataclass(frozen=True)
 class ResolvedSet:
     """A cell subset C of the target epoch and the sampled queries whose
-    probes into that epoch all land inside C (verified by replay)."""
+    probes into that epoch all land inside C (one replay of the pool)."""
 
     cell_addresses: tuple[int, ...]
     queries: tuple
     sample_size: int
     tries_used: int
-    query_probes: int  # raw probes of the pool replay and the verify replay
-
-
-def _query_probe_sets(
-    run: RunRecord, target_cells: set[int], queries: Sequence
-) -> Iterator[tuple[object, set[int], int]]:
-    """Per query in order: the query, the distinct target cells it
-    probes, and the raw probe count of its replay."""
-    for q, (_, addresses) in zip(queries, replay_queries(run.structure, queries)):
-        yield q, target_cells.intersection(addresses), len(addresses)
+    query_probes: int  # raw probes of the pool replay
 
 
 def default_cell_budget(run: RunRecord, istar: int) -> int:
@@ -296,21 +287,20 @@ def find_resolved_set(
     # hold only the eligible queries' probe cells, as tuples (a third of a
     # small set's bytes)
     eligible, query_probes = [], 0
-    for q, probes, raw in _query_probe_sets(run, cells, pool):
-        query_probes += raw
+    for q, (_, addresses) in zip(pool, replay_queries(run.structure, pool)):
+        query_probes += len(addresses)
+        probes = cells.intersection(addresses)
         if len(probes) <= probe_threshold:
             eligible.append((q, tuple(probes)))
 
     crng = substream(seed, "cell-sample")
     population = sorted(cells)
-    best: list | None = None
+    best: list = []
     best_cells: tuple[int, ...] = ()
-    tries_used = 0
-    for attempt in range(max_tries):
-        tries_used = attempt + 1
+    for _ in range(max_tries):
         chosen = set(crng.sample(population, cell_budget))
         resolved = [q for q, probes in eligible if chosen.issuperset(probes)]
-        if best is None or len(resolved) > len(best):
+        if len(resolved) > len(best):
             best = resolved
             best_cells = tuple(sorted(chosen))
     if not best:
@@ -319,20 +309,11 @@ def find_resolved_set(
             f"(budget {cell_budget}, threshold {probe_threshold})"
         )
 
-    # replay each kept query and re-check the containment directly; the
-    # eligible probe sets go first, so they are not held during that replay
-    del eligible
-    chosen_set = set(best_cells)
-    for q, probes, raw in _query_probe_sets(run, cells, best):
-        query_probes += raw
-        if not probes <= chosen_set:
-            raise AssertionError(f"replay of {q} probed epoch {istar} outside C")
-
     return ResolvedSet(
         cell_addresses=best_cells,
         queries=tuple(sorted(best)),
         sample_size=len(pool),
-        tries_used=tries_used,
+        tries_used=max_tries,
         query_probes=query_probes,
     )
 
@@ -541,8 +522,8 @@ def decode_epoch(
     pivot columns P; the message carries u on the rest, so only the
     k x k system X|_P u_P = z - X|_Pbar u_Pbar is solved. With
     `verify_run`, every replayed probe is checked against the true run:
-    an epoch-istar cell outside C is an integrity error.
-    (`find_resolved_set`'s verify replay checks every transmitted query.)
+    an epoch-istar cell outside C is an integrity error. A transmitted
+    query the decoder does not replay cannot change what it recovers.
     """
     if message.kind not in KINDS:
         raise MessageFormatError(f"unknown kind {message.kind!r}, not one of {KINDS}")

@@ -46,8 +46,8 @@ class QueryFamilyParams:
     def __post_init__(self) -> None:
         if self.n < 4:
             raise ValueError("family needs n >= 4")
-        if self.independence_constant <= 0:
-            raise ValueError("independence constant must be positive")
+        if not 0 < self.independence_constant < math.inf:  # NaN fails both tests
+            raise ValueError("independence constant must be finite and positive")
         object.__setattr__(self, "modulus", field_modulus(self.n))
 
 

@@ -86,8 +86,12 @@ class TestHardDistributionRuns:
         assert run.run_schedule.sizes == (377, 21, 5)
         assert sum(len(e.weights) for e in run.updates.epochs) == 403
 
-    def test_epoch_cell_sets_bounded(self):
-        run = run_hard_distribution("orc", 55, 5, seed=1)
+    @pytest.mark.parametrize(
+        "kind, n", [("artificial", 25), ("artificial", 100), ("orc", 55), ("orc", 440)]
+    )
+    def test_epoch_cell_sets_bounded(self, kind, n):
+        # |S_i| <= size * t_u: each cell an epoch writes last cost it a probe
+        run = run_hard_distribution(kind, n, 5, seed=1)
         for epoch_id in run.run_schedule.epoch_ids():
             cells = run.cells_of_epoch(epoch_id)
             bound = run.run_schedule.size_of(epoch_id) * run.structure.declared_update_probes

@@ -473,15 +473,20 @@ class TestFindResolvedSet:
     @pytest.mark.parametrize(
         "kind, n, istar, overrides, probes",
         [
-            ("artificial", 25, 1, dict(cell_budget=16, probe_threshold=12, max_tries=8), 15606),
-            ("orc", 440, 2, dict(probe_threshold=8, max_tries=8), 10667),
+            ("artificial", 25, 1, dict(cell_budget=16, probe_threshold=12, max_tries=8), 7803),
+            ("orc", 440, 2, dict(probe_threshold=8, max_tries=8), 7219),
         ],
     )
-    def test_query_probes_counts_both_replays(self, kind, n, istar, overrides, probes):
-        # pinned from the growth of a log shared by the run and both replays
+    def test_query_probes_counts_the_pool_replay(self, kind, n, istar, overrides, probes):
         run = run_hard_distribution(kind, n, 5, seed=3)
+        asked = []
+        query = run.structure.query
+        run.structure.query = lambda q: asked.append(q) or query(q)
         resolved = find_resolved_set(run, istar, seed=3, **overrides)
         assert resolved.query_probes == probes
+        # each pool candidate is asked once; a second pass over the
+        # resolved queries would ask more than sample_size queries
+        assert resolved.queries and len(asked) == resolved.sample_size
 
     @pytest.mark.parametrize("n", [4, 13, 19, 20, 21])
     def test_dominance_pool_on_a_small_grid(self, n):
@@ -875,6 +880,11 @@ class TestWholeGames:
             resolved = find_resolved_set(run, istar, seed=seed)
         except ResolvedSetNotFound:
             resolved = None
+        if resolved is not None:
+            # every resolved query probes epoch istar only inside C
+            tags, chosen = run.memory.tags, set(resolved.cell_addresses)
+            for _, addresses in replay_queries(run.structure, resolved.queries):
+                assert {a for a in addresses if tags.get(a) == istar} <= chosen
         message = encode_epoch(run, istar, resolved)
         assert message.flag == (resolved is None)
         event(f"{kind}, flag {message.flag}")

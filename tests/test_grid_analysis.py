@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from cplab.fibonacci_lattice import LatticeSpec, scaled_lattice
 from cplab.finite_field import largest_prime_below
 from cplab.grid_analysis import (
+    WELL_SEPARATED_BASELINES,
     Grid,
     build_grid_family,
     cell_representatives,
@@ -212,3 +217,17 @@ class TestFrequencies:
     def test_midrange_configuration(self):
         freq = well_separated_frequency(1024, 64, 512, trials=300, seed_base=0)
         assert 0.2 < freq < 0.45
+
+
+def test_calibration_script_prints_one_frequency_per_baseline():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run(
+        [sys.executable, str(root / "scripts" / "calibrate_well_separated.py"), "--trials", "20"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = [line for line in result.stdout.splitlines() if "frequency=" in line]
+    assert [line.split(":")[0] for line in lines] == [
+        f"n={b.n} beta={b.beta:g} m={b.epoch_size}" for b in WELL_SEPARATED_BASELINES
+    ]

@@ -40,6 +40,17 @@ class TestParams:
         with pytest.raises(TypeError):
             QueryFamilyParams(n=n, modulus=field_modulus(n))
 
+    @pytest.mark.parametrize("c", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+    def test_constant_not_finite_and_positive_rejected(self, c):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            params_for(16, c=c)
+
+    @pytest.mark.parametrize("c", ["nan", "inf", "-inf", "0", "-2.0"])
+    def test_family_file_with_such_a_constant_rejected(self, c):
+        # field_modulus(16) is 65521
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            read_family(io.StringIO(f"16 65521 {c} 0\n{'01' * 8}\n"))
+
     def test_non_binary_vectors_rejected(self):
         p = params_for(4)
         with pytest.raises(ValueError):
