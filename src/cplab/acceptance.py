@@ -9,8 +9,13 @@ end-to-end recovery of epoch weights through the encoding game.
 Criteria that loop over independently seeded trials (2, 4, 6, 7, 10 and
 11) hand each trial to a module-level function run in a spawn process
 pool, one worker per usable CPU, and aggregate the results in seed
-order, so every line is the same as a serial run's. The pool starts on
-the first pooled criterion and lives until `AcceptanceSuite.close()`.
+order, so every line is the same as a serial run's. The suite's plan
+(`AcceptanceSuite(only=...)`, all 11 criteria by default) fixes which
+criteria it will run. The pool starts on the first pooled criterion and
+at once queues the trials of every pooled criterion in the plan, in
+`CRITERIA` order, so no worker waits at a criterion boundary and the
+in-process criteria run while the workers work. The pool lives until
+`AcceptanceSuite.close()`, which cancels the trials still queued.
 A script that runs the suite must guard its entry point with
 `if __name__ == "__main__":`, because spawned workers import the main
 module.
@@ -20,7 +25,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable
+from itertools import compress
+from typing import Callable, Sequence
 
 from . import chronogram, encoding_game, fibonacci_lattice, grid_analysis
 from .finite_field import ff_rank, ff_solve, field_modulus, largest_prime_below, mat_vec
@@ -153,7 +159,7 @@ def _decomposition_trial(seed: int) -> tuple[int, int]:
         total = 0
         for i in run.run_schedule.epoch_ids():
             inc = fibonacci_lattice.dominance_incidence(run.epoch_points[i], q)
-            total += sum(w for b, w in zip(inc, run.updates.u(i)) if b)
+            total += sum(compress(run.updates.u(i), inc))
         checked += 1
         if total != reference.answer(q):
             mismatches += 1
@@ -167,19 +173,38 @@ def _separation_trial(baseline: grid_analysis.WellSeparatedBaseline) -> float:
     )
 
 
+# Each pooled criterion's trial and the inputs it is run on, one trial
+# per input; the criterion's counts come from these inputs.
+_TRIALS: dict[str, tuple[Callable, Sequence]] = {
+    "query_family_independence": (_family_trial, range(1, 6)),
+    "oracle_equivalence": (_oracle_trial, range(10)),
+    "encode_decode_artificial": (_artificial_game_trial, range(100)),
+    "encode_decode_orc": (_orc_game_trial, range(25)),
+    "answer_decomposition": (_decomposition_trial, range(5)),
+    "well_separated_frequency": (_separation_trial, grid_analysis.WELL_SEPARATED_BASELINES),
+}
+
+
 class AcceptanceSuite:
     """Runs the numbered criteria; shares expensive state between the
     encoder-identity criterion and the information-floor criterion.
 
-    The pooled criteria share one spawn process pool, started on first
-    use; `close()` (or leaving a `with` block) shuts it down. A suite
-    that is dropped unclosed, or still open at interpreter exit, has
-    its workers joined by `concurrent.futures` itself.
+    `plan` lists the criteria selected by `only` (a group or method name
+    of `CRITERIA`; None selects all 11). The pooled criteria share one
+    spawn process pool, started on first use, which queues the trials of
+    every pooled criterion in the plan; a criterion outside the plan
+    queues its trials when it runs. `close()` (or leaving a `with` block)
+    cancels the queued trials and shuts the pool down. A suite that is
+    dropped unclosed, or still open at interpreter exit, has its workers
+    joined by `concurrent.futures` itself, after its queue has run.
     """
 
-    def __init__(self):
+    def __init__(self, only: str | None = None):
+        self.plan = [method for method, group in CRITERIA if only in (None, group, method)]
         self._artificial_game: dict | None = None
         self._pool = None
+        self._unqueued = [method for method in self.plan if method in _TRIALS]
+        self._queued: dict[str, list] = {}  # method -> its trials' futures
 
     def __enter__(self) -> AcceptanceSuite:
         return self
@@ -188,14 +213,21 @@ class AcceptanceSuite:
         self.close()
 
     def close(self) -> None:
-        """Shut the pool down and wait for its workers. Safe to call
-        twice; a pooled criterion run after it starts a new pool."""
+        """Cancel the queued trials, shut the pool down and wait for its
+        workers. Safe to call twice; a pooled criterion run after it
+        starts a new pool and queues its own trials."""
         if self._pool is not None:
-            self._pool.shutdown()
+            self._pool.shutdown(cancel_futures=True)
             self._pool = None
+            self._queued.clear()
 
-    def _map(self, trial: Callable, *args) -> list:
-        """`list(map(trial, *args))`, with the calls run in the pool."""
+    def _queue(self, method: str) -> None:
+        trial, inputs = _TRIALS[method]
+        self._queued[method] = [self._pool.submit(trial, x) for x in inputs]
+
+    def _trials(self, method: str) -> tuple[Sequence, list]:
+        """The inputs of `method`'s trials and their results, in input
+        order. Starts the pool and queues the plan's trials on first use."""
         if self._pool is None:
             # imported here: the import alone costs every caller of this
             # module start-up time, and most never start a pool
@@ -206,7 +238,12 @@ class AcceptanceSuite:
                 max_workers=len(os.sched_getaffinity(0)),
                 mp_context=multiprocessing.get_context("spawn"),
             )
-        return list(self._pool.map(trial, *args))
+            for planned in self._unqueued:
+                self._queue(planned)
+            self._unqueued = []
+        if method not in self._queued:  # outside the plan, or run again
+            self._queue(method)
+        return _TRIALS[method][1], [f.result() for f in self._queued.pop(method)]
 
     # -- criterion 1 -------------------------------------------------
     # runs in-process: it is the first criterion, and starting the pool
@@ -222,12 +259,14 @@ class AcceptanceSuite:
 
     # -- criterion 2 -------------------------------------------------
     def query_family_independence(self) -> CriterionResult:
-        checks, violations = map(sum, zip(*self._map(_family_trial, range(1, 6))))
+        seeds, outcomes = self._trials("query_family_independence")
+        checks, violations = map(sum, zip(*outcomes))
         return CriterionResult(
             2,
             "query-family-suffix-independence",
             violations == 0,
-            f"{violations} violations over {checks} sampled subsets (5 seeds, k in {{8,16}})",
+            f"{violations} violations over {checks} sampled subsets "
+            f"({len(seeds)} seeds, k in {{8,16}})",
         )
 
     # -- criterion 3 -------------------------------------------------
@@ -254,13 +293,14 @@ class AcceptanceSuite:
 
     # -- criterion 4 -------------------------------------------------
     def oracle_equivalence(self) -> CriterionResult:
-        mismatches, probe_violations = map(sum, zip(*self._map(_oracle_trial, range(10))))
+        seeds, outcomes = self._trials("oracle_equivalence")
+        mismatches, probe_violations = map(sum, zip(*outcomes))
         return CriterionResult(
             4,
             "oracle-equivalence",
             mismatches == 0 and probe_violations == 0,
             f"{mismatches} mismatches, {probe_violations} probe-bound violations "
-            f"over 10 seeds x (500 inserts + 500 queries), n=64",
+            f"over {len(seeds)} seeds x (500 inserts + 500 queries), n=64",
         )
 
     # -- criterion 5 -------------------------------------------------
@@ -291,12 +331,11 @@ class AcceptanceSuite:
     def _run_artificial_game(self) -> dict:
         if self._artificial_game is not None:
             return self._artificial_game
-        trials = 100
-        outcomes = self._map(_artificial_game_trial, range(trials))
+        seeds, outcomes = self._trials("encode_decode_artificial")
         recovered, flags, fallbacks, bits, h_bits = zip(*outcomes)
         self._artificial_game = {
             "recovered": sum(recovered),
-            "trials": trials,
+            "trials": len(seeds),
             "flags": {flag: flags.count(flag) for flag in (0, 1)},
             "fallbacks": sum(fallbacks),
             "bits": list(zip(flags, bits)),  # (flag, message bits) per game
@@ -322,13 +361,13 @@ class AcceptanceSuite:
 
     # -- criterion 7 -------------------------------------------------
     def encode_decode_orc(self) -> CriterionResult:
-        trials = 25
-        recovered, fallbacks = map(sum, zip(*self._map(_orc_game_trial, range(trials))))
+        seeds, outcomes = self._trials("encode_decode_orc")
+        recovered, fallbacks = map(sum, zip(*outcomes))
         return CriterionResult(
             7,
             "encode-decode-orc",
-            recovered == trials,
-            f"{recovered}/{trials} exact recoveries with replay integrity "
+            recovered == len(seeds),
+            f"{recovered}/{len(seeds)} exact recoveries with replay integrity "
             f"(n=440, beta=5, snapped epochs, fallbacks={fallbacks})",
         )
 
@@ -375,20 +414,21 @@ class AcceptanceSuite:
 
     # -- criterion 10 ------------------------------------------------
     def answer_decomposition(self) -> CriterionResult:
-        mismatches, checked = map(sum, zip(*self._map(_decomposition_trial, range(5))))
+        seeds, outcomes = self._trials("answer_decomposition")
+        mismatches, checked = map(sum, zip(*outcomes))
         return CriterionResult(
             10,
             "answer-decomposition",
             mismatches == 0,
-            f"{mismatches} mismatches over {checked} random queries (5 seeded runs, n=440)",
+            f"{mismatches} mismatches over {checked} random queries "
+            f"({len(seeds)} seeded runs, n=440)",
         )
 
     # -- criterion 11 ------------------------------------------------
     def well_separated_frequency(self) -> CriterionResult:
-        baselines = grid_analysis.WELL_SEPARATED_BASELINES
         details = []
         ok = True
-        for baseline, freq in zip(baselines, self._map(_separation_trial, baselines)):
+        for baseline, freq in zip(*self._trials("well_separated_frequency")):
             within = abs(freq - baseline.frequency) <= 0.05
             ok = ok and within
             details.append(
@@ -420,10 +460,8 @@ CRITERIA: tuple[tuple[str, str], ...] = (
 
 def run_acceptance(only: str | None = None) -> list[CriterionResult]:
     results = []
-    with AcceptanceSuite() as suite:
-        for method, group in CRITERIA:
-            if only is not None and only not in (group, method):
-                continue
+    with AcceptanceSuite(only) as suite:
+        for method in suite.plan:
             result: CriterionResult = getattr(suite, method)()
             results.append(result)
             print(result.line())

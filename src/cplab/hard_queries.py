@@ -94,6 +94,21 @@ def _low_coords(bits: int, k: int) -> bytes:
     return bin(bits & ((1 << k) - 1) | 1 << k)[3:].encode().translate(_BIT_VALUES)
 
 
+def _suffix_rank(modulus: PrimeModulus, vectors: list[int], k: int) -> int:
+    """Rank over Z_modulus of the vectors' length-k suffixes.
+
+    Zero and repeated suffixes add nothing to the span, and two distinct
+    nonzero 0/1 vectors are independent over any field, so only three or
+    more distinct suffixes are expanded into coordinates for `ff_rank`.
+    """
+    mask = (1 << k) - 1
+    suffixes = {v & mask for v in vectors}
+    suffixes.discard(0)
+    if len(suffixes) <= 2:
+        return len(suffixes)
+    return ff_rank(modulus, [_low_coords(s, k) for s in suffixes])
+
+
 def build_query_family(params: QueryFamilyParams) -> QueryFamily:
     """Greedily sample uniform {0,1}^n vectors into a family of n^2.
 
@@ -126,7 +141,6 @@ def build_query_family(params: QueryFamilyParams) -> QueryFamily:
         if ok and k_pair is not None and bits & pair_mask in pair_suffixes:
             ok, last_k = False, k_pair
         if ok and ks_multi and accepted:
-            coords = _low_coords(bits, n)
             for _ in range(VALIDATION_TRIALS):
                 k = rng.choice(ks_multi)
                 top = min(subset_bound(k, c), len(accepted) + 1)
@@ -134,9 +148,9 @@ def build_query_family(params: QueryFamilyParams) -> QueryFamily:
                     continue
                 size = rng.randint(2, top)
                 others = rng.sample(range(len(accepted)), size - 1)
-                rows = [_low_coords(accepted[i], k) for i in others]
-                rows.append(coords[-k:])
-                if ff_rank(params.modulus, rows) < size:
+                rows = [accepted[i] for i in others]
+                rows.append(bits)
+                if _suffix_rank(params.modulus, rows, k) < size:
                     ok, last_k = False, k
                     break
 
@@ -176,8 +190,8 @@ def check_suffix_independence(
     violations = 0
     for _ in range(trials):
         idxs = rng.sample(range(len(family.vectors)), subset_size)
-        rows = [_low_coords(family.vectors[i], k) for i in idxs]
-        if ff_rank(family.params.modulus, rows) < subset_size:
+        rows = [family.vectors[i] for i in idxs]
+        if _suffix_rank(family.params.modulus, rows, k) < subset_size:
             violations += 1
     return violations
 

@@ -1,10 +1,13 @@
 """Lifetime of the acceptance suite's trial pool: every way out of a
-suite leaves no worker process behind.
+suite leaves no worker process behind, and a suite queues the trials of
+its plan and no others.
 
 These tests live apart from tests/test_acceptance.py, whose module-wide
 suite keeps its pool open until that module ends; here no other pool is
-alive, so "no worker left" means `active_children()` is empty. Every
-wait runs under a timeout."""
+alive, so "no worker left" means `active_children()` is empty. Each
+suite that runs one criterion plans only that criterion (`only=`), so it
+does not queue the other criteria's trials. Every wait runs under a
+timeout."""
 
 import gc
 import multiprocessing
@@ -13,7 +16,10 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+
+import pytest
 
 from cplab.acceptance import AcceptanceSuite, run_acceptance
 
@@ -49,6 +55,21 @@ def _wait_for_no_children(seconds):
     return multiprocessing.active_children()
 
 
+@pytest.fixture
+def queued(monkeypatch):
+    """Every trial the pool is handed, as (trial name, future), in order."""
+    calls = []
+    submit = ProcessPoolExecutor.submit
+
+    def recording_submit(self, fn, /, *args, **kwargs):
+        future = submit(self, fn, *args, **kwargs)
+        calls.append((fn.__name__, future))
+        return future
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
+    return calls
+
+
 def test_run_acceptance_closes_its_pool(capsys):
     results = _within(TIMEOUT_S, lambda: run_acceptance(only="encode"))
     assert [r.number for r in results] == [6, 7]
@@ -58,7 +79,7 @@ def test_run_acceptance_closes_its_pool(capsys):
 
 def test_with_block_closes_the_pool():
     def body():
-        with AcceptanceSuite() as suite:
+        with AcceptanceSuite(only="separated") as suite:
             result = suite.well_separated_frequency()
             workers = multiprocessing.active_children()
         return result, workers
@@ -70,7 +91,7 @@ def test_with_block_closes_the_pool():
 
 
 def test_close_twice_then_run_again():
-    suite = AcceptanceSuite()
+    suite = AcceptanceSuite(only="separated")
     suite.close()  # no pool yet
 
     def body():
@@ -92,7 +113,7 @@ def test_close_twice_then_run_again():
 
 def test_dropped_suite_stops_its_workers():
     def body():
-        suite = AcceptanceSuite()
+        suite = AcceptanceSuite(only="oracle")
         suite.oracle_equivalence()
         return [p.pid for p in multiprocessing.active_children()]
 
@@ -106,7 +127,7 @@ def test_interpreter_exit_stops_an_unclosed_pool():
     script = (
         "import multiprocessing\n"
         "from cplab.acceptance import AcceptanceSuite\n"
-        "suite = AcceptanceSuite()\n"
+        "suite = AcceptanceSuite(only='separated')\n"
         "assert suite.well_separated_frequency().passed\n"
         "print(*(p.pid for p in multiprocessing.active_children()))\n"
     )
@@ -124,3 +145,53 @@ def test_interpreter_exit_stops_an_unclosed_pool():
         except ProcessLookupError:
             continue
         raise AssertionError(f"worker {pid} outlived its interpreter")
+
+
+def test_plan_of_one_criterion_queues_only_its_trials(queued):
+    def body():
+        with AcceptanceSuite(only="family") as suite:
+            return suite.query_family_independence()
+
+    assert _within(TIMEOUT_S, body).line() == EXPECTED_LINES[2]
+    assert [name for name, _ in queued] == ["_family_trial"] * 5
+
+
+def test_run_acceptance_queues_only_its_plans_trials(queued, capsys):
+    results = _within(TIMEOUT_S, lambda: run_acceptance(only="encode"))
+    assert [r.number for r in results] == [6, 7]
+    assert [name for name, _ in queued] == (
+        ["_artificial_game_trial"] * 100 + ["_orc_game_trial"] * 25
+    )
+
+
+def test_criterion_outside_the_plan_queues_its_trials_on_demand(queued):
+    def body():
+        with AcceptanceSuite(only="lattice") as suite:
+            return suite.well_separated_frequency()
+
+    assert _within(TIMEOUT_S, body).line() == EXPECTED_LINES[11]
+    assert [name for name, _ in queued] == ["_separation_trial"] * 3
+
+
+def test_close_cancels_the_queued_trials(queued):
+    # a full plan queues every pooled criterion's trials when criterion 2
+    # starts the pool; closing then must not run the rest of the queue
+    def body():
+        suite = AcceptanceSuite()
+        try:
+            result = suite.query_family_independence()
+        finally:
+            suite.close()
+        return result
+
+    assert _within(TIMEOUT_S, body).line() == EXPECTED_LINES[2]
+    assert [name for name, _ in queued] == (
+        ["_family_trial"] * 5
+        + ["_oracle_trial"] * 10
+        + ["_artificial_game_trial"] * 100
+        + ["_orc_game_trial"] * 25
+        + ["_decomposition_trial"] * 5
+        + ["_separation_trial"] * 3
+    )
+    assert sum(future.cancelled() for _, future in queued) > 100
+    assert multiprocessing.active_children() == []

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cplab.finite_field import field_modulus
+from cplab import hard_queries
+from cplab.finite_field import ff_rank, field_modulus, largest_prime_below
 from cplab.hard_queries import (
     QueryFamily,
     QueryFamilyParams,
     _low_coords,
+    _suffix_rank,
     build_query_family,
     check_suffix_independence,
     read_family,
@@ -92,6 +94,38 @@ def test_coords_match_shifts(case):
     assert bits_of(coords) == bits
     for k in range(n + 1):
         assert _low_coords(bits, k) == coords[n - k :]
+
+
+@st.composite
+def suffix_rank_cases(draw):
+    """k, and 0-6 rows drawn from a few base vectors, zero among them, each
+    with random bits above k, so zero and repeated suffixes are common."""
+    k = draw(st.integers(1, 24))
+    bases = draw(st.lists(st.integers(0, 2**k - 1), min_size=1, max_size=4))
+    row = st.tuples(st.sampled_from([0, *bases]), st.integers(0, 15)).map(
+        lambda t: t[0] | t[1] << k
+    )
+    return k, draw(st.lists(row, max_size=6))
+
+
+@given(suffix_rank_cases(), st.sampled_from([largest_prime_below(4), field_modulus(24)]))
+@settings(max_examples=300, deadline=None)
+def test_suffix_rank_matches_ff_rank(case, modulus):
+    k, rows = case
+    assert _suffix_rank(modulus, rows, k) == ff_rank(modulus, [_low_coords(v, k) for v in rows])
+
+
+def test_pinned_three_row_family_audits_three_rows(monkeypatch):
+    # the (20, 1.5, 0) pin below is the one whose audits reach ff_rank
+    sizes = []
+
+    def counting_rank(modulus, rows):
+        sizes.append(len(rows))
+        return ff_rank(modulus, rows)
+
+    monkeypatch.setattr(hard_queries, "ff_rank", counting_rank)
+    build_query_family(params_for(20, c=1.5, seed=0))
+    assert set(sizes) == {3}
 
 
 class TestSubsetBound:
@@ -190,11 +224,14 @@ class TestSerialization:
         "n, c, seed, digest",
         [
             (16, 2.0, 1, "6146f9a67f659aa22805070fc77c2ca60c60238d33188fd6c7f7f6fd754e9c32"),
+            (20, 1.5, 0, "f83d7b048bfd63b9e8e542c09bc262c71fa9947fb6ac84ee069431fed2fbe511"),
             (100, 22.0, 0, "ef7f146986d1ab31bff3ccc60dda70ea09e5d68957b0a4013dcffba76e9e114d"),
         ],
     )
     def test_family_file_bytes_pinned(self, n, c, seed, digest):
-        # pinned from the coordinate-tuple family this n-bit form replaced
+        # (16, 2.0, 1) and (100, 22.0, 0) are pinned from the coordinate-tuple
+        # family the n-bit form replaced, (20, 1.5, 0) from the audits that
+        # ranked every subset with ff_rank; it audits 3-row subsets at k = 20
         buffer = io.StringIO()
         write_family(build_query_family(params_for(n, c=c, seed=seed)), buffer)
         assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == digest
