@@ -17,7 +17,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add, and_
 from typing import Hashable, Iterable, Iterator, NoReturn, Sequence
 
 
@@ -156,15 +155,24 @@ class SimulatedMemory:
         distinct, so one pass reads what the cells in turn would read.
         Every address and every new value is checked before any state
         changes, so a bad one raises and leaves the memory as it was."""
-        if self.replay_reads is not None and addresses:
-            raise AssertionError(f"a replayed query wrote cell {addresses[0]}")
-        limit = self._limit
-        if addresses and (min(addresses) < 0 or max(addresses) >= self._address_limit):
+        if self.replay_reads is not None:
+            raise AssertionError(
+                f"a replayed query wrote cell {addresses[0]}"
+                if addresses
+                else "a replayed query wrote cells (an empty batch)"
+            )
+        if not addresses:
+            return
+        if min(addresses) < 0 or max(addresses) >= self._address_limit:
             self._reject_addresses(addresses)
         if len(set(addresses)) != len(addresses):
             raise ValueError("a cell repeats; add to it once")
-        values = list(map(add, map(self.values.get, addresses, repeat(0)), repeat(addend)))
-        if values and (min(values) < 0 or max(values) >= limit):
+        limit = self._limit
+        get = self.values.get
+        values = [get(a, 0) + addend for a in addresses]
+        # a stored value already lies in [0, limit), so only a negative
+        # addend can take a cell below 0
+        if max(values) >= limit or (addend < 0 and min(values) < 0):
             bad = next(v for v in values if not 0 <= v < limit)
             raise OverflowError(f"value {bad} does not fit in {self.config.w} bits")
 
@@ -181,8 +189,11 @@ class SimulatedMemory:
             trace.kinds.extend(b"\0\1" * len(batch))
             trace.tags.extend(tags)
         # masking stores right-sized ints; a sum keeps its addition's spare digit
-        self.values.update(zip(addresses, map(and_, values, repeat(limit - 1))))
-        self.tags.update(zip(addresses, repeat(tag)))
+        mask = limit - 1
+        cells, cell_tags = self.values, self.tags
+        for address, value in zip(addresses, values):
+            cells[address] = value & mask
+            cell_tags[address] = tag
 
     def write(self, address: int, value: int) -> None:
         if self.replay_reads is not None:

@@ -161,17 +161,19 @@ def execute_epochs(
     updates: UpdateSequence,
 ) -> None:
     """Apply epochs largest-first, enforcing the declared update bound."""
+    update, bound = structure.update, structure.declared_update_probes
+    begin_operation = memory.begin_operation
     for epoch in updates.epochs:
         memory.begin_epoch(epoch.epoch)
         for j, (target, weight) in enumerate(zip(epoch.targets, epoch.weights)):
-            memory.begin_operation(("upd", epoch.epoch, j))
+            begin_operation(("upd", epoch.epoch, j))
             before = memory.probes
-            structure.update(target, weight)
+            update(target, weight)
             used = memory.probes - before
-            if used > structure.declared_update_probes:
+            if used > bound:
                 raise AssertionError(
                     f"update ({epoch.epoch}, {j}) probed {used} cells, declared "
-                    f"bound is {structure.declared_update_probes}"
+                    f"bound is {bound}"
                 )
 
 

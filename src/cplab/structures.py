@@ -119,14 +119,27 @@ class PrefixSumRangeStructure(DynamicStructure):
     def _counters(self, x: int, y: int, up: bool) -> list[int]:
         """Cells of the counters on the chains from (x, y), row by row:
         up to n for an insert, down to 0 for a query. Counter (xi, yi),
-        1-based, is cell (xi - 1) * n + yi - 1."""
+        1-based, is cell (xi - 1) * n + yi - 1, so the cells are the
+        row offsets (xi - 1) * n plus the columns yi - 1."""
         n = self.n
-        chains: list[list[int]] = [[], []]
-        for chain, i in zip(chains, (x + 1, y + 1)):
-            while 0 < i <= n:
-                chain.append(i - 1)
-                i += i & -i if up else -(i & -i)
-        return [xi * n + yi for xi in chains[0] for yi in chains[1]]
+        rows: list[int] = []
+        columns: list[int] = []
+        i, j = x + 1, y + 1
+        if up:
+            while i <= n:
+                rows.append(i * n - n)
+                i += i & -i
+            while j <= n:
+                columns.append(j - 1)
+                j += j & -j
+        else:
+            while i:
+                rows.append(i * n - n)
+                i &= i - 1  # i -= i & -i
+            while j:
+                columns.append(j - 1)
+                j &= j - 1
+        return [row + column for row in rows for column in columns]
 
 
 @dataclass

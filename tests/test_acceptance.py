@@ -8,7 +8,7 @@ tolerances' measured values and criterion 8's mean message length
 import pytest
 
 from cplab import encoding_game
-from cplab.acceptance import AcceptanceSuite, _artificial_game_trial
+from cplab.acceptance import CRITERIA, AcceptanceSuite, _artificial_game_trial
 
 EXPECTED_LINES = {
     1: "PASS criterion 1 (fibonacci-area-bounds): m=13: 0/8281 violations; "
@@ -39,8 +39,18 @@ EXPECTED_LINES = {
 
 
 @pytest.fixture(scope="module")
-def suite():
-    suite = AcceptanceSuite()
+def suite(request):
+    """One suite for the module's criterion tests. A session that selects
+    just one of them plans only its criterion, so that criterion's trials
+    do not wait behind the whole queue; criterion 8 still reads criterion
+    6's games, which its suite queues on demand."""
+    selected = [
+        item.name
+        for item in request.session.items
+        if item.module is request.module and item.name.startswith("test_criterion_")
+    ]
+    only = CRITERIA[int(selected[0].split("_")[2]) - 1][0] if len(selected) == 1 else None
+    suite = AcceptanceSuite(only)
     yield suite
     suite.close()
 

@@ -347,7 +347,9 @@ def test_read_many_bad_address_changes_nothing(w, bad, error, position):
 
 
 @pytest.mark.parametrize(
-    "call", [lambda m: m.write(-1, 0), lambda m: m.add_many([1 << 70], 1)], ids=["write", "add"]
+    "call",
+    [lambda m: m.write(-1, 0), lambda m: m.add_many([1 << 70], 1), lambda m: m.add_many([], 1)],
+    ids=["write", "add", "empty-add"],
 )
 def test_write_in_a_replay_raises_before_any_check(call):
     mem = make_memory(w=8)
@@ -365,7 +367,7 @@ def test_write_in_a_replay_raises_before_any_check(call):
 def test_add_many_matches_reads_and_writes(w, data):
     """A batched add leaves the same cells and log as reading each cell,
     adding and writing it back, one cell at a time; an add that would
-    overflow any cell raises and changes nothing."""
+    take any cell past 2^w - 1 or below 0 raises and changes nothing."""
     one, many = make_memory(w=w), make_memory(w=w)
     limit = 1 << w
     epoch, ops = 9, []
@@ -383,11 +385,20 @@ def test_add_many_matches_reads_and_writes(w, data):
                 mem.write(address, value)
         else:
             addresses = data.draw(st.lists(st.integers(0, 7), unique=True, max_size=6))
-            addend = data.draw(st.one_of(st.integers(0, 999), st.integers(0, limit - 1)))
+            floor = min((one.values.get(a, 0) for a in addresses), default=0)
+            addend = data.draw(
+                st.one_of(
+                    st.integers(0, 999),
+                    st.integers(0, limit - 1),
+                    st.integers(-floor, 0),  # fits every cell
+                    st.integers(-999, -1),
+                    st.integers(-(limit - 1), -1),
+                )
+            )
             ops.append(len(ops))
             for mem in (one, many):
                 mem.begin_operation(ops[-1])
-            if any(one.values.get(a, 0) + addend >= limit for a in addresses):
+            if any(not 0 <= one.values.get(a, 0) + addend < limit for a in addresses):
                 with pytest.raises(OverflowError):
                     many.add_many(addresses, addend)
                 continue

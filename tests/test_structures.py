@@ -4,7 +4,7 @@ from typing import Sequence
 import pytest
 from probe_log import ask, segment
 
-from cplab.cell_probe_sim import MemoryConfig, SimulatedMemory
+from cplab.cell_probe_sim import MemoryConfig, ProbeTrace, SimulatedMemory
 from cplab.finite_field import largest_prime_below
 from cplab.hard_queries import QueryFamily, QueryFamilyParams
 from cplab.structures import (
@@ -115,6 +115,16 @@ class TestNaiveStructure:
             NaiveArtificialStructure(family, SimulatedMemory(MemoryConfig(w=w)))
 
 
+def textbook_chain(i: int, n: int, up: bool) -> list[int]:
+    """The binary-indexed-tree chain from 1-based i: i += i & -i up to n,
+    or i -= i & -i down to 0."""
+    chain = []
+    while 0 < i <= n:
+        chain.append(i)
+        i = i + (i & -i) if up else i - (i & -i)
+    return chain
+
+
 class TestPrefixSumStructure:
     def test_insert_then_query(self):
         delta = largest_prime_below(8**4)
@@ -170,6 +180,29 @@ class TestPrefixSumStructure:
         assert [(memory.values[c], memory.tags[c]) for c in (21, 28, 29)] == [
             (4000, 2), (200, 1), (4200, 1)
         ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 64])
+    def test_cells_follow_the_textbook_chains(self, n):
+        """At every point, an insert adds to and a query reads counter
+        (xi, yi), cell (xi - 1) * n + yi - 1, for xi on x + 1's chain and
+        yi on y + 1's (up to n for an insert, down to 0 for a query), in
+        row-major order."""
+        memory = SimulatedMemory(MemoryConfig(w=32))
+        ds = PrefixSumRangeStructure(n, largest_prime_below(8), memory, capacity=n * n)
+        for x in range(n):
+            for y in range(n):
+                insert, query = (
+                    [
+                        (xi - 1) * n + yi - 1
+                        for xi in textbook_chain(x + 1, n, up)
+                        for yi in textbook_chain(y + 1, n, up)
+                    ]
+                    for up in (True, False)
+                )
+                memory.trace = ProbeTrace()
+                ds.update((x, y), 1)
+                assert list(memory.trace.addresses) == [c for c in insert for _ in "rw"]
+                assert list(ask(ds, (x, y))[1]) == query
 
     @pytest.mark.parametrize("w", [48])
     def test_matches_reference_model(self, w):
