@@ -3,13 +3,13 @@ a probe log.
 
 An update's probes are counted and logged: each read or write of a cell
 adds one to the memory's probe count and lands in its trace, unless the
-memory keeps no log (the decoder's re-execution of the preceding epochs
+memory is count-only (the decoder's re-execution of the preceding epochs
 only counts). A query reads only while `chronogram.replay_queries`
 replays it, which records its reads apart; it may not write. Each
-written cell carries the id of the last epoch that wrote it, which is
-what per-epoch probe accounting is built on. Cells never written read
-as zero: a decoder re-executing a prefix of the updates must see
-exactly the same blanks the original execution saw.
+written cell of a logged memory carries the id of the last epoch that
+wrote it, which is what per-epoch probe accounting is built on. Cells
+never written read as zero: a decoder re-executing a prefix of the
+updates must see exactly the same blanks the original execution saw.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ class MemoryConfig:
 
 
 _KINDS = ("read", "write")
-_INT64_LIMIT = 1 << 63  # the log keeps addresses and tags as signed 64-bit integers
+_INT64_LIMIT = 1 << 63  # the log keeps addresses as signed 64-bit integers
+_EPOCH_LIMIT = 1 << 15  # and epoch tags as signed 16-bit integers
 
 
 class ProbeTrace:
@@ -44,7 +45,8 @@ class ProbeTrace:
 
     Probe k has `addresses[k]`, `kinds[k]` (0 read, 1 write) and
     `tags[k]`, the epoch tag on the cell at probe time (-1 if it was
-    unwritten), each stored as a signed 64-bit integer. An operation owns
+    unwritten). Addresses are stored as signed 64-bit integers, tags as
+    signed 16-bit ones (epoch ids lie below 2^15). An operation owns
     the probes from its `begin` to the next `begin`; probes before the
     first `begin` belong to op None. Op ids are unique within one log.
     """
@@ -52,7 +54,7 @@ class ProbeTrace:
     def __init__(self) -> None:
         self.addresses = array("q")
         self.kinds = bytearray()
-        self.tags = array("q")
+        self.tags = array("h")
         self._op_index: dict[Hashable, int] = {None: 0}  # op id -> position, in begin order
         self._op_starts: list[int] = [0]
 
@@ -66,7 +68,7 @@ class ProbeTrace:
         """Append one read per address, tagged from `tags` (-1 if absent)."""
         self.addresses.extend(array("q", addresses))
         self.kinds.extend(bytes(len(addresses)))
-        self.tags.extend(array("q", list(map(tags.get, addresses, repeat(-1)))))
+        self.tags.extend(array("h", list(map(tags.get, addresses, repeat(-1)))))
 
     def __len__(self) -> int:
         return len(self.addresses)
@@ -84,12 +86,15 @@ class SimulatedMemory:
     """w-bit cells addressed by integers below 2^w.
 
     A cell's contents and its epoch tag live in two stores keyed by
-    address, `values` and `tags`, which always hold the same addresses.
-    Read them freely; change them only through `write`, `add_many` and
-    `load`. `probes` counts the update probes made so far. `trace` is
-    the probe log; a memory whose `trace` is set to None counts its
-    probes and logs none of them, for a re-execution whose probes no
-    one reads.
+    address, `values` and `tags`, which in a logged memory always hold
+    the same addresses. Read them freely; change them only through
+    `write`, `add_many` and `load`. `probes` counts the update probes
+    made so far. `trace` is
+    the probe log. A memory built with `log=False` is count-only, for a
+    re-execution whose probes and tags no one reads: it keeps `values`
+    and `probes`, its `trace` and `tags` are None, and the tag readers
+    (`written_addresses`, `cells_of_epoch`, `epoch_partition`,
+    `probe_counts_by_epoch`) raise ValueError on it.
 
     `replay_reads` is None except while `chronogram.replay_queries` asks
     a query: then it is a list, and `read_many` appends a tuple of its
@@ -98,30 +103,36 @@ class SimulatedMemory:
     any check or change, when called in the wrong mode.
 
     A single instance is single-threaded mutable state; run independent
-    instances for parallel trials. Epoch ids must strictly decrease
-    over a run (epochs are numbered largest-first in time); writes
-    outside any declared epoch are tagged 0.
+    instances for parallel trials. Epoch ids lie in [1, 2^15) and must
+    strictly decrease over a run (epochs are numbered largest-first in
+    time); writes outside any declared epoch are tagged 0.
     """
 
-    def __init__(self, config: MemoryConfig):
+    def __init__(self, config: MemoryConfig, *, log: bool = True):
         self.config = config
         self.values: dict[int, int] = {}  # address -> contents
-        self.tags: dict[int, int] = {}  # address -> epoch of the last write
+        # address -> epoch of the last write
+        self.tags: dict[int, int] | None = {} if log else None
         self.current_epoch: int | None = None
-        self.trace: ProbeTrace | None = ProbeTrace()
+        self.trace: ProbeTrace | None = ProbeTrace() if log else None
         self.replay_reads: list[tuple[int, ...]] | None = None
         self.probes = 0
         self._limit = 1 << config.w
         # an address must also fit the log's signed 64-bit column, logged or not
         self._address_limit = min(self._limit, _INT64_LIMIT)
 
-    def begin_epoch(self, epoch_id: int) -> None:
-        if epoch_id < 1:
-            raise ValueError("epoch ids start at 1")
+    def _check_epoch(self, epoch_id: int) -> None:
+        """Refuse an id that is not in [1, 2^15) or does not come after
+        the current epoch, logged or not."""
+        if not 1 <= epoch_id < _EPOCH_LIMIT:
+            raise ValueError(f"epoch id {epoch_id} is not in [1, {_EPOCH_LIMIT})")
         if self.current_epoch is not None and epoch_id >= self.current_epoch:
             raise ValueError(
                 f"epoch ids must strictly decrease: {epoch_id} after {self.current_epoch}"
             )
+
+    def begin_epoch(self, epoch_id: int) -> None:
+        self._check_epoch(epoch_id)
         self.current_epoch = epoch_id
 
     def begin_operation(self, op_id: Hashable) -> None:
@@ -183,17 +194,21 @@ class SimulatedMemory:
             batch = array("q", addresses)
             logged = batch * 2  # per cell: read, then written
             logged[::2] = logged[1::2] = batch
-            tags = array("q", [tag]) * len(logged)
-            tags[::2] = array("q", list(map(self.tags.get, addresses, repeat(-1))))
+            tags = array("h", [tag]) * len(logged)
+            tags[::2] = array("h", list(map(self.tags.get, addresses, repeat(-1))))
             trace.addresses.extend(logged)
             trace.kinds.extend(b"\0\1" * len(batch))
             trace.tags.extend(tags)
         # masking stores right-sized ints; a sum keeps its addition's spare digit
         mask = limit - 1
         cells, cell_tags = self.values, self.tags
-        for address, value in zip(addresses, values):
-            cells[address] = value & mask
-            cell_tags[address] = tag
+        if cell_tags is None:
+            for address, value in zip(addresses, values):
+                cells[address] = value & mask
+        else:
+            for address, value in zip(addresses, values):
+                cells[address] = value & mask
+                cell_tags[address] = tag
 
     def write(self, address: int, value: int) -> None:
         if self.replay_reads is not None:
@@ -210,25 +225,46 @@ class SimulatedMemory:
             trace.kinds.append(1)
             trace.tags.append(tag)
         self.values[address] = value
-        self.tags[address] = tag
+        if self.tags is not None:
+            self.tags[address] = tag
 
     def load(self, cells: dict[int, int], epoch_id: int) -> None:
-        """Set each cell to its contents, tagged with the epoch, without
-        probing (bookkeeping access: no trace entry, no probe counted)."""
+        """Set each cell to its contents, tagged with the epoch if the
+        memory keeps tags, without probing (bookkeeping access: no trace
+        entry, no probe counted). Every address and value is checked as
+        `write` checks it, and the epoch id as `begin_epoch` checks it,
+        before any cell changes."""
+        self._check_epoch(epoch_id)
+        if not cells:
+            return
+        if min(cells) < 0 or max(cells) >= self._address_limit:
+            self._reject_addresses(list(cells))
+        contents = cells.values()
+        if min(contents) < 0 or max(contents) >= self._limit:
+            bad = next(v for v in contents if not 0 <= v < self._limit)
+            raise OverflowError(f"value {bad} does not fit in {self.config.w} bits")
         self.values.update(cells)
-        self.tags.update(zip(cells, repeat(epoch_id)))
+        if self.tags is not None:
+            self.tags.update(zip(cells, repeat(epoch_id)))
+
+    def _tag_store(self) -> dict[int, int]:
+        if self.tags is None:
+            raise ValueError("a count-only memory keeps no epoch tags")
+        return self.tags
 
     def written_addresses(self) -> set[int]:
-        return set(self.tags)
+        return set(self._tag_store())
 
     def cells_of_epoch(self, epoch_id: int) -> set[tuple[int, int]]:
         """(address, contents) pairs whose last write was in the epoch."""
         values = self.values
-        return {(addr, values[addr]) for addr, tag in self.tags.items() if tag == epoch_id}
+        return {
+            (addr, values[addr]) for addr, tag in self._tag_store().items() if tag == epoch_id
+        }
 
     def epoch_partition(self) -> dict[int, set[int]]:
         partition: dict[int, set[int]] = {}
-        for addr, tag in self.tags.items():
+        for addr, tag in self._tag_store().items():
             partition.setdefault(tag, set()).add(addr)
         return partition
 
@@ -240,9 +276,10 @@ def probe_counts_by_epoch(addresses: Iterable[int], mem: SimulatedMemory) -> dic
     belong to no epoch and are skipped. Raw probe counts stay available
     in the probe log.
     """
+    tags = mem._tag_store()
     counts: dict[int, int] = {}
     for address in dict.fromkeys(addresses):
-        tag = mem.tags.get(address)
+        tag = tags.get(address)
         if tag is not None:
             counts[tag] = counts.get(tag, 0) + 1
     return counts

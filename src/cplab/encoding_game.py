@@ -548,8 +548,9 @@ def decode_epoch(
     smaller = range(istar - 1, 0, -1)
     small_cells = {j: _parse_cells_section(message.section(f"cells_epoch_{j}"), w) for j in smaller}
     qids = _parse_counted_section(message.section("resolved_queries"), _query_id_bits(n), w)
-    prefix_memory = SimulatedMemory(MemoryConfig(w=w))
-    prefix_memory.trace = None  # the bound check reads the probe count; replay records its reads
+    # the bound check reads the probe count and replay records its reads,
+    # so no log or epoch tag is read
+    prefix_memory = SimulatedMemory(MemoryConfig(w=w), log=False)
     structure = structure_factory(prefix_memory)
     family = getattr(structure, "family", None)
     if (family is None) != (message.kind == "orc"):
@@ -589,7 +590,8 @@ def decode_epoch(
     kept_rows = [row_of(qid) for qid in kept_ids]
 
     # re-execute the preceding epochs, then write C and the smaller
-    # epochs' cells over them, each with the tag of the epoch it stands for
+    # epochs' cells over them; the count-only memory keeps their contents,
+    # not which epoch each stands for
     execute_epochs(structure, prefix_memory, prefix_updates)
     prefix_memory.load(c_cells, istar)
     for epoch_id, epoch_cells in small_cells.items():

@@ -79,6 +79,30 @@ class TestEpochTagging:
         mem.write(5, 1)
         assert mem.tags[5] == 0
 
+    def test_largest_epoch_id_fits_the_tag_column(self):
+        # the log keeps tags as signed 16-bit integers
+        mem = make_memory()
+        mem.begin_epoch(2**15 - 1)
+        mem.begin_operation("u")
+        mem.write(4, 1)
+        mem.add_many([4, 5], 2)
+        top = 2**15 - 1
+        assert mem.trace.tags.typecode == "h"
+        assert list(mem.trace.tags) == [top, top, top, -1, top]
+        assert [tag for *_, tag in mem.trace.rows()] == [top, top, top, "", top]
+        assert mem.tags == {4: top, 5: top}
+
+    @pytest.mark.parametrize("log", [True, False], ids=["logged", "count-only"])
+    @pytest.mark.parametrize("epoch_id", [2**15, 2**70, 0, -1])
+    def test_epoch_id_outside_the_tag_range_changes_nothing(self, epoch_id, log):
+        mem = SimulatedMemory(MemoryConfig(w=16), log=log)
+        mem.begin_epoch(2**15 - 1)
+        mem.write(4, 1)
+        before = _memory_state(mem), mem.current_epoch
+        with pytest.raises(ValueError):
+            mem.begin_epoch(epoch_id)
+        assert (_memory_state(mem), mem.current_epoch) == before
+
 
 class TestProbes:
     def test_unwritten_reads_zero(self):
@@ -149,6 +173,99 @@ class TestEpochSets:
             assert union.isdisjoint(addrs)
             union |= addrs
         assert union == mem.written_addresses()
+
+
+class TestLoad:
+    def test_load_sets_cells_and_tags_without_probing(self):
+        mem = make_memory()
+        mem.begin_epoch(3)
+        mem.write(3, 1)
+        mem.load({3: 7, 9: 0}, 2)
+        assert (mem.values, mem.tags, mem.probes, len(mem.trace)) == (
+            {3: 7, 9: 0}, {3: 2, 9: 2}, 1, 1
+        )
+
+    @pytest.mark.parametrize("log", [True, False], ids=["logged", "count-only"])
+    @pytest.mark.parametrize(
+        "cells, epoch_id, error",
+        [
+            ({70000: 1}, 1, ValueError),
+            ({-1: 1}, 1, ValueError),
+            ({2**63: 1}, 1, OverflowError),
+            ({3: 1 << 20}, 1, OverflowError),
+            ({3: 1 << 16}, 1, OverflowError),
+            ({4: 1, 3: -1}, 1, OverflowError),
+            ({3: 7}, -1, ValueError),
+            ({3: 7}, 0, ValueError),
+            ({3: 7}, 2**15, ValueError),
+            ({3: 7}, 2**70, ValueError),
+            ({3: 7}, 5, ValueError),  # not after the current epoch 5
+            ({}, -1, ValueError),
+        ],
+        ids=[
+            "address-beyond-w-bits",
+            "negative-address",
+            "address-beyond-int64",
+            "value-far-beyond-w-bits",
+            "value-just-beyond-w-bits",
+            "only-second-value-negative",
+            "negative-epoch",
+            "epoch-zero",
+            "epoch-beyond-tag-column",
+            "epoch-beyond-int64",
+            "epoch-not-after-current",
+            "empty-batch-bad-epoch",
+        ],
+    )
+    def test_refused_load_changes_nothing(self, cells, epoch_id, error, log):
+        mem = SimulatedMemory(MemoryConfig(w=16), log=log)
+        mem.begin_epoch(5)
+        mem.write(3, 1)
+        before = _memory_state(mem)
+        with pytest.raises(error):
+            mem.load(cells, epoch_id)
+        assert _memory_state(mem) == before
+
+    def test_refused_load_leaves_the_next_add_intact(self):
+        # a load the memory kept could leave a cell unwritable or untagged
+        mem = make_memory()
+        for epoch_id in (-1, 2**70):
+            with pytest.raises(ValueError):
+                mem.load({3: 7}, epoch_id)
+        mem.begin_epoch(1)
+        mem.begin_operation("u")
+        mem.add_many([3], 1)
+        assert (mem.values, mem.tags, mem.probes) == ({3: 1}, {3: 1}, 2)
+        assert list(mem.trace.rows()) == [("u", "read", 3, ""), ("u", "write", 3, 1)]
+
+
+class TestCountOnly:
+    def test_keeps_values_and_probes_only(self):
+        mem = SimulatedMemory(MemoryConfig(w=16), log=False)
+        mem.begin_epoch(2)
+        mem.begin_operation("u")
+        mem.write(4, 9)
+        mem.add_many([4, 5], 1)
+        mem.load({6: 3}, 1)
+        assert (mem.values, mem.probes) == ({4: 10, 5: 1, 6: 3}, 5)
+        assert mem.trace is None and mem.tags is None
+
+    @pytest.mark.parametrize(
+        "reader",
+        [
+            lambda mem: mem.written_addresses(),
+            lambda mem: mem.cells_of_epoch(2),
+            lambda mem: mem.epoch_partition(),
+            lambda mem: probe_counts_by_epoch([4], mem),
+        ],
+        ids=["written_addresses", "cells_of_epoch", "epoch_partition", "probe_counts_by_epoch"],
+    )
+    def test_tag_readers_raise(self, reader):
+        mem = SimulatedMemory(MemoryConfig(w=16), log=False)
+        mem.begin_epoch(2)
+        mem.write(4, 9)
+        with pytest.raises(ValueError, match="count-only"):
+            reader(mem)
 
 
 class TestProbeCounts:
@@ -454,15 +571,19 @@ def test_add_many_bad_input_changes_nothing(addresses, addend, error):
 
 
 def _memory_state(mem):
+    """What a memory keeps: its values and probe count, and, when it
+    logs, its tags and log."""
     trace = mem.trace
-    log = None if trace is None else (bytes(trace.addresses), bytes(trace.kinds), bytes(trace.tags))
-    return dict(mem.values), dict(mem.tags), mem.probes, log
+    if trace is None:
+        return dict(mem.values), mem.probes
+    log = bytes(trace.addresses), bytes(trace.kinds), bytes(trace.tags)
+    return dict(mem.values), mem.probes, dict(mem.tags), log
 
 
 @given(st.sampled_from([8, 64]), st.data())
 @settings(max_examples=150, deadline=None)
 def test_log_free_memory_matches_logged(w, data):
-    """A memory with no log ends with the same cells and probe count as
+    """A count-only memory ends with the same cells and probe count as
     one that logs, over any mix of writes, replayed batch reads and batch
     adds, bad ones included; a logged memory counts one probe per log
     entry, a read counts none, and a rejected call changes neither
@@ -470,8 +591,8 @@ def test_log_free_memory_matches_logged(w, data):
     limit = 1 << w
     address = st.sampled_from([*range(8), -1, limit, 2**63])
     value = st.one_of(st.integers(0, 300), st.sampled_from([-1, limit - 1, limit]))
-    logged, bare = SimulatedMemory(MemoryConfig(w=w)), SimulatedMemory(MemoryConfig(w=w))
-    bare.trace = None
+    logged = SimulatedMemory(MemoryConfig(w=w))
+    bare = SimulatedMemory(MemoryConfig(w=w), log=False)
     epoch = 9
     actions = data.draw(st.lists(st.sampled_from(["epoch", "op", "write", "read", "add"])))
     for index, action in enumerate(actions):
@@ -504,5 +625,6 @@ def test_log_free_memory_matches_logged(w, data):
             if action == "read":
                 assert _memory_state(mem) == before
         assert outcomes[0] == outcomes[1]
-    assert _memory_state(logged)[:3] == _memory_state(bare)[:3]
+    assert _memory_state(logged)[:2] == _memory_state(bare)
     assert logged.probes == len(logged.trace)
+    assert bare.trace is None and bare.tags is None

@@ -369,9 +369,7 @@ class TestUpdateSequence:
             epochs=(EpochUpdates(epoch=1, targets=((3, 3),), weights=(5,)),),
         )
         for logged in (True, False):
-            memory = SimulatedMemory(MemoryConfig(w=48))
-            if not logged:
-                memory.trace = None
+            memory = SimulatedMemory(MemoryConfig(w=48), log=logged)
             structure = PrefixSumRangeStructure(16, delta, memory, capacity=4)
             structure.declared_update_probes = 1  # impossible bound
             with pytest.raises(AssertionError):

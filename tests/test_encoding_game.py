@@ -666,31 +666,63 @@ class TestQueriesLeaveRunUnchanged:
         ("orc", 440, 2, dict(probe_threshold=8, max_tries=8)),
     ],
 )
-def test_decoder_prefix_memory_counts_without_a_log(kind, n, istar, overrides):
-    """The memory the decoder re-executes the preceding epochs in keeps
-    no probe log, and its probe count is what those updates probed in
-    the run."""
+def test_decoder_prefix_memory_counts_without_a_log(kind, n, istar, overrides, monkeypatch):
+    """The memory the decoder re-executes the preceding epochs in is
+    count-only: it keeps no probe log and no epoch tags, its tag readers
+    raise, its probe count is what those updates probed in the run, and
+    its cells after the prefix, and after the loads, are those of a
+    logged memory given the same prefix and the same loads."""
+    from cplab.cell_probe_sim import MemoryConfig, SimulatedMemory, probe_counts_by_epoch
+    from cplab.chronogram import execute_epochs
+
     run = run_hard_distribution(kind, n, 5, seed=0)
     resolved = find_resolved_set(run, istar, seed=0, **overrides)
     message = encode_epoch(run, istar, resolved)
     assert message.flag == 0
     prefix = run.updates.prefix_above(istar)
-    handed = []
+    handed, after_prefix, loads = [], [], []
+    load = SimulatedMemory.load
 
     def capturing_factory(memory):
         handed.append(memory)
         return run.structure_factory(memory)
 
+    def recording_load(memory, cells, epoch_id):
+        if memory is handed[0]:
+            if not loads:
+                after_prefix.append(dict(memory.values))
+            loads.append((dict(cells), epoch_id))
+        load(memory, cells, epoch_id)
+
+    monkeypatch.setattr(SimulatedMemory, "load", recording_load)
     result = decode_epoch(message, prefix, capturing_factory, verify_run=run)
+    monkeypatch.undo()
     assert result.u_istar == run.updates.u(istar)
     [memory] = handed
-    assert memory.trace is None
+    assert memory.trace is None and memory.tags is None
+    readers = (
+        memory.written_addresses,
+        lambda: memory.cells_of_epoch(istar),
+        memory.epoch_partition,
+        lambda: probe_counts_by_epoch(list(memory.values), memory),
+    )
+    for reader in readers:
+        with pytest.raises(ValueError):
+            reader()
     run_probes = sum(
         len(segment(run.memory.trace, ("upd", epoch.epoch, j)))
         for epoch in prefix.epochs
         for j in range(len(epoch.targets))
     )
     assert memory.probes == run_probes > 0
+
+    logged = SimulatedMemory(MemoryConfig(w=run.w))
+    execute_epochs(run.structure_factory(logged), logged, prefix)
+    assert after_prefix == [logged.values] and logged.values
+    assert [epoch_id for _, epoch_id in loads] == list(range(istar, 0, -1))
+    for cells, epoch_id in loads:
+        logged.load(cells, epoch_id)
+    assert memory.values == logged.values
 
 
 class TestFlagOnePath:
