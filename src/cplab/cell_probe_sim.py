@@ -4,12 +4,15 @@ a probe log.
 An update's probes are counted and logged: each read or write of a cell
 adds one to the memory's probe count and lands in its trace, unless the
 memory is count-only (the decoder's re-execution of the preceding epochs
-only counts). A query reads only while `chronogram.replay_queries`
-replays it, which records its reads apart; it may not write. Each
-written cell of a logged memory carries the id of the last epoch that
-wrote it, which is what per-epoch probe accounting is built on. Cells
-never written read as zero: a decoder re-executing a prefix of the
-updates must see exactly the same blanks the original execution saw.
+only counts). The trace keeps one address per cell a call touched, in
+batches; its per-probe columns, and each read's probe-time epoch tag,
+are derived from the batches when they are read. A query reads only
+while `chronogram.replay_queries` replays it, which records its reads
+apart; it may not write. Each written cell of a logged memory carries
+the id of the last epoch that wrote it, which is what per-epoch probe
+accounting is built on. Cells never written read as zero: a decoder
+re-executing a prefix of the updates must see exactly the same blanks
+the original execution saw.
 """
 
 from __future__ import annotations
@@ -36,50 +39,134 @@ class MemoryConfig:
 
 
 _KINDS = ("read", "write")
+# a batch's kind: reads with given tags, writes, read-then-write adds, or a load
+_READS, _WRITES, _ADDS, _LOAD = range(4)
 _INT64_LIMIT = 1 << 63  # the log keeps addresses as signed 64-bit integers
 _EPOCH_LIMIT = 1 << 15  # and epoch tags as signed 16-bit integers
 
 
 class ProbeTrace:
-    """Append-only probe log kept as columns, segmented by operation id.
+    """Append-only probe log kept as batches, segmented by operation id.
 
-    Probe k has `addresses[k]`, `kinds[k]` (0 read, 1 write) and
-    `tags[k]`, the epoch tag on the cell at probe time (-1 if it was
-    unwritten). Addresses are stored as signed 64-bit integers, tags as
-    signed 16-bit ones (epoch ids lie below 2^15). An operation owns
-    the probes from its `begin` to the next `begin`; probes before the
-    first `begin` belong to op None. Op ids are unique within one log.
+    Each logging call appends one batch: the addresses of the cells it
+    touched, once each, and the batch's end offset, kind and epoch tag.
+    A batch of reads (`log_reads`) holds one read probe per cell and the
+    tags it was given; a write batch one write probe per cell; an add
+    batch one read and then one write per cell; a load batch no probe.
+
+    The per-probe columns are derived from the batches in one pass each
+    time they are read: probe k has `addresses[k]`, `kinds[k]` (0 read,
+    1 write) and `tags[k]`, the epoch tag on the cell at probe time. A
+    write carries its batch's tag. An add's read carries the tag of the
+    cell's last write or load in an earlier batch of this log, or -1 if
+    there is none, which is the cell's tag at probe time when every
+    change to the memory's tags is logged here. Addresses are stored as
+    signed 64-bit integers, tags as signed 16-bit ones (epoch ids lie
+    below 2^15). An operation owns the probes from its `begin` to the
+    next `begin`; probes before the first `begin` belong to op None. Op
+    ids are unique within one log.
     """
 
     def __init__(self) -> None:
-        self.addresses = array("q")
-        self.kinds = bytearray()
-        self.tags = array("h")
+        self._cells = array("q")  # the touched cells, batch after batch
+        self._ends = array("q")  # each batch's end offset in _cells
+        self._batch_kinds = bytearray()
+        self._batch_tags = array("h")
+        self._read_tags = array("h")  # the given tags of the read batches' cells
+        self._probes = 0
         self._op_index: dict[Hashable, int] = {None: 0}  # op id -> position, in begin order
-        self._op_starts: list[int] = [0]
+        self._op_starts: list[int] = [0]  # probe counts at each begin
 
     def begin(self, op_id: Hashable) -> None:
         if op_id in self._op_index:
             raise ValueError(f"op id {op_id!r} already used in this log")
         self._op_index[op_id] = len(self._op_starts)
-        self._op_starts.append(len(self.addresses))
+        self._op_starts.append(self._probes)
+
+    def _append(self, addresses: Iterable[int], kind: int, tag: int, per_cell: int) -> None:
+        """Append one batch. The addresses are converted, and the tag
+        appended, before anything else changes: an address past 64 bits
+        or a tag past 16 raises and leaves the log as it was."""
+        cells = array("q", addresses)
+        if not cells:
+            return
+        self._batch_tags.append(tag)
+        self._cells.extend(cells)
+        self._ends.append(len(self._cells))
+        self._batch_kinds.append(kind)
+        self._probes += per_cell * len(cells)
 
     def log_reads(self, addresses: Sequence[int], tags: dict[int, int]) -> None:
         """Append one read per address, tagged from `tags` (-1 if absent)."""
-        self.addresses.extend(array("q", addresses))
-        self.kinds.extend(bytes(len(addresses)))
-        self.tags.extend(array("h", list(map(tags.get, addresses, repeat(-1)))))
+        read_tags = array("h", list(map(tags.get, addresses, repeat(-1))))
+        self._append(addresses, _READS, 0, 1)
+        self._read_tags.extend(read_tags)
+
+    def log_write(self, address: int, tag: int) -> None:
+        self._append((address,), _WRITES, tag, 1)
+
+    def log_adds(self, addresses: Sequence[int], tag: int) -> None:
+        """Append one read and then one write per cell; the cells are distinct."""
+        self._append(addresses, _ADDS, tag, 2)
+
+    def log_load(self, addresses: Iterable[int], tag: int) -> None:
+        """Record cells set without probing: later reads carry their tag."""
+        self._append(addresses, _LOAD, tag, 0)
 
     def __len__(self) -> int:
-        return len(self.addresses)
+        return self._probes
+
+    def _columns(self) -> tuple[array, bytearray, array]:
+        """(addresses, kinds, tags), one entry per probe, in one pass."""
+        addresses, kinds, tags = array("q"), bytearray(), array("h")
+        last: dict[int, int] = {}  # address -> tag of its last write or load so far
+        cells, read_tags = self._cells, self._read_tags
+        start = read_start = 0
+        for end, kind, tag in zip(self._ends, self._batch_kinds, self._batch_tags):
+            batch = cells[start:end]
+            size = end - start
+            if kind == _READS:
+                addresses.extend(batch)
+                kinds.extend(bytes(size))
+                tags.extend(read_tags[read_start : read_start + size])
+                read_start += size
+            elif kind == _WRITES:
+                addresses.extend(batch)
+                kinds.extend(b"\1" * size)
+                tags.extend(array("h", [tag]) * size)
+            elif kind == _ADDS:
+                logged = batch * 2  # per cell: read, then written
+                logged[::2] = logged[1::2] = batch
+                addresses.extend(logged)
+                kinds.extend(b"\0\1" * size)
+                probe_tags = array("h", [tag]) * (2 * size)
+                probe_tags[::2] = array("h", list(map(last.get, batch, repeat(-1))))
+                tags.extend(probe_tags)
+            if kind != _READS:
+                last.update(zip(batch, repeat(tag)))
+            start = end
+        return addresses, kinds, tags
+
+    @property
+    def addresses(self) -> array:
+        return self._columns()[0]
+
+    @property
+    def kinds(self) -> bytearray:
+        return self._columns()[1]
+
+    @property
+    def tags(self) -> array:
+        return self._columns()[2]
 
     def rows(self) -> Iterator[tuple[Hashable, str, int, int | str]]:
         """(op_id, kind, address, tag) per probe; an unwritten cell's tag is ""."""
-        ends = self._op_starts[1:] + [len(self.addresses)]
+        addresses, kinds, tags = self._columns()
+        ends = self._op_starts[1:] + [self._probes]
         for op_id, start, end in zip(self._op_index, self._op_starts, ends):
             for k in range(start, end):
-                tag = self.tags[k]
-                yield op_id, _KINDS[self.kinds[k]], self.addresses[k], "" if tag < 0 else tag
+                tag = tags[k]
+                yield op_id, _KINDS[kinds[k]], addresses[k], "" if tag < 0 else tag
 
 
 class SimulatedMemory:
@@ -89,12 +176,13 @@ class SimulatedMemory:
     address, `values` and `tags`, which in a logged memory always hold
     the same addresses. Read them freely; change them only through
     `write`, `add_many` and `load`. `probes` counts the update probes
-    made so far. `trace` is
-    the probe log. A memory built with `log=False` is count-only, for a
-    re-execution whose probes and tags no one reads: it keeps `values`
-    and `probes`, its `trace` and `tags` are None, and the tag readers
-    (`written_addresses`, `cells_of_epoch`, `epoch_partition`,
-    `probe_counts_by_epoch`) raise ValueError on it.
+    made so far. `trace` is the probe log; each of those three calls
+    appends one batch to it. A memory built with `log=False` is
+    count-only, for a re-execution whose probes and tags no one reads:
+    it keeps `values` and `probes`, its `trace` and `tags` are None, and the tag readers
+    (`tag_store`, `written_addresses`, `cells_of_epoch`,
+    `epoch_partition`, `probe_counts_by_epoch`,
+    `chronogram.epoch_probe_profile`) raise ValueError on it.
 
     `replay_reads` is None except while `chronogram.replay_queries` asks
     a query: then it is a list, and `read_many` appends a tuple of its
@@ -145,8 +233,8 @@ class SimulatedMemory:
         raise ValueError(f"address {bad} does not fit in {self.config.w} bits")
 
     # read_many, add_many and write are the hot path: they record a
-    # query's reads, or count probes and append them to the log's
-    # columns, with no per-probe object
+    # query's reads, or count probes and append one batch to the log,
+    # with no per-probe object
     def read_many(self, addresses: Sequence[int]) -> list[int]:
         """A replayed query reads the cells in order: their addresses go
         to `replay_reads` as one tuple, in probe order. Every address is
@@ -189,16 +277,8 @@ class SimulatedMemory:
 
         tag = self.current_epoch if self.current_epoch is not None else 0
         self.probes += 2 * len(addresses)
-        trace = self.trace
-        if trace is not None:
-            batch = array("q", addresses)
-            logged = batch * 2  # per cell: read, then written
-            logged[::2] = logged[1::2] = batch
-            tags = array("h", [tag]) * len(logged)
-            tags[::2] = array("h", list(map(self.tags.get, addresses, repeat(-1))))
-            trace.addresses.extend(logged)
-            trace.kinds.extend(b"\0\1" * len(batch))
-            trace.tags.extend(tags)
+        if self.trace is not None:
+            self.trace.log_adds(addresses, tag)
         # masking stores right-sized ints; a sum keeps its addition's spare digit
         mask = limit - 1
         cells, cell_tags = self.values, self.tags
@@ -219,21 +299,19 @@ class SimulatedMemory:
             raise OverflowError(f"value {value} does not fit in {self.config.w} bits")
         tag = self.current_epoch if self.current_epoch is not None else 0
         self.probes += 1
-        trace = self.trace
-        if trace is not None:
-            trace.addresses.append(address)
-            trace.kinds.append(1)
-            trace.tags.append(tag)
+        if self.trace is not None:
+            self.trace.log_write(address, tag)
         self.values[address] = value
         if self.tags is not None:
             self.tags[address] = tag
 
     def load(self, cells: dict[int, int], epoch_id: int) -> None:
         """Set each cell to its contents, tagged with the epoch if the
-        memory keeps tags, without probing (bookkeeping access: no trace
-        entry, no probe counted). Every address and value is checked as
-        `write` checks it, and the epoch id as `begin_epoch` checks it,
-        before any cell changes."""
+        memory keeps tags, without probing (bookkeeping access: no probe
+        counted; a logged memory records the cells as a batch with no
+        probes, so that later reads in its log carry the load's tag).
+        Every address and value is checked as `write` checks it, and the
+        epoch id as `begin_epoch` checks it, before any cell changes."""
         self._check_epoch(epoch_id)
         if not cells:
             return
@@ -246,25 +324,28 @@ class SimulatedMemory:
         self.values.update(cells)
         if self.tags is not None:
             self.tags.update(zip(cells, repeat(epoch_id)))
+        if self.trace is not None:
+            self.trace.log_load(cells, epoch_id)
 
-    def _tag_store(self) -> dict[int, int]:
+    def tag_store(self) -> dict[int, int]:
+        """The address -> epoch tag store; ValueError on a count-only memory."""
         if self.tags is None:
             raise ValueError("a count-only memory keeps no epoch tags")
         return self.tags
 
     def written_addresses(self) -> set[int]:
-        return set(self._tag_store())
+        return set(self.tag_store())
 
     def cells_of_epoch(self, epoch_id: int) -> set[tuple[int, int]]:
         """(address, contents) pairs whose last write was in the epoch."""
         values = self.values
         return {
-            (addr, values[addr]) for addr, tag in self._tag_store().items() if tag == epoch_id
+            (addr, values[addr]) for addr, tag in self.tag_store().items() if tag == epoch_id
         }
 
     def epoch_partition(self) -> dict[int, set[int]]:
         partition: dict[int, set[int]] = {}
-        for addr, tag in self._tag_store().items():
+        for addr, tag in self.tag_store().items():
             partition.setdefault(tag, set()).add(addr)
         return partition
 
@@ -276,7 +357,7 @@ def probe_counts_by_epoch(addresses: Iterable[int], mem: SimulatedMemory) -> dic
     belong to no epoch and are skipped. Raw probe counts stay available
     in the probe log.
     """
-    tags = mem._tag_store()
+    tags = mem.tag_store()
     counts: dict[int, int] = {}
     for address in dict.fromkeys(addresses):
         tag = tags.get(address)

@@ -278,12 +278,14 @@ def epoch_probe_profile(
     `{epoch: distinct cells}` dict per query, with no entry for an epoch
     the query does not probe. The returned log gets each query's
     addresses as reads, op id ("qry", index), tagged with the memory's
-    tags: a replayed query cannot write."""
+    tags: a replayed query cannot write. A count-only run memory keeps
+    no tags, so it raises ValueError before any query is asked."""
     memory, log = run.memory, ProbeTrace()
+    tags = memory.tag_store()
     counts = []
     for idx, (_, addresses) in enumerate(replay_queries(run.structure, queries)):
         log.begin(("qry", idx))
-        log.log_reads(addresses, memory.tags)
+        log.log_reads(addresses, tags)
         counts.append(probe_counts_by_epoch(addresses, memory))
     return counts, log
 

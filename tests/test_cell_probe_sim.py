@@ -5,6 +5,7 @@ from probe_log import segment
 
 from cplab.cell_probe_sim import (
     MemoryConfig,
+    ProbeTrace,
     SimulatedMemory,
     ceil_lg,
     probe_counts_by_epoch,
@@ -19,10 +20,7 @@ class ReferenceMemory(SimulatedMemory):
     def read(self, address: int) -> int:
         if not 0 <= address < self._limit:
             raise ValueError(f"address {address} does not fit in {self.config.w} bits")
-        trace = self.trace
-        trace.addresses.append(address)
-        trace.kinds.append(0)
-        trace.tags.append(self.tags.get(address, -1))
+        self.trace.log_reads([address], self.tags)
         self.probes += 1
         return self.values.get(address, 0)
 
@@ -226,6 +224,38 @@ class TestLoad:
             mem.load(cells, epoch_id)
         assert _memory_state(mem) == before
 
+    def test_load_then_add_tags_the_read_with_the_loads_epoch(self):
+        mem = make_memory()
+        mem.load({3: 7}, 4)
+        mem.begin_epoch(2)
+        mem.begin_operation("u")
+        mem.add_many([3, 5], 1)
+        assert len(mem.trace) == mem.probes == 4
+        assert list(mem.trace.rows()) == [
+            ("u", "read", 3, 4), ("u", "write", 3, 2), ("u", "read", 5, ""), ("u", "write", 5, 2),
+        ]
+
+    def test_refused_load_or_add_leaves_the_log_unchanged(self):
+        mem = make_memory(w=8)
+        mem.begin_epoch(5)
+        mem.begin_operation("u")
+        mem.add_many([3], 1)
+        mem.load({4: 9}, 3)
+        before = _log_state(mem.trace)
+        for call, error in [
+            (lambda: mem.load({4: 1, 6: 256}, 2), OverflowError),
+            (lambda: mem.load({6: 1}, 5), ValueError),
+            (lambda: mem.add_many([4, 6, 4], 1), ValueError),
+            (lambda: mem.add_many([6, 4], 247), OverflowError),
+        ]:
+            with pytest.raises(error):
+                call()
+            assert _log_state(mem.trace) == before
+        mem.add_many([4, 6], 1)
+        assert list(mem.trace.rows())[2:] == [
+            ("u", "read", 4, 3), ("u", "write", 4, 5), ("u", "read", 6, ""), ("u", "write", 6, 5),
+        ]
+
     def test_refused_load_leaves_the_next_add_intact(self):
         # a load the memory kept could leave a cell unwritable or untagged
         mem = make_memory()
@@ -324,6 +354,25 @@ class TestTrace:
             ("q", "read", 4, ""),  # unwritten cell has no tag
         ]
 
+    @pytest.mark.parametrize(
+        "addresses, tags",
+        [([1, 2], {1: 40000}), ([1, 2], {2: -40000}), ([1, 2**63], {}), ([-(2**63) - 1], {})],
+        ids=["tag-beyond-int16", "negative-tag-beyond-int16", "address-beyond-int64",
+             "address-below-int64"],
+    )
+    def test_refused_log_reads_changes_nothing(self, addresses, tags):
+        trace = ProbeTrace()
+        trace.begin("a")
+        trace.log_reads([5, 1], {5: 3})
+        before = _log_state(trace)
+        with pytest.raises(OverflowError):
+            trace.log_reads(addresses, tags)
+        assert _log_state(trace) == before
+        trace.log_reads([1], {1: 2})
+        assert list(trace.rows()) == [
+            ("a", "read", 5, 3), ("a", "read", 1, ""), ("a", "read", 1, 2),
+        ]
+
     def test_reused_op_id_rejected(self):
         mem = make_memory()
         mem.begin_operation("a")
@@ -363,21 +412,32 @@ _log_actions = st.lists(
     st.one_of(
         st.tuples(st.just("begin"), st.integers(0, 5)),
         st.tuples(st.just("epoch")),
-        st.tuples(st.sampled_from(["read", "write"]), st.integers(0, 15), st.integers(0, 255)),
+        st.tuples(st.just("read"), st.integers(0, 15)),
+        st.tuples(st.just("write"), st.integers(0, 15), st.integers(0, 255)),
+        st.tuples(st.just("add"), st.lists(st.integers(0, 15), max_size=5), st.integers(-2, 9)),
+        st.tuples(
+            st.just("load"),
+            st.dictionaries(st.integers(0, 15), st.integers(0, 255), max_size=4),
+            st.integers(1, 10),
+        ),
     ),
     max_size=60,
 )
 
 
 @given(_log_actions)
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_columns_match_list_model(actions):
-    """The columnar log against a plain list of (op, kind, address, tag)."""
+    """Writes, batched adds and loads, with reads between them, against a
+    plain list of (op, kind, address, tag): an add's read carries the tag
+    of the cell's last write or load, whether it was in this epoch or an
+    earlier one, and a refused add or load leaves the log as it was."""
     mem = make_memory(w=8)
     model: list[tuple] = []
-    cells: dict[int, int] = {}  # address -> tag
+    cells: dict[int, int] = {}  # address -> tag of its last write or load
     op, ops, epoch = None, [], None
     for action in actions:
+        before = _log_state(mem.trace)
         if action[0] == "begin":
             if action[1] in ops:
                 with pytest.raises(ValueError):
@@ -393,16 +453,46 @@ def test_columns_match_list_model(actions):
         elif action[0] == "read":
             mem.read(action[1])
             model.append((op, "read", action[1], cells.get(action[1], "")))
-        else:
+            continue
+        elif action[0] == "write":
             mem.write(action[1], action[2])
             cells[action[1]] = epoch or 0
             model.append((op, "write", action[1], cells[action[1]]))
+            continue
+        elif action[0] == "add":
+            addresses, addend = action[1], action[2]
+            if len(set(addresses)) != len(addresses):
+                refused = ValueError
+            elif any(not 0 <= mem.values.get(a, 0) + addend < 256 for a in addresses):
+                refused = OverflowError
+            else:
+                mem.add_many(addresses, addend)
+                for address in addresses:
+                    model.append((op, "read", address, cells.get(address, "")))
+                    cells[address] = epoch or 0
+                    model.append((op, "write", address, cells[address]))
+                continue
+            with pytest.raises(refused):
+                mem.add_many(addresses, addend)
+        elif action[0] == "load":
+            loaded, load_epoch = action[1], action[2]
+            if epoch is not None and load_epoch >= epoch:
+                with pytest.raises(ValueError):
+                    mem.load(loaded, load_epoch)
+            else:
+                mem.load(loaded, load_epoch)
+                cells.update(dict.fromkeys(loaded, load_epoch))
+                continue
+        # what is left changes no probe: an epoch, an op, or a refused or empty call
+        assert _log_state(mem.trace) == before
 
     trace = mem.trace
-    assert len(trace) == len(model)
+    assert len(trace) == len(model) == mem.probes
     assert list(trace.rows()) == model
     for o in [None] + ops:  # every op is closed except the last one begun
         assert segment(trace, o) == [a for m_op, _, a, _ in model if m_op == o]
+    assert list(trace.addresses) == [a for _, _, a, _ in model]
+    assert list(trace.kinds) == [int(kind == "write") for _, kind, _, _ in model]
     assert list(trace.tags) == [-1 if t == "" else t for _, _, _, t in model]
 
 
@@ -576,8 +666,13 @@ def _memory_state(mem):
     trace = mem.trace
     if trace is None:
         return dict(mem.values), mem.probes
-    log = bytes(trace.addresses), bytes(trace.kinds), bytes(trace.tags)
-    return dict(mem.values), mem.probes, dict(mem.tags), log
+    return dict(mem.values), mem.probes, dict(mem.tags), _log_state(trace)
+
+
+def _log_state(trace):
+    """A log's probe count, its three columns and its rows."""
+    columns = bytes(trace.addresses), bytes(trace.kinds), bytes(trace.tags)
+    return len(trace), columns, list(trace.rows())
 
 
 @given(st.sampled_from([8, 64]), st.data())

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 from itertools import compress
 
@@ -101,6 +102,13 @@ class TestHardDistributionRuns:
         with pytest.raises(ValueError):
             run_hard_distribution("nope", 16, 2, seed=0)
 
+    @pytest.mark.parametrize("kind, n", [("artificial", 25), ("orc", 55), ("orc", 440)])
+    def test_log_holds_one_entry_per_probe(self, kind, n):
+        memory = run_hard_distribution(kind, n, 5, seed=0).memory
+        trace = memory.trace
+        assert len(trace) == memory.probes > 0
+        assert len(trace.addresses) == len(trace.kinds) == len(trace.tags) == memory.probes
+
     @pytest.mark.parametrize(
         "kind, n", [("artificial", 25), ("artificial", 49), ("orc", 55), ("orc", 440)]
     )
@@ -117,6 +125,20 @@ class TestHardDistributionRuns:
 
 
 class TestProbeProfiles:
+    def test_count_only_memory_raises_before_any_query(self):
+        run = run_hard_distribution("orc", 55, 5, seed=0)
+        bare = SimulatedMemory(MemoryConfig(w=run.w), log=False)
+        structure = run.structure_factory(bare)
+        execute_epochs(structure, bare, run.updates)
+        asked = []
+        queries = [(1, 2), (3, 4)]
+        with pytest.raises(ValueError, match="count-only"):
+            epoch_probe_profile(
+                dataclasses.replace(run, memory=bare, structure=structure),
+                (asked.append(q) or q for q in queries),
+            )
+        assert asked == [] and bare.replay_reads is None
+
     def test_naive_profile_matches_analytic_oracle(self):
         run = run_hard_distribution("artificial", 16, 2, seed=3)
         queries = list(range(40))
